@@ -10,7 +10,7 @@ operators.
 Layout
 ------
 linalg      symmetric eigendecompositions, PSD square roots,
-            congruence solves
+            congruence solves, the doubling covariance propagator
 fem         meshes, P1 mass/stiffness/advection assembly, cross-mesh
             Gram matrices, the mass-conservation shift c0
 kernels     noise covariance kernels and their Galerkin projection Q_h
@@ -71,8 +71,8 @@ from .kernels import (
 )
 from .linalg import (
     congruence_solve,
-    factored_congruence,
     lu_factor_checked,
+    propagate,
     psd_sqrt,
     sym_eig,
     symmetrize,
@@ -169,7 +169,6 @@ __all__ = [
     "err_hs_norm",
     "err_trace_norm",
     "extract_position_cov",
-    "factored_congruence",
     "fit_rate",
     "hat_values",
     "heat_cov_closed_form",
@@ -183,6 +182,7 @@ __all__ = [
     "midpoint_rule",
     "modal_cov_function",
     "nodal_cov_function",
+    "propagate",
     "psd_sqrt",
     "read_config",
     "read_report",

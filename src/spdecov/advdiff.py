@@ -13,20 +13,29 @@ forward equation.
 """
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
+import scipy.linalg
 
 from .fem import Coefficients, Mesh1D, assemble_form, assemble_mass
 from .kernels import Kernel, assemble_Q
 from .linalg import (
+    AffineStep,
     congruence_solve,
-    factored_congruence,
     lu_factor_checked,
+    propagate,
     symmetrize,
 )
 
-__all__ = ["AdvDiffConfig", "advdiff_step", "advdiff_run"]
+__all__ = [
+    "AdvDiffConfig",
+    "BackwardEuler",
+    "backward_euler_step",
+    "advdiff_operators",
+    "advdiff_step",
+    "advdiff_run",
+]
 
 
 @dataclass(frozen=True)
@@ -77,6 +86,44 @@ def advdiff_step(K_prev, M, A, Q_h, dt, c0):
     return congruence_solve(M + dt * A, symmetrize(RHS))
 
 
+class BackwardEuler(NamedTuple):
+    """Operators of one backward Euler step.
+
+    step is the covariance update; M, Q_h and the LU factors lu_piv of
+    M + dt A also drive the path sampler in montecarlo.
+    """
+
+    M: np.ndarray
+    Q_h: np.ndarray
+    lu_piv: tuple
+    step: AffineStep
+
+
+def backward_euler_step(M, A, Q_h, dt, c0):
+    """The covariance step K <- g T K T^T + Q of backward Euler.
+
+    T = (M + dt A)^{-1} M, Q = dt (M + dt A)^{-1} Q_h (M + dt A)^{-T}
+    and g = 1 + 2 c0 dt, so that one update solves
+    (M + dt A) K (M + dt A)^T = g M K_prev M + dt Q_h.
+    """
+    lu_piv = lu_factor_checked(M + dt * A)
+    T = scipy.linalg.lu_solve(lu_piv, M, check_finite=False)
+    Y = scipy.linalg.lu_solve(lu_piv, dt * Q_h, check_finite=False)
+    noise = scipy.linalg.lu_solve(lu_piv, Y.T, check_finite=False)
+    growth = 1.0 + 2.0 * c0 * dt
+    step = AffineStep(T, symmetrize(noise), growth)
+    return BackwardEuler(M, Q_h, lu_piv, step)
+
+
+def advdiff_operators(config):
+    """Assemble a config's matrices into its BackwardEuler operators."""
+    mesh = config.mesh
+    M = assemble_mass(mesh)
+    A = assemble_form(mesh, config.coeffs, config.c0)
+    Q_h = assemble_Q(mesh, config.kernel)
+    return backward_euler_step(M, A, Q_h, config.dt, config.c0)
+
+
 def advdiff_run(config, callback=None):
     """Iterate the covariance recursion to t = T.
 
@@ -85,29 +132,14 @@ def advdiff_run(config, callback=None):
     config : AdvDiffConfig
     callback : callable, optional
         Called as callback(j, K_j) after every step, j = 1..n_steps.
-        Meant for invariant monitoring and snapshots; the recursion
-        itself never depends on it.
+        Meant for invariant monitoring and snapshots. Without one the
+        recursion is evaluated by binary doubling (linalg.propagate),
+        which needs O(log n_steps) products instead of n_steps steps.
 
     Returns
     -------
     (n, n) ndarray
         Covariance coefficient matrix at the final time.
     """
-    mesh = config.mesh
-    M = assemble_mass(mesh)
-    A = assemble_form(mesh, config.coeffs, config.c0)
-    Q_h = assemble_Q(mesh, config.kernel)
-    dt = config.dt
-    c0 = config.c0
-
-    K = np.zeros_like(M) if config.K0 is None else symmetrize(
-        np.asarray(config.K0, dtype=float)
-    )
-    lu_piv = lu_factor_checked(M + dt * A)
-    growth = 1.0 + 2.0 * c0 * dt
-    for j in range(1, config.n_steps + 1):
-        RHS = growth * (M @ K @ M) + dt * Q_h
-        K = factored_congruence(lu_piv, symmetrize(RHS))
-        if callback is not None:
-            callback(j, K)
-    return K
+    step = advdiff_operators(config).step
+    return propagate(step, config.n_steps, config.K0, callback)

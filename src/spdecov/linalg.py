@@ -18,7 +18,15 @@ from .exceptions import (
     SingularError,
 )
 
-__all__ = ["SymEig", "sym_eig", "psd_sqrt", "congruence_solve", "symmetrize"]
+__all__ = [
+    "SymEig",
+    "AffineStep",
+    "sym_eig",
+    "psd_sqrt",
+    "congruence_solve",
+    "propagate",
+    "symmetrize",
+]
 
 #: relative symmetry slack accepted by sym_eig
 SYMMETRY_RTOL = 1e-9
@@ -127,9 +135,9 @@ def psd_sqrt(A, tol=1e-10):
 def congruence_solve(L, RHS):
     """Solve L X L^T = RHS for symmetric RHS.
 
-    The workhorse of the covariance recursions, where L = M + dt*A is
-    factored outside any symmetry assumptions. X is symmetrized before
-    return to stop roundoff drift from accumulating across time steps.
+    The one-step references advdiff_step and wave_cov_step use it with
+    L = M + dt*A or the CN block L, factored outside any symmetry
+    assumptions. X is symmetrized before return.
 
     Parameters
     ----------
@@ -152,63 +160,68 @@ def congruence_solve(L, RHS):
     RHS = _as_square(RHS, "RHS")
     if L.shape != RHS.shape:
         raise ValueError(f"shape mismatch: L {L.shape} vs RHS {RHS.shape}")
-    lu, piv = _quiet_lu_factor(L)
-    floor = PIVOT_RTOL * max(np.abs(L).max(), 1e-300)
-    pivots = np.abs(np.diag(lu))
-    if pivots.min() < floor:
-        raise SingularError(
-            f"pivot {pivots.min():.3e} below floor {floor:.3e}"
-        )
-    Y = scipy.linalg.lu_solve((lu, piv), RHS, check_finite=False)
-    X = scipy.linalg.lu_solve((lu, piv), Y.T, check_finite=False)
+    lu_piv = lu_factor_checked(L)
+    Y = scipy.linalg.lu_solve(lu_piv, RHS, check_finite=False)
+    X = scipy.linalg.lu_solve(lu_piv, Y.T, check_finite=False)
     return symmetrize(X)
 
 
-def factored_congruence(lu_piv, RHS):
-    """congruence_solve against a prefactored (lu, piv) pair.
+class AffineStep(NamedTuple):
+    """One step K <- g T K T^T + Q of a covariance recursion.
 
-    Used by the run loops, which factor M + dt*A once and apply it every
-    step. No pivot check here; the caller checked at factorization time.
+    T is the state propagator, Q the symmetric noise increment and g a
+    scalar growth factor. g stays a separate scalar instead of being
+    folded into T as sqrt(g), because it may be negative.
     """
-    Y = scipy.linalg.lu_solve(lu_piv, RHS, check_finite=False)
-    return symmetrize(scipy.linalg.lu_solve(lu_piv, Y.T, check_finite=False))
+
+    T: np.ndarray
+    Q: np.ndarray
+    g: float = 1.0
 
 
-def congruence_doubling(T, Q, n_steps, K):
-    """n_steps iterations of K <- T K T^T + Q by binary doubling.
+def propagate(step, n_steps, K0=None, callback=None):
+    """n_steps iterations of K <- g T K T^T + Q from K0 (None: zero).
 
-    Equal to stepping from the given K in exact arithmetic, at
-    O(log n_steps) matrix products instead of O(n_steps) (Smith 1968,
-    SIAM J. Appl. Math. 16:198). The affine maps of 2^k steps,
-    K <- T^(2^k) K T^(2^k)^T + Q_k, are built by squaring and applied
-    for the set bits of n_steps; they commute, so bit order does not
-    matter. Every update is symmetrized like a step, so for symmetric
-    Q and K the result is exactly symmetric.
+    With a callback, called as callback(j, K_j) after every step j =
+    1..n_steps, the recursion steps. Without one it is evaluated by
+    binary doubling at O(log n_steps) matrix products (Smith 1968, SIAM
+    J. Appl. Math. 16:198): the maps of 2^k steps, with propagator
+    T^(2^k) and growth g^(2^k), are built by squaring and applied for
+    the set bits of n_steps; they commute, so bit order does not
+    matter. K0 and every update are symmetrized, so for symmetric Q the
+    result is exactly symmetric. Doubling equals stepping up to
+    rounding.
     """
-    P, S = T, Q
+    T, Q, g = step
+    K = np.zeros_like(Q) if K0 is None else symmetrize(
+        np.asarray(K0, dtype=float)
+    )
+    if callback is not None:
+        for j in range(1, n_steps + 1):
+            K = g * symmetrize(T @ K @ T.T) + Q
+            callback(j, K)
+        return K
     while True:
         if n_steps & 1:
-            K = symmetrize(P @ K @ P.T) + S
+            K = g * symmetrize(T @ K @ T.T) + Q
         n_steps >>= 1
         if not n_steps:
             return K
-        S = symmetrize(P @ S @ P.T) + S
-        P = P @ P
-
-
-def _quiet_lu_factor(L):
-    # the pivot check below turns singularity into a typed error; the
-    # scipy advisory warning would only duplicate it
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        return scipy.linalg.lu_factor(L, check_finite=False)
+        Q = g * symmetrize(T @ Q @ T.T) + Q
+        T = T @ T
+        g = g * g
 
 
 def lu_factor_checked(L):
     """LU-factor L, raising SingularError on a collapsed pivot."""
     L = _as_square(L, "L")
-    lu, piv = _quiet_lu_factor(L)
+    # the pivot check below turns singularity into a typed error; the
+    # scipy advisory warning would only duplicate it
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(L, check_finite=False)
     floor = PIVOT_RTOL * max(np.abs(L).max(), 1e-300)
-    if np.abs(np.diag(lu)).min() < floor:
-        raise SingularError("matrix numerically singular")
+    pivot = np.abs(np.diag(lu)).min()
+    if pivot < floor:
+        raise SingularError(f"pivot {pivot:.3e} below floor {floor:.3e}")
     return lu, piv

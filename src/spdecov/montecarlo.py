@@ -25,20 +25,15 @@ from typing import Union
 import numpy as np
 import scipy.linalg
 
-from .advdiff import AdvDiffConfig, advdiff_run
+from .advdiff import AdvDiffConfig, advdiff_operators, advdiff_run
 from .errnorms import err_hs_norm, err_trace_norm
 from .exceptions import CholeskyError, TooFewSamplesError
-from .fem import assemble_form, assemble_mass, assemble_stiffness
-from .kernels import assemble_Q
-from .linalg import lu_factor_checked, psd_sqrt, sym_eig, symmetrize
-from .wave import (
-    WaveConfig,
-    build_cn_blocks,
-    build_perturbation,
-    extract_position_cov,
-    resolve_g_gram,
-    wave_run,
-)
+# the scheme builders assemble; assemble_form and assemble_Q stay
+# importable here because perfbench/spans.py traces them by this path
+from .fem import assemble_form, assemble_mass  # noqa: F401
+from .kernels import assemble_Q  # noqa: F401
+from .linalg import psd_sqrt, sym_eig, symmetrize
+from .wave import WaveConfig, extract_position_cov, wave_operators, wave_run
 
 __all__ = [
     "McConfig",
@@ -114,29 +109,6 @@ def _rng_for(seed):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
-def _advdiff_operators(config):
-    mesh = config.mesh
-    M = assemble_mass(mesh)
-    A = assemble_form(mesh, config.coeffs, config.c0)
-    Q_h = assemble_Q(mesh, config.kernel)
-    lu_piv = lu_factor_checked(M + config.dt * A)
-    return M, Q_h, lu_piv
-
-
-def _wave_operators(config):
-    mesh = config.mesh
-    M = assemble_mass(mesh)
-    S = assemble_stiffness(mesh)
-    Q_h = assemble_Q(mesh, config.kernel)
-    step = build_cn_blocks(M, S, config.dt)
-    G_h = resolve_g_gram(config.g_spec, Q_h)
-    if G_h is not None:
-        step = step._replace(P=build_perturbation(G_h, M, config.dt))
-    lu_piv = lu_factor_checked(step.L)
-    RP = step.R @ step.P
-    return M, Q_h, lu_piv, RP
-
-
 def _initial_draw(config, rng, n_state):
     if config.K0 is None:
         return np.zeros(n_state)
@@ -151,7 +123,7 @@ def sample_path_advdiff(config, seed):
     seed may be an integer or a numpy SeedSequence. A fixed seed gives a
     bit-identical path on every call.
     """
-    M, Q_h, lu_piv = _advdiff_operators(config)
+    M, Q_h, lu_piv, _ = advdiff_operators(config)
     chol = _chol_with_jitter(Q_h)
     rng = _rng_for(seed)
     dt = config.dt
@@ -169,7 +141,7 @@ def sample_path_wave(config, seed):
     The noise load lands on the velocity row of the linear system:
     L x_j = R P x_{j-1} + [0; b_j].
     """
-    M, Q_h, lu_piv, RP = _wave_operators(config)
+    M, Q_h, lu_piv, RP, _ = wave_operators(config)
     chol = _chol_with_jitter(Q_h)
     rng = _rng_for(seed)
     n = M.shape[0]
@@ -209,37 +181,28 @@ def _batch_paths(config, n_samples, seed):
     """
     children = np.random.SeedSequence(seed).spawn(n_samples)
     if isinstance(config, AdvDiffConfig):
-        M, Q_h, lu_piv = _advdiff_operators(config)
-        chol = _chol_with_jitter(Q_h)
-        n = M.shape[0]
-        dt = config.dt
-        drift = 1.0 + config.c0 * dt
-        xi = np.empty((n_samples, config.n_steps, n))
-        X0 = np.zeros((n, n_samples))
-        for i, child in enumerate(children):
-            rng = _rng_for(child)
-            X0[:, i] = _initial_draw(config, rng, n)
-            xi[i] = rng.standard_normal((config.n_steps, n))
-        X = X0
-        root_dt = np.sqrt(dt)
+        M, Q_h, lu_piv, _ = advdiff_operators(config)
+        n_state = M.shape[0]
+    else:
+        M, Q_h, lu_piv, RP, _ = wave_operators(config)
+        n_state = 2 * M.shape[0]
+    chol = _chol_with_jitter(Q_h)
+    n = M.shape[0]
+    xi = np.empty((n_samples, config.n_steps, n))
+    X = np.zeros((n_state, n_samples))
+    for i, child in enumerate(children):
+        rng = _rng_for(child)
+        X[:, i] = _initial_draw(config, rng, n_state)
+        xi[i] = rng.standard_normal((config.n_steps, n))
+    root_dt = np.sqrt(config.dt)
+    if isinstance(config, AdvDiffConfig):
+        drift = 1.0 + config.c0 * config.dt
         for j in range(config.n_steps):
             B = root_dt * (chol @ xi[:, j, :].T)
             X = scipy.linalg.lu_solve(lu_piv, drift * (M @ X) + B)
         return X.T
 
-    M, Q_h, lu_piv, RP = _wave_operators(config)
-    chol = _chol_with_jitter(Q_h)
-    n = M.shape[0]
-    dt = config.dt
-    xi = np.empty((n_samples, config.n_steps, n))
-    X0 = np.zeros((2 * n, n_samples))
-    for i, child in enumerate(children):
-        rng = _rng_for(child)
-        X0[:, i] = _initial_draw(config, rng, 2 * n)
-        xi[i] = rng.standard_normal((config.n_steps, n))
-    X = X0
-    root_dt = np.sqrt(dt)
-    rhs = np.zeros((2 * n, n_samples))
+    rhs = np.zeros((n_state, n_samples))
     for j in range(config.n_steps):
         rhs[n:, :] = root_dt * (chol @ xi[:, j, :].T)
         X = scipy.linalg.lu_solve(lu_piv, RP @ X + rhs)

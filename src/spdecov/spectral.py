@@ -11,14 +11,13 @@ helpers to compare covariance functions across bases on a fixed grid.
 import math
 
 import numpy as np
-import scipy.linalg
 
-from .advdiff import AdvDiffConfig
+from .advdiff import AdvDiffConfig, backward_euler_step
 from .exceptions import ConfigError
 from .fem import hat_values
 from .kernels import BrownianBridge, WhiteNoise
-from .linalg import factored_congruence, lu_factor_checked, symmetrize
-from .wave import WaveConfig, build_cn_blocks, build_perturbation
+from .linalg import propagate, symmetrize
+from .wave import WaveConfig, crank_nicolson_step
 
 __all__ = [
     "eigenvalues",
@@ -123,10 +122,11 @@ def spectral_galerkin_cov(n_modes, config, fine_dt):
     """Brute-force oracle: the same recursions in the eigenbasis.
 
     Projects the configured operator onto the first n_modes Dirichlet
-    eigenfunctions (mass matrix = I there) and integrates the matching
-    covariance recursion with step T / round(T / fine_dt). Advdiff
-    configs yield an (n, n) matrix, wave configs the full (2n, 2n)
-    block; both are coefficient matrices w.r.t. the eigenbasis.
+    eigenfunctions (mass matrix = I there) and evaluates the matching
+    covariance recursion with step T / round(T / fine_dt) by
+    linalg.propagate. Advdiff configs yield an (n, n) matrix, wave
+    configs the full (2n, 2n) block; both are coefficient matrices
+    w.r.t. the eigenbasis.
 
     Only Dirichlet configs with K0 = None are meaningful here; the
     Neumann problems have no closed eigenbasis and are validated by
@@ -142,36 +142,23 @@ def spectral_galerkin_cov(n_modes, config, fine_dt):
     n_steps = max(1, round(T / fine_dt))
     dt = T / n_steps
 
+    eye = np.eye(n_modes)
     if isinstance(config, AdvDiffConfig):
         A = _project_form(n_modes, config.coeffs, config.c0)
         Q = _project_noise(n_modes, config.kernel)
-        lu_piv = lu_factor_checked(np.eye(n_modes) + dt * A)
-        growth = 1.0 + 2.0 * config.c0 * dt
-        K = np.zeros((n_modes, n_modes))
-        for _ in range(n_steps):
-            K = factored_congruence(lu_piv, symmetrize(growth * K + dt * Q))
-        return K
+        ops = backward_euler_step(eye, A, Q, dt, config.c0)
+        return propagate(ops.step, n_steps)
 
     if isinstance(config, WaveConfig):
         if isinstance(config.g_spec, np.ndarray):
             raise ConfigError(
                 "explicit Gram g_spec has no eigenbasis translation"
             )
-        lam = eigenvalues(n_modes)
         Q = _project_noise(n_modes, config.kernel)
-        step = build_cn_blocks(np.eye(n_modes), np.diag(lam), dt)
-        if config.g_spec == "minus_q":
-            step = step._replace(
-                P=build_perturbation(-Q, np.eye(n_modes), dt)
-            )
-        lu_piv = lu_factor_checked(step.L)
-        T_hat = scipy.linalg.lu_solve(lu_piv, step.R @ step.P, check_finite=False)
-        noise = np.zeros((2 * n_modes, 2 * n_modes))
-        noise[n_modes:, n_modes:] = dt * Q
-        K = np.zeros((2 * n_modes, 2 * n_modes))
-        for _ in range(n_steps):
-            K = symmetrize(T_hat @ K @ T_hat.T) + noise
-        return K
+        G = -Q if config.g_spec == "minus_q" else None
+        S = np.diag(eigenvalues(n_modes))
+        ops = crank_nicolson_step(eye, S, Q, G, dt)
+        return propagate(ops.step, n_steps)
 
     raise ConfigError(f"unsupported config type {type(config).__name__}")
 

@@ -8,10 +8,8 @@ position block), then fits log-log slopes in h.
 """
 
 import json
-import os
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
@@ -183,30 +181,16 @@ def run_single(study, pair=None, t_stop=None):
     return cfg.mesh, extract_position_cov(wave_run(cfg)), T
 
 
-def _n_workers():
-    raw = os.environ.get("SPDE_COV_THREADS", "").strip()
-    if raw in ("", "0"):
-        return os.cpu_count() or 1
-    try:
-        val = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"SPDE_COV_THREADS={raw!r} is not an integer") from exc
-    return max(1, val)
-
-
 def run_sweep(study):
     """Run every level against the reference and fit rates.
 
-    Levels are independent and run on a thread pool sized by
-    SPDE_COV_THREADS (0/unset = all cores); the report rows keep level
-    order regardless of scheduling. Zero errors are excluded from the
-    fit with a warning, and a fit with fewer than two usable points
-    leaves the slope nan.
+    Levels run one after another in level order. Zero errors are
+    excluded from the fit with a warning, and a fit with fewer than two
+    usable points leaves the slope nan.
     """
     mesh_ref, K_ref, _ = _run_ref(study)
 
-    def one_level(idx_pair):
-        idx, pair = idx_pair
+    def one_level(idx, pair):
         t0 = time.perf_counter()
         mesh, K, _ = run_single(study, pair)
         e1 = (
@@ -229,13 +213,9 @@ def run_sweep(study):
             wall_time_s=wall,
         )
 
-    workers = min(_n_workers(), len(study.levels))
-    jobs = list(enumerate(study.levels, start=1))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(one_level, jobs))
-    else:
-        rows = tuple(map(one_level, jobs))
+    rows = tuple(
+        one_level(idx, pair) for idx, pair in enumerate(study.levels, start=1)
+    )
 
     hs = [r.h for r in rows]
     slopes = {}

@@ -29,17 +29,21 @@ from .exceptions import ShapeMismatchError
 from .fem import Mesh1D, assemble_mass, assemble_stiffness
 from .kernels import Kernel, assemble_Q
 from .linalg import (
-    congruence_doubling,
+    AffineStep,
     congruence_solve,
     lu_factor_checked,
+    propagate,
     symmetrize,
 )
 
 __all__ = [
     "WaveConfig",
     "BlockStep",
+    "CrankNicolson",
     "build_cn_blocks",
     "build_perturbation",
+    "crank_nicolson_step",
+    "wave_operators",
     "wave_cov_step",
     "wave_run",
     "extract_position_cov",
@@ -177,6 +181,47 @@ def resolve_g_gram(g_spec, Q_h):
     return np.asarray(g_spec, dtype=float)
 
 
+class CrankNicolson(NamedTuple):
+    """Operators of one CN step.
+
+    step is the covariance update; M, Q_h, the LU factors lu_piv of L
+    and RP = R P also drive the path sampler in montecarlo.
+    """
+
+    M: np.ndarray
+    Q_h: np.ndarray
+    lu_piv: tuple
+    RP: np.ndarray
+    step: AffineStep
+
+
+def crank_nicolson_step(M, S, Q_h, G_h, dt):
+    """The covariance step K <- T_hat K T_hat^T + Q of Crank-Nicolson.
+
+    T_hat = L^{-1} R P and Q = dt blockdiag(0, M^{-1} Q_h M^{-T}); the
+    growth factor is 1. G_h is the Gram matrix of the inhomogeneity, or
+    None for G = 0.
+    """
+    blocks = build_cn_blocks(M, S, dt)
+    if G_h is not None:
+        blocks = blocks._replace(P=build_perturbation(G_h, M, dt))
+    lu_piv = lu_factor_checked(blocks.L)
+    RP = blocks.R @ blocks.P
+    T_hat = scipy.linalg.lu_solve(lu_piv, RP, check_finite=False)
+    step = AffineStep(T_hat, _noise_increment(Q_h, M, dt))
+    return CrankNicolson(M, Q_h, lu_piv, RP, step)
+
+
+def wave_operators(config):
+    """Assemble a config's matrices into its CrankNicolson operators."""
+    mesh = config.mesh
+    M = assemble_mass(mesh)
+    S = assemble_stiffness(mesh)
+    Q_h = assemble_Q(mesh, config.kernel)
+    G_h = resolve_g_gram(config.g_spec, Q_h)
+    return crank_nicolson_step(M, S, Q_h, G_h, config.dt)
+
+
 def wave_run(config, callback=None):
     """Iterate the block covariance recursion to t = T.
 
@@ -185,7 +230,7 @@ def wave_run(config, callback=None):
     config : WaveConfig
     callback : callable, optional
         Called as callback(j, K_j) after every step. Without one the
-        recursion is evaluated by binary doubling (congruence_doubling),
+        recursion is evaluated by binary doubling (linalg.propagate),
         which needs O(log n_steps) products instead of n_steps steps.
 
     Returns
@@ -194,27 +239,5 @@ def wave_run(config, callback=None):
         Block covariance coefficient matrix at the final time; feed it
         to extract_position_cov for the measurable part.
     """
-    mesh = config.mesh
-    M = assemble_mass(mesh)
-    S = assemble_stiffness(mesh)
-    Q_h = assemble_Q(mesh, config.kernel)
-    dt = config.dt
-
-    step = build_cn_blocks(M, S, dt)
-    G_h = resolve_g_gram(config.g_spec, Q_h)
-    if G_h is not None:
-        step = step._replace(P=build_perturbation(G_h, M, dt))
-
-    lu_piv = lu_factor_checked(step.L)
-    T_hat = scipy.linalg.lu_solve(lu_piv, step.R @ step.P, check_finite=False)
-    noise = _noise_increment(Q_h, M, dt)
-
-    K = np.zeros_like(noise) if config.K0 is None else symmetrize(
-        np.asarray(config.K0, dtype=float)
-    )
-    if callback is None:
-        return congruence_doubling(T_hat, noise, config.n_steps, K)
-    for j in range(1, config.n_steps + 1):
-        K = symmetrize(T_hat @ K @ T_hat.T) + noise
-        callback(j, K)
-    return K
+    step = wave_operators(config).step
+    return propagate(step, config.n_steps, config.K0, callback)

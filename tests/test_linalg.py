@@ -11,7 +11,6 @@ from spdecov import (
     sym_eig,
     symmetrize,
 )
-from spdecov.linalg import factored_congruence, lu_factor_checked
 
 
 def test_sym_eig_diagonal_case():
@@ -101,13 +100,3 @@ def test_congruence_solve_singular():
     L = np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(SingularError):
         congruence_solve(L, np.eye(2))
-
-
-def test_factored_congruence_matches_direct():
-    rng = np.random.default_rng(9)
-    L = rng.standard_normal((6, 6)) + 6.0 * np.eye(6)
-    RHS = symmetrize(rng.standard_normal((6, 6)))
-    lu_piv = lu_factor_checked(L)
-    assert_allclose(
-        factored_congruence(lu_piv, RHS), congruence_solve(L, RHS), atol=1e-13
-    )

@@ -185,7 +185,7 @@ def test_emit_formats(tmp_path):
     assert out.read_text(encoding="utf-8") == csv
 
 
-def test_sweep_deterministic_and_thread_invariant(monkeypatch):
+def test_sweep_deterministic():
     def stripped(report):
         text = emit(report, fmt="csv")
         kept = []
@@ -197,16 +197,4 @@ def test_sweep_deterministic_and_thread_invariant(monkeypatch):
         return "\n".join(kept)
 
     st = _study()
-    monkeypatch.setenv("SPDE_COV_THREADS", "1")
-    serial = stripped(run_sweep(st))
-    serial2 = stripped(run_sweep(st))
-    monkeypatch.setenv("SPDE_COV_THREADS", "2")
-    threaded = stripped(run_sweep(st))
-    assert serial == serial2
-    assert serial == threaded
-
-
-def test_thread_env_validation(monkeypatch):
-    monkeypatch.setenv("SPDE_COV_THREADS", "two")
-    with pytest.raises(ConfigError):
-        run_sweep(_study())
+    assert stripped(run_sweep(st)) == stripped(run_sweep(st))
