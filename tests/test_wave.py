@@ -194,3 +194,30 @@ def test_run_symmetric_and_psd():
     assert np.array_equal(K, K.T)
     ev = np.linalg.eigvalsh(K)
     assert ev.min() >= -1e-10 * max(ev.max(), 1.0)
+
+
+@pytest.mark.parametrize("g_spec", ["zero", "minus_q"])
+@pytest.mark.parametrize("with_K0", [False, True])
+def test_doubling_matches_stepping(g_spec, with_K0):
+    # without a callback wave_run evaluates the recursion by doubling;
+    # a no-op callback forces plain stepping
+    mesh = Mesh1D(6, "dirichlet")
+    n2 = 2 * mesh.n_dof
+    K0 = None
+    if with_K0:
+        B = np.random.default_rng(7).standard_normal((n2, n2))
+        K0 = B @ B.T
+    for n_steps in (1, 2, 3, 5, 8, 100):
+        cfg = WaveConfig(
+            mesh=mesh,
+            kernel=Matern(sigma=2.0, nu=0.5, rho=0.3),
+            g_spec=g_spec,
+            T=1.0,
+            n_steps=n_steps,
+            K0=K0,
+        )
+        K = wave_run(cfg)
+        K_step = wave_run(cfg, callback=lambda j, K: None)
+        assert np.array_equal(K, K.T)
+        gap = np.abs(K - K_step).max()
+        assert gap <= 1e-10 * np.abs(K_step).max(), (n_steps, gap)
