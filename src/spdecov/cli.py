@@ -15,8 +15,8 @@ Exit codes: 0 success, 1 configuration problem, 2 numerical failure.
 """
 
 import argparse
-import json
 import sys
+from dataclasses import astuple, fields
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .spectral import (
     heat_cov_closed_form,
     wave_cov_closed_form,
 )
-from .study import emit, run_single, run_sweep
+from .study import FORMATS, emit, run_single, run_sweep, write_table
 
 __all__ = ["main"]
 
@@ -58,7 +58,7 @@ def _build_parser():
         p.add_argument("--out", help="write output here instead of stdout")
         p.add_argument(
             "--format",
-            choices=["csv", "jsonl", "gnuplot"],
+            choices=FORMATS,
             default="csv",
             help="output serialization (default csv)",
         )
@@ -76,49 +76,6 @@ def _build_parser():
     return parser
 
 
-def _fmt(x):
-    return repr(float(x))
-
-
-def _emit_matrix(mesh, K, t, fmt):
-    n = K.shape[0]
-    if fmt == "csv":
-        lines = [f"# covariance coefficient matrix, n_dof={n}, t={_fmt(t)}"]
-        lines += [",".join(_fmt(v) for v in row) for row in K]
-        return "\n".join(lines) + "\n"
-    if fmt == "jsonl":
-        recs = [{"n_dof": n, "t": t}]
-        recs += [{"row": i, "values": list(map(float, K[i]))} for i in range(n)]
-        return "\n".join(json.dumps(r) for r in recs) + "\n"
-    lines = [f"# covariance coefficient matrix, n_dof={n}, t={_fmt(t)}"]
-    lines += [" ".join(_fmt(v) for v in row) for row in K]
-    return "\n".join(lines) + "\n"
-
-
-def _emit_snapshot(mesh, K, t, fmt):
-    # nodal covariance samples Cov(u(x_p), u(x_q)) on the DoF nodes
-    xs = mesh.dof_nodes
-    if fmt == "csv":
-        lines = [f"# covariance snapshot at t={_fmt(t)}", "x,y,cov"]
-        for p, xp in enumerate(xs):
-            for q, xq in enumerate(xs):
-                lines.append(f"{_fmt(xp)},{_fmt(xq)},{_fmt(K[p, q])}")
-        return "\n".join(lines) + "\n"
-    if fmt == "jsonl":
-        recs = [
-            {"x": float(xp), "y": float(xq), "cov": float(K[p, q])}
-            for p, xp in enumerate(xs)
-            for q, xq in enumerate(xs)
-        ]
-        return "\n".join(json.dumps(r) for r in recs) + "\n"
-    lines = [f"# covariance snapshot at t={_fmt(t)}", "# x y cov"]
-    for p, xp in enumerate(xs):
-        for q, xq in enumerate(xs):
-            lines.append(f"{_fmt(xp)} {_fmt(xq)} {_fmt(K[p, q])}")
-        lines.append("")
-    return "\n".join(lines) + "\n"
-
-
 def _run_equation(args, equation):
     study = load_study(args.config)
     if study.equation != equation:
@@ -127,9 +84,16 @@ def _run_equation(args, equation):
             f"but the {equation} subcommand was invoked"
         )
     mesh, K, t = run_single(study, t_stop=study.snapshot_t)
-    if study.snapshot_t is not None:
-        return _emit_snapshot(mesh, K, t, args.format)
-    return _emit_matrix(mesh, K, t, args.format)
+    if study.snapshot_t is None:
+        title = f"covariance coefficient matrix, n_dof={len(K)}, t={float(t)!r}"
+        return write_table(args.format, (), K, title=title)
+    # nodal covariance samples Cov(u(x_p), u(x_q)) on the DoF nodes
+    xs = mesh.dof_nodes
+    rows = [(xs[p], xs[q], K[p, q]) for p, q in np.ndindex(K.shape)]
+    title = f"covariance snapshot at t={float(t)!r}"
+    return write_table(
+        args.format, ("x", "y", "cov"), rows, title=title, block=len(xs)
+    )
 
 
 def _run_sweep(args):
@@ -143,27 +107,8 @@ def _run_mc(args):
     from .montecarlo import mc_validate
 
     report = mc_validate(mc)
-    fields = (
-        ("hs_distance", report.hs_distance),
-        ("trace_distance", report.trace_distance),
-        ("sampling_error_hs", report.sampling_error_hs),
-        ("sampling_error_trace", report.sampling_error_trace),
-        ("consistency_margin", report.consistency_margin),
-        ("n_samples", report.n_samples),
-        ("seed", report.seed),
-    )
-    if args.format == "jsonl":
-        rec = {k: (v if isinstance(v, int) else float(v)) for k, v in fields}
-        return json.dumps(rec) + "\n"
-    if args.format == "gnuplot":
-        head = "# " + " ".join(k for k, _ in fields)
-        row = " ".join(
-            str(v) if isinstance(v, int) else _fmt(v) for _, v in fields
-        )
-        return head + "\n" + row + "\n"
-    head = ",".join(k for k, _ in fields)
-    row = ",".join(str(v) if isinstance(v, int) else _fmt(v) for _, v in fields)
-    return head + "\n" + row + "\n"
+    columns = [f.name for f in fields(report)]
+    return write_table(args.format, columns, [astuple(report)])
 
 
 def _run_oracle(args):
@@ -184,17 +129,8 @@ def _run_oracle(args):
         var = heat_cov_closed_form(n_modes, study.T, q_diag=q)
     else:
         var = wave_cov_closed_form(n_modes, study.T, q_diag=q)
-    ks = np.arange(1, n_modes + 1)
-    if args.format == "jsonl":
-        return "\n".join(
-            json.dumps({"k": int(k), "lambda": float(l), "variance": float(v)})
-            for k, l, v in zip(ks, lam, var)
-        ) + "\n"
-    sep = " " if args.format == "gnuplot" else ","
-    head = "# k lambda variance" if args.format == "gnuplot" else "k,lambda,variance"
-    lines = [head]
-    lines += [f"{k}{sep}{_fmt(l)}{sep}{_fmt(v)}" for k, l, v in zip(ks, lam, var)]
-    return "\n".join(lines) + "\n"
+    rows = zip(range(1, n_modes + 1), lam, var)
+    return write_table(args.format, ("k", "lambda", "variance"), rows)
 
 
 def main(argv=None):

@@ -202,7 +202,6 @@ def load_study(path):
         reference=reference,
         T=T,
         norms=norms,
-        expected_rate=_getfloat(st, "expected_rate"),
         seed=_getint(st, "seed"),
         n_samples=_getint(st, "n_samples"),
         snapshot_t=_getfloat(st, "snapshot_t"),

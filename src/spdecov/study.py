@@ -8,9 +8,10 @@ position block), then fits log-log slopes in h.
 """
 
 import json
+import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -30,11 +31,13 @@ __all__ = [
     "run_single",
     "run_sweep",
     "fit_rate",
+    "write_table",
     "emit",
     "read_report",
 ]
 
 CSV_HEADER = "level,h,dt,err_L1,err_L2,wall_time_s"
+FORMATS = ("csv", "jsonl", "gnuplot")
 
 
 @dataclass(frozen=True)
@@ -57,7 +60,6 @@ class StudyConfig:
     bc: str = "neumann"
     g_spec: Union[str, np.ndarray] = "minus_q"
     norms: Tuple[str, ...] = ("L1", "L2")
-    expected_rate: Optional[float] = None
     seed: Optional[int] = None
     n_samples: Optional[int] = None
     snapshot_t: Optional[float] = None
@@ -67,6 +69,11 @@ class StudyConfig:
             raise ConfigError(f"unknown equation {self.equation!r}")
         if self.equation == "advdiff" and self.coeffs is None:
             raise ConfigError("advdiff studies need coefficients")
+        _check_horizon(self.T)
+        if self.snapshot_t is not None and not 0.0 <= self.snapshot_t <= self.T:
+            raise ConfigError(
+                f"snapshot_t={self.snapshot_t!r} lies outside [0, T={self.T!r}]"
+            )
         if not self.levels:
             raise ConfigError("study has no levels")
         bad = [n for n in self.norms if n not in ("L1", "L2")]
@@ -104,12 +111,18 @@ class RateReport:
     residual_L2: float = float("nan")
 
 
+def _check_horizon(T):
+    if not (math.isfinite(T) and T > 0.0):
+        raise ConfigError(f"T must be finite and positive, got {T!r}")
+
+
 def levels_from_exponents(exponents, coupling, T=1.0):
     """(n_cells, n_steps) pairs for h = 2^-j levels.
 
     coupling 'equal' means h = dt, 'sqrt' means h = sqrt(dt); step
     counts are rounded to keep dt = T/n_steps exact.
     """
+    _check_horizon(T)
     pairs = []
     for j in exponents:
         n_cells = 2**j
@@ -125,10 +138,8 @@ def levels_from_exponents(exponents, coupling, T=1.0):
     return tuple(pairs)
 
 
-def _scheme_config(study, pair, T=None, n_steps_override=None):
+def _scheme_config(study, pair, T=None):
     n_cells, n_steps = pair
-    if n_steps_override is not None:
-        n_steps = n_steps_override
     T = study.T if T is None else T
     if study.equation == "advdiff":
         mesh = Mesh1D(n_cells, study.bc)
@@ -188,7 +199,7 @@ def run_sweep(study):
     excluded from the fit with a warning, and a fit with fewer than two
     usable points leaves the slope nan.
     """
-    mesh_ref, K_ref, _ = _run_ref(study)
+    mesh_ref, K_ref, _ = run_single(study)
 
     def one_level(idx, pair):
         t0 = time.perf_counter()
@@ -240,10 +251,6 @@ def run_sweep(study):
     )
 
 
-def _run_ref(study):
-    return run_single(study, study.reference)
-
-
 def _usable_pairs(hs, errs):
     pairs = []
     for h, e in zip(hs, errs):
@@ -281,13 +288,56 @@ def fit_rate(hs, errs):
     return _fit_with_residual(hs, errs)[0]
 
 
-def _r(x):
-    """Full round-trip float formatting."""
-    return repr(float(x))
+def _cell(x):
+    """csv/gnuplot text of one cell: ints via str, floats via repr."""
+    return str(x) if isinstance(x, (int, np.integer)) else repr(float(x))
+
+
+def _json_value(x):
+    """jsonl value of one cell: non-finite floats become null."""
+    if isinstance(x, (int, np.integer)):
+        return int(x)
+    return float(x) if math.isfinite(x) else None
+
+
+def write_table(fmt, columns, rows, title=None, footer=None, block=None):
+    """Serialize a table as 'csv', 'jsonl' or 'gnuplot' text.
+
+    csv: an optional '# title' line, the header, one comma-separated
+    line per row, then one '# key=value' line per footer item. gnuplot:
+    the same with spaces, the header commented out, and a blank line
+    after every `block` rows. jsonl: one object per row keyed by
+    `columns` ({"row": i, "values": [...]} when there are none), the
+    footer as one last object, and null for non-finite floats.
+    """
+    if fmt not in FORMATS:
+        raise ConfigError(f"unknown format {fmt!r}")
+    footer = footer or {}
+    if fmt == "jsonl":
+        recs = [
+            dict(zip(columns, map(_json_value, row)))
+            if columns
+            else {"row": i, "values": list(map(_json_value, row))}
+            for i, row in enumerate(rows)
+        ]
+        if footer:
+            recs.append({k: _json_value(v) for k, v in footer.items()})
+        return "".join(json.dumps(rec, allow_nan=False) + "\n" for rec in recs)
+    sep = "," if fmt == "csv" else " "
+    lines = [] if title is None else [f"# {title}"]
+    if columns:
+        head = sep.join(columns)
+        lines.append(head if fmt == "csv" else "# " + head)
+    for i, row in enumerate(rows, start=1):
+        lines.append(sep.join(map(_cell, row)))
+        if fmt == "gnuplot" and block and i % block == 0:
+            lines.append("")
+    lines += [f"# {k}={_cell(v)}" for k, v in footer.items()]
+    return "\n".join(lines) + "\n"
 
 
 def emit(report, fmt="csv", path=None):
-    """Serialize a RateReport.
+    """Serialize a RateReport through write_table.
 
     fmt is 'csv', 'jsonl' (json-lines), or 'gnuplot' (gnuplot-data).
     Returns the text; writes it to `path` as UTF-8 when given. The CSV
@@ -295,46 +345,12 @@ def emit(report, fmt="csv", path=None):
     plus trailing '# slope_*=' comment lines.
     """
     fmt = {"json-lines": "jsonl", "gnuplot-data": "gnuplot"}.get(fmt, fmt)
-    if fmt == "csv":
-        lines = [CSV_HEADER]
-        for r in report.rows:
-            lines.append(
-                f"{r.level},{_r(r.h)},{_r(r.dt)},{_r(r.err_L1)},"
-                f"{_r(r.err_L2)},{_r(r.wall_time_s)}"
-            )
-        lines.append(f"# slope_L1={_r(report.slope_L1)}")
-        lines.append(f"# slope_L2={_r(report.slope_L2)}")
-        text = "\n".join(lines) + "\n"
-    elif fmt == "jsonl":
-        recs = [
-            {
-                "level": r.level,
-                "h": r.h,
-                "dt": r.dt,
-                "err_L1": r.err_L1,
-                "err_L2": r.err_L2,
-                "wall_time_s": r.wall_time_s,
-            }
-            for r in report.rows
-        ]
-        recs.append(
-            {"slope_L1": report.slope_L1, "slope_L2": report.slope_L2}
-        )
-        text = "\n".join(
-            json.dumps(rec, allow_nan=True) for rec in recs
-        ) + "\n"
-    elif fmt == "gnuplot":
-        lines = ["# " + CSV_HEADER.replace(",", " ")]
-        for r in report.rows:
-            lines.append(
-                f"{r.level} {_r(r.h)} {_r(r.dt)} {_r(r.err_L1)} "
-                f"{_r(r.err_L2)} {_r(r.wall_time_s)}"
-            )
-        lines.append(f"# slope_L1={_r(report.slope_L1)}")
-        lines.append(f"# slope_L2={_r(report.slope_L2)}")
-        text = "\n".join(lines) + "\n"
-    else:
-        raise ConfigError(f"unknown format {fmt!r}")
+    text = write_table(
+        fmt,
+        CSV_HEADER.split(","),
+        [astuple(r) for r in report.rows],
+        footer={"slope_L1": report.slope_L1, "slope_L2": report.slope_L2},
+    )
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -164,6 +164,14 @@ def test_load_study_errors(tmp_path):
         load_study(_write(tmp_path, bad_lambda, "l.ini"))
     with pytest.raises(ConfigError):
         load_study(_write(tmp_path, "not an ini [", "junk.ini"))
+    for t in ("nan", "inf", "-1"):
+        bad_t = HEAT_INI.replace("t = 1.0", f"t = {t}")
+        with pytest.raises(ConfigError, match="T must be finite and positive"):
+            load_study(_write(tmp_path, bad_t, "T.ini"))
+    for snap in ("-0.5", "1.5", "nan"):
+        bad_snap = WAVE_INI.replace("snapshot_t = 0.5", f"snapshot_t = {snap}")
+        with pytest.raises(ConfigError, match="outside"):
+            load_study(_write(tmp_path, bad_snap, "s.ini"))
 
 
 def test_load_mc_overrides(tmp_path):
@@ -295,13 +303,70 @@ def test_cli_mc_deterministic(tmp_path, capsys):
     assert float(row.split(",")[0]) > 0.0
 
 
-def test_cli_jsonl_formats(tmp_path, capsys):
-    path = _write(tmp_path, HEAT_INI)
-    assert main(["sweep", "--config", path, "--format", "jsonl"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    recs = [json.loads(line) for line in lines]
-    assert "slope_L1" in recs[-1]
-    assert {"level", "h", "dt", "err_L1", "err_L2", "wall_time_s"} <= set(recs[0])
-    assert main(["oracle", "--config", path, "--format", "jsonl", "--modes", "2"]) == 0
-    orc = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
-    assert orc[0]["k"] == 1
+def _reject_constant(name):
+    raise ValueError(f"bare {name} in jsonl")
+
+
+MC_LINES = "n_samples = 20\nseed = 5\n"
+SWEEP_COLUMNS = ("level", "h", "dt", "err_L1", "err_L2", "wall_time_s")
+MC_COLUMNS = (
+    "hs_distance",
+    "trace_distance",
+    "sampling_error_hs",
+    "sampling_error_trace",
+    "consistency_margin",
+    "n_samples",
+    "seed",
+)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl", "gnuplot"])
+@pytest.mark.parametrize(
+    "command, ini, columns, n_rows",
+    [
+        ("sweep", HEAT_INI, SWEEP_COLUMNS, 2),
+        ("sweep", HEAT_INI + "norms = L1\n", SWEEP_COLUMNS, 2),
+        ("advdiff", HEAT_INI, (), 15),
+        ("wave", WAVE_INI, ("x", "y", "cov"), 15 * 15),
+        ("wave", WAVE_INI.replace("snapshot_t = 0.5\n", ""), (), 15),
+        ("mc", HEAT_INI + MC_LINES, MC_COLUMNS, 1),
+        ("oracle", HEAT_INI, ("k", "lambda", "variance"), 3),
+    ],
+    ids=["sweep", "sweep-L1", "advdiff", "snapshot", "wave", "mc", "oracle"],
+)
+def test_cli_jsonl_formats(tmp_path, capsys, command, ini, columns, n_rows, fmt):
+    argv = [command, "--config", _write(tmp_path, ini), "--format", fmt]
+    if command == "oracle":
+        argv += ["--modes", "3"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # a matrix has no header; each of its n_rows rows holds n_rows cells
+    width = len(columns) or n_rows
+    if fmt == "jsonl":
+        recs = [json.loads(line, parse_constant=_reject_constant) for line in lines]
+        if command == "sweep":
+            assert set(recs.pop()) == {"slope_L1", "slope_L2"}
+        assert len(recs) == n_rows
+        for i, rec in enumerate(recs):
+            if columns:
+                assert tuple(rec) == columns
+            else:
+                assert rec["row"] == i and len(rec["values"]) == width
+        if command == "oracle":
+            assert [rec["k"] for rec in recs] == [1, 2, 3]
+        return
+    sep = "," if fmt == "csv" else " "
+    head = sep.join(columns)
+    if columns:
+        assert (head if fmt == "csv" else "# " + head) in lines
+    data = [line for line in lines if line and not line.startswith("#")]
+    if columns and fmt == "csv":
+        assert data.pop(0) == head
+    assert len(data) == n_rows
+    for line in data:
+        cells = line.split(sep)
+        assert len(cells) == width
+        list(map(float, cells))  # every cell parses as a number
+    if command == "wave" and columns and fmt == "gnuplot":
+        # splot's pm3d grid: one blank line after each block of 15 rows
+        assert lines.count("") == 15 and lines[-1] == ""

@@ -18,6 +18,7 @@ from spdecov import (
     run_single,
     run_sweep,
 )
+from spdecov.study import FORMATS, write_table
 
 
 def test_fit_rate_exact_power():
@@ -91,6 +92,14 @@ def test_study_validation():
         _study(levels=((8, 64), (4, 16)))
     with pytest.raises(ConfigError):
         _study(reference=(8, 64))
+
+    nan, inf = float("nan"), float("inf")
+    for T in (nan, inf, 0.0, -1.0):
+        with pytest.raises(ConfigError, match="T must be finite and positive"):
+            _study(T=T)
+    for snapshot_t in (-0.5, 1.5, nan):
+        with pytest.raises(ConfigError, match="outside"):
+            _study(snapshot_t=snapshot_t)
 
 
 def test_reference_equal_to_level_is_allowed():
@@ -171,18 +180,99 @@ def test_emit_formats(tmp_path):
     )
     report = RateReport(rows=rows, slope_L1=1.0, slope_L2=1.5)
     csv = emit(report, fmt="csv")
-    assert csv.splitlines()[0] == "level,h,dt,err_L1,err_L2,wall_time_s"
-    assert "# slope_L1=1.0" in csv
-    jl = emit(report, fmt="json-lines")
-    lines = jl.strip().splitlines()
-    assert len(lines) == 2
-    gp = emit(report, fmt="gnuplot-data")
-    assert gp.splitlines()[1].count(" ") == 5
+    assert csv == (
+        "level,h,dt,err_L1,err_L2,wall_time_s\n"
+        "1,0.5,0.25,0.1,0.05,0.01\n"
+        "# slope_L1=1.0\n"
+        "# slope_L2=1.5\n"
+    )
+    assert emit(report, fmt="json-lines") == (
+        '{"level": 1, "h": 0.5, "dt": 0.25, "err_L1": 0.1, "err_L2": 0.05, '
+        '"wall_time_s": 0.01}\n'
+        '{"slope_L1": 1.0, "slope_L2": 1.5}\n'
+    )
+    assert emit(report, fmt="gnuplot-data") == (
+        "# level h dt err_L1 err_L2 wall_time_s\n"
+        "1 0.5 0.25 0.1 0.05 0.01\n"
+        "# slope_L1=1.0\n"
+        "# slope_L2=1.5\n"
+    )
     with pytest.raises(ConfigError):
         emit(report, fmt="yaml")
     out = tmp_path / "report.csv"
     emit(report, fmt="csv", path=str(out))
     assert out.read_text(encoding="utf-8") == csv
+
+    # the writer itself: title, footer, an int column and gnuplot blocks
+    columns = ("i", "x", "y")
+    rows = [(np.int64(k), 0.5 * k, 1.0 / 3.0) for k in (1, 2, 3)]
+    args = dict(title="grid at t=0.5", footer={"n": 3, "slope": 1.5}, block=2)
+    assert write_table("csv", columns, rows, **args) == (
+        "# grid at t=0.5\n"
+        "i,x,y\n"
+        "1,0.5,0.3333333333333333\n"
+        "2,1.0,0.3333333333333333\n"
+        "3,1.5,0.3333333333333333\n"
+        "# n=3\n"
+        "# slope=1.5\n"
+    )
+    assert write_table("gnuplot", columns, rows, **args) == (
+        "# grid at t=0.5\n"
+        "# i x y\n"
+        "1 0.5 0.3333333333333333\n"
+        "2 1.0 0.3333333333333333\n"
+        "\n"
+        "3 1.5 0.3333333333333333\n"
+        "# n=3\n"
+        "# slope=1.5\n"
+    )
+    assert write_table("jsonl", columns, rows, **args) == (
+        '{"i": 1, "x": 0.5, "y": 0.3333333333333333}\n'
+        '{"i": 2, "x": 1.0, "y": 0.3333333333333333}\n'
+        '{"i": 3, "x": 1.5, "y": 0.3333333333333333}\n'
+        '{"n": 3, "slope": 1.5}\n'
+    )
+    assert FORMATS == ("csv", "jsonl", "gnuplot")
+    with pytest.raises(ConfigError):
+        write_table("yaml", columns, rows)
+
+    # a header-less table (a covariance matrix)
+    K = np.array([[2.0, -0.25], [-0.25, 1e-300]])
+    title = "covariance coefficient matrix, n_dof=2, t=1.0"
+    assert write_table("csv", (), K, title=title) == (
+        "# covariance coefficient matrix, n_dof=2, t=1.0\n"
+        "2.0,-0.25\n"
+        "-0.25,1e-300\n"
+    )
+    assert write_table("gnuplot", (), K, title=title) == (
+        "# covariance coefficient matrix, n_dof=2, t=1.0\n"
+        "2.0 -0.25\n"
+        "-0.25 1e-300\n"
+    )
+    assert write_table("jsonl", (), K, title=title) == (
+        '{"row": 0, "values": [2.0, -0.25]}\n'
+        '{"row": 1, "values": [-0.25, 1e-300]}\n'
+    )
+
+
+def test_write_table_non_finite():
+    nan, inf = float("nan"), float("inf")
+    rows = [(1, nan, inf)]
+    footer = {"slope": nan}
+    jl = write_table("jsonl", ("level", "a", "b"), rows, footer=footer)
+    assert jl == '{"level": 1, "a": null, "b": null}\n{"slope": null}\n'
+    assert write_table("jsonl", (), [[nan, -inf]]) == (
+        '{"row": 0, "values": [null, null]}\n'
+    )
+    # csv and gnuplot keep nan, which read_report parses back
+    assert write_table("csv", ("level", "a", "b"), rows, footer=footer) == (
+        "level,a,b\n1,nan,inf\n# slope=nan\n"
+    )
+    report = RateReport(
+        rows=(LevelResult(1, 0.5, 0.25, 0.1, nan, 0.01),), slope_L1=1.0
+    )
+    back = read_report(emit(report, fmt="csv"))
+    assert np.isnan(back.rows[0].err_L2) and np.isnan(back.slope_L2)
 
 
 def test_sweep_deterministic():
