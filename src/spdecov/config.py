@@ -100,16 +100,19 @@ def kernel_from_section(section):
     kind = section.get("type", "white").strip().lower()
     if kind in ("white", "white_noise"):
         return WhiteNoise()
-    if kind == "exponential":
-        return Exponential(scale=_getfloat(section, "scale", 1.0))
-    if kind == "matern":
-        return Matern(
-            sigma=_getfloat(section, "sigma", 1.0),
-            nu=_getfloat(section, "nu", required=True),
-            rho=_getfloat(section, "rho", 1.0),
-        )
     if kind in ("brownian_bridge", "bridge"):
         return BrownianBridge()
+    try:
+        if kind == "exponential":
+            return Exponential(scale=_getfloat(section, "scale", 1.0))
+        if kind == "matern":
+            return Matern(
+                sigma=_getfloat(section, "sigma", 1.0),
+                nu=_getfloat(section, "nu", required=True),
+                rho=_getfloat(section, "rho", 1.0),
+            )
+    except ValueError as exc:
+        raise ConfigError(f"bad {kind} kernel: {exc}") from exc
     raise ConfigError(f"unknown kernel type {kind!r}")
 
 

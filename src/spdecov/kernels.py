@@ -2,9 +2,10 @@
 
 A kernel spec is either white noise (no pointwise kernel; its Gram is
 the mass matrix) or a pointwise kernel q(x, y): exponential, Matern,
-Brownian bridge, or a user-supplied callable. assemble_Q produces
-Q_h[i, j] = <Q phi_i, phi_j> by Gauss-Legendre quadrature over cell
-pairs.
+Brownian bridge, or a user-supplied callable. Exponential and Matern
+are stationary: they depend on the distance |x - y| alone, through
+their `profile`. assemble_Q produces Q_h[i, j] = <Q phi_i, phi_j> by
+Gauss-Legendre quadrature over cell pairs.
 """
 
 import math
@@ -15,7 +16,7 @@ import numpy as np
 from scipy.special import kv
 
 from .exceptions import NoPointwiseKernelError
-from .fem import assemble_mass, hat_values
+from .fem import assemble_mass
 from .linalg import symmetrize
 
 __all__ = [
@@ -32,11 +33,21 @@ __all__ = [
 #: tensor Gauss-Legendre order per cell pair
 Q_QUAD_ORDER = 6
 
-#: graded composite rule for the triangle subdivisions of same-cell
-#: pairs, where the kernels may kink or cusp along x = y
+#: graded composite rule for the pairs on and next to the diagonal,
+#: where the kernels may kink or cusp along x = y
 DUFFY_PANEL_ORDER = 8
 DUFFY_PANELS = 8
 DUFFY_GRADE = 0.1
+
+#: largest Matern smoothness: beyond it K_nu overflows where the kernel
+#: still differs from sigma^2, and the kernel is close to Gaussian anyway
+_MATERN_NU_MAX = 30.0
+
+
+def _check_positive(**params):
+    for name, value in params.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 class Kernel:
@@ -48,34 +59,46 @@ class Kernel:
         )
 
 
+class _Stationary(Kernel):
+    """Kernel q(x, y) = profile(|x - y|).
+
+    On a uniform mesh its cell-pair blocks depend only on the cell
+    offset, which assemble_Q exploits.
+    """
+
+    def pointwise(self, x, y):
+        return self.profile(np.abs(np.asarray(x, dtype=float) - y))
+
+
 @dataclass(frozen=True)
 class WhiteNoise(Kernel):
     """Spatially uncorrelated noise, Q = I."""
 
 
 @dataclass(frozen=True)
-class Exponential(Kernel):
+class Exponential(_Stationary):
     """q(x, y) = exp(-scale * |x - y|)."""
 
     scale: float
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        _check_positive(scale=self.scale)
 
-    def pointwise(self, x, y):
-        return np.exp(-self.scale * np.abs(x - y))
+    def profile(self, z):
+        return np.exp(-self.scale * z)
 
 
 @dataclass(frozen=True)
-class Matern(Kernel):
+class Matern(_Stationary):
     """Matern kernel in distance z = |x - y|:
 
         q(z) = sigma^2 2^(1-nu) / Gamma(nu) * (sqrt(2 nu) z / rho)^nu
                * K_nu(sqrt(2 nu) z / rho),
 
     with the z -> 0 limit sigma^2 taken explicitly (the product is a
-    0 * inf form there).
+    0 * inf form there). Where a factor overflows, K_nu near z = 0 or
+    the power far from it, the product takes its limit there, sigma^2
+    or 0; up to nu = 30 that limit is exact to rounding.
     """
 
     sigma: float
@@ -83,20 +106,25 @@ class Matern(Kernel):
     rho: float
 
     def __post_init__(self):
-        if min(self.sigma, self.nu, self.rho) <= 0:
-            raise ValueError("sigma, nu, rho must all be positive")
+        _check_positive(sigma=self.sigma, nu=self.nu, rho=self.rho)
+        if self.nu > _MATERN_NU_MAX:
+            raise ValueError(
+                f"nu must not exceed {_MATERN_NU_MAX:g}, got {self.nu!r}: "
+                "K_nu overflows there (a Gaussian kernel is the nu -> inf limit)"
+            )
 
-    def pointwise(self, x, y):
-        z = np.abs(np.asarray(x, dtype=float) - y)
+    def profile(self, z):
         w = math.sqrt(2.0 * self.nu) / self.rho * z
         safe = np.where(w > 0, w, 1.0)
-        val = (
-            self.sigma**2
-            * 2.0 ** (1.0 - self.nu)
-            / math.gamma(self.nu)
-            * safe**self.nu
-            * kv(self.nu, safe)
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            val = (
+                self.sigma**2
+                * 2.0 ** (1.0 - self.nu)
+                / math.gamma(self.nu)
+                * safe**self.nu
+                * kv(self.nu, safe)
+            )
+        val = np.where(np.isfinite(val), val, np.where(w < 1.0, self.sigma**2, 0.0))
         return np.where(w > 0, val, self.sigma**2)
 
 
@@ -159,82 +187,77 @@ def _graded_gauss(order, panels, grade):
     return pts.ravel(), wts.ravel()
 
 
-def _duffy_triangles(spec, xl, h):
-    """Same-cell contribution, split along the diagonal y = x.
+# the quadrature rules on the unit cell; one panel is the plain rule
+_GAUSS_U, _GAUSS_W = _graded_gauss(Q_QUAD_ORDER, 1, DUFFY_GRADE)
+_GRADED_U, _GRADED_W = _graded_gauss(DUFFY_PANEL_ORDER, DUFFY_PANELS, DUFFY_GRADE)
 
-    On the triangle y <= x the substitution x = xl + h u, y = xl + h u v
-    (Jacobian h^2 u) keeps |x - y| = h u (1 - v) away from sign changes,
-    so kernels with a kink or cusp on the diagonal are integrated from
+#: cells per batch of graded near-diagonal blocks of non-stationary kernels
+_GRADED_CHUNK = 8
+
+
+def _hats(u):
+    """Local hats at unit cell coordinates u: index 0 left node, 1 right."""
+    return np.stack([1.0 - u, u])
+
+
+def _contract(qw, bx, by):
+    """(2, 2, m) blocks sum_pq qw[m, p, q] bx[i, p, q] by[j, p, q]."""
+    return np.einsum("mpq,ipq,jpq->ijm", qw, bx, by, optimize=True)
+
+
+def _near_diagonal_blocks(spec, corners, h):
+    """Graded blocks of the cells at left corners `corners`.
+
+    Returns (same, right, left): the same-cell blocks of every cell,
+    shaped (2, 2, m), and the blocks of the adjacent pairs (c, c + 1)
+    and (c + 1, c), shaped (2, 2, m - 1).
+
+    Same-cell pairs are split along the diagonal y = x. On the triangle
+    y <= x the substitution x = xl + h u, y = xl + h u v (Jacobian
+    h^2 u) keeps |x - y| = h u (1 - v) away from sign changes, so
+    kernels with a kink or cusp on the diagonal are integrated from
     smooth data. u is graded toward 0 and v toward 1, where the residual
     edge cusps of nearly-white Matern kernels sit. The mirrored triangle
-    is handled explicitly rather than by symmetry so Custom kernels need
-    not be symmetric.
+    is integrated explicitly rather than by symmetry so Custom kernels
+    need not be symmetric.
 
-    Returns the 2 x 2 local matrix over (left, right) basis pairs.
+    Adjacent pairs share one node, where nearly-white Matern kernels
+    cusp at |x - y| = 0; both axes are graded toward that corner, since
+    a plain tensor rule stalls there.
     """
-    g, wgr = _graded_gauss(DUFFY_PANEL_ORDER, DUFFY_PANELS, DUFFY_GRADE)
-    u, wu = g, wgr
-    v, wv = 1.0 - g, wgr
-    U, V = np.meshgrid(u, v, indexing="ij")
-    W = np.outer(wu, wv) * h * h * U
+    g = _GRADED_U
+    W = np.outer(_GRADED_W, _GRADED_W) * h * h
+    c = np.asarray(corners, dtype=float)[:, None, None]
 
-    xs = xl + h * U
-    ys = xl + h * U * V
-    # local hats: index 0 tracks the left node, 1 the right node
-    bx = np.stack([1.0 - U, U])
-    by = np.stack([1.0 - U * V, U * V])
-
-    loc = np.zeros((2, 2))
-    for lower in (True, False):
-        qv = spec.pointwise(xs, ys) if lower else spec.pointwise(ys, xs)
-        for i in range(2):
-            for j in range(2):
-                if lower:
-                    loc[i, j] += np.sum(W * qv * bx[i] * by[j])
-                else:
-                    loc[i, j] += np.sum(W * qv * by[i] * bx[j])
-    return loc
+    U, V = np.meshgrid(g, 1.0 - g, indexing="ij")
+    x, y = c + h * U, c + h * U * V
+    bx, by = _hats(U), _hats(U * V)
+    same = _contract(spec.pointwise(x, y) * (W * U), bx, by) + _contract(
+        spec.pointwise(y, x) * (W * U), by, bx
+    )
+    # (c + 1, c): the shared node is the left end of the first cell
+    left = _contract(spec.pointwise(c[1:] + h * U, c[:-1] + h * V) * W, bx, _hats(V))
+    # (c, c + 1): the shared node is the right end of the first cell
+    right = _contract(
+        spec.pointwise(c[:-1] + h * V, c[1:] + h * U) * W, _hats(V), bx
+    )
+    return same, right, left
 
 
-def _graded_adjacent_pair(spec, xa, xb, h):
-    """Cell pair sharing one node, graded toward the shared corner.
+def _scatter(blocks, mesh):
+    """DoF Gram of the (2, 2, n_cells, n_cells) cell-pair blocks.
 
-    Nearly-white Matern kernels cusp at |x - y| = 0, which for adjacent
-    cells sits at one corner of the integration square; a plain tensor
-    rule stalls there even though |x - y| itself never changes sign.
-    Grading both axes toward that corner restores fast convergence and
-    costs nothing for kernels that are smooth across it.
+    blocks[i, j, a, b] couples local node i of cell a with local node j
+    of cell b.
     """
-    g, wgr = _graded_gauss(DUFFY_PANEL_ORDER, DUFFY_PANELS, DUFFY_GRADE)
-    if xb > xa:
-        u, v = 1.0 - g, g
-    else:
-        u, v = g, 1.0 - g
-    U, V = np.meshgrid(u, v, indexing="ij")
-    W = np.outer(wgr, wgr) * h * h
-    qv = spec.pointwise(xa + h * U, xb + h * V)
-    bx = np.stack([1.0 - U, U])
-    by = np.stack([1.0 - V, V])
-    loc = np.empty((2, 2))
-    for i in range(2):
-        for j in range(2):
-            loc[i, j] = np.sum(W * qv * bx[i] * by[j])
-    return loc
-
-
-def _plain_pair(spec, xa, xb, h, order):
-    """One cell-pair contribution by plain tensor Gauss-Legendre."""
-    xg, wg = np.polynomial.legendre.leggauss(order)
-    u = 0.5 * (xg + 1.0)
-    w = 0.5 * h * wg
-    X, Y = np.meshgrid(xa + h * u, xb + h * u, indexing="ij")
-    qv = spec.pointwise(X, Y)
-    b = np.stack([1.0 - u, u])
-    loc = np.empty((2, 2))
-    for i in range(2):
-        for j in range(2):
-            loc[i, j] = np.sum(np.outer(w * b[i], w * b[j]) * qv)
-    return loc
+    n = mesh.n_cells
+    Q = np.zeros((n + 1, n + 1))
+    Q[:-1, :-1] += blocks[0, 0]
+    Q[:-1, 1:] += blocks[0, 1]
+    Q[1:, :-1] += blocks[1, 0]
+    Q[1:, 1:] += blocks[1, 1]
+    keep = slice(1, -1) if mesh.bc == "dirichlet" else slice(None)
+    return Q[keep, keep]
 
 
 def assemble_Q(mesh, spec):
@@ -243,38 +266,39 @@ def assemble_Q(mesh, spec):
     White noise returns the mass matrix exactly. Pointwise kernels are
     integrated with a 6x6 tensor Gauss-Legendre rule per cell pair;
     pairs within one cell of the diagonal, where kernels may kink or
-    cusp at |x - y| = 0, are redone with graded rules (a triangle split
-    on same-cell pairs, corner grading on adjacent ones).
+    cusp at |x - y| = 0, use graded rules instead (a triangle split on
+    same-cell pairs, corner grading on adjacent ones). For stationary
+    kernels the block of cell pair (a, b) depends on the offset a - b
+    alone, so the 2 n_cells - 1 distinct blocks are integrated once:
+    O(n_cells) kernel evaluations instead of O(n_cells^2).
     """
     if isinstance(spec, WhiteNoise):
         return assemble_mass(mesh)
 
-    h = mesh.h
-    xg, wg = np.polynomial.legendre.leggauss(Q_QUAD_ORDER)
-    left = np.arange(mesh.n_cells) * h
-    pts = (left[:, None] + 0.5 * h * (xg[None, :] + 1.0)).ravel()
-    wts = np.tile(0.5 * h * wg, mesh.n_cells)
-
-    B = hat_values(mesh, pts) * wts[:, None]
-    qv = spec.pointwise(pts[:, None], pts[None, :])
-    Q = B.T @ qv @ B
-
-    # replace the plain rule on and next to the diagonal
-    for ca in range(mesh.n_cells):
-        for cb in (ca - 1, ca, ca + 1):
-            if cb < 0 or cb >= mesh.n_cells:
-                continue
-            if ca == cb:
-                delta = _duffy_triangles(spec, left[ca], h)
-            else:
-                delta = _graded_adjacent_pair(spec, left[ca], left[cb], h)
-            delta -= _plain_pair(spec, left[ca], left[cb], h, Q_QUAD_ORDER)
-            for i_loc, node_i in enumerate((ca, ca + 1)):
-                gi = mesh.dof_index(node_i)
-                if gi < 0:
-                    continue
-                for j_loc, node_j in enumerate((cb, cb + 1)):
-                    gj = mesh.dof_index(node_j)
-                    if gj >= 0:
-                        Q[gi, gj] += delta[i_loc, j_loc]
-    return symmetrize(Q)
+    n, h = mesh.n_cells, mesh.h
+    wb = h * _GAUSS_W * _hats(_GAUSS_U)
+    cells = np.arange(n)
+    if isinstance(spec, _Stationary):
+        # offsets d = a - b from 1 - n to n - 1, block d at index d + n - 1
+        d = np.arange(1 - n, n)
+        z = h * np.abs(d[:, None, None] + _GAUSS_U[:, None] - _GAUSS_U)
+        by_offset = np.einsum("ip,dpq,jq->ijd", wb, spec.profile(z), wb, optimize=True)
+        same, right, left = _near_diagonal_blocks(spec, [0.0, h], h)
+        by_offset[:, :, n - 2 : n + 1] = np.concatenate(
+            [right, same[:, :, :1], left], axis=2
+        )
+        blocks = by_offset[:, :, np.subtract.outer(cells, cells) + n - 1]
+    else:
+        pts = (cells[:, None] * h + h * _GAUSS_U).ravel()
+        qv = spec.pointwise(pts[:, None], pts[None, :])
+        qv = qv.reshape(n, Q_QUAD_ORDER, n, Q_QUAD_ORDER)
+        blocks = np.einsum("ip,apbq,jq->ijab", wb, qv, wb, optimize=True)
+        # graded points of a few cells at a time; all at once would hold
+        # 4096 n_cells kernel values per array
+        for lo in range(0, n - 1, _GRADED_CHUNK):
+            c = cells[lo : lo + _GRADED_CHUNK + 1]
+            same, right, left = _near_diagonal_blocks(spec, c * h, h)
+            blocks[:, :, c, c] = same
+            blocks[:, :, c[:-1], c[1:]] = right
+            blocks[:, :, c[1:], c[:-1]] = left
+    return symmetrize(_scatter(blocks, mesh))

@@ -25,15 +25,19 @@ from typing import Union
 import numpy as np
 import scipy.linalg
 
-from .advdiff import AdvDiffConfig, advdiff_operators, advdiff_run
+from .advdiff import AdvDiffConfig, advdiff_operators
 from .errnorms import err_hs_norm, err_trace_norm
 from .exceptions import CholeskyError, TooFewSamplesError
-# the scheme builders assemble; assemble_form and assemble_Q stay
-# importable here because perfbench/spans.py traces them by this path
-from .fem import assemble_form, assemble_mass  # noqa: F401
+from .linalg import propagate, psd_sqrt, sym_eig, symmetrize
+from .wave import WaveConfig, extract_position_cov, wave_operators
+
+# mc_validate builds each scheme's operators once and propagates them
+# itself; these stay importable here because perfbench/spans.py traces
+# them by this path
+from .advdiff import advdiff_run  # noqa: F401
+from .fem import assemble_form  # noqa: F401
 from .kernels import assemble_Q  # noqa: F401
-from .linalg import psd_sqrt, sym_eig, symmetrize
-from .wave import WaveConfig, extract_position_cov, wave_operators, wave_run
+from .wave import wave_run  # noqa: F401
 
 __all__ = [
     "McConfig",
@@ -173,21 +177,18 @@ def empirical_cov(samples):
     return symmetrize(Xc.T @ Xc / (n - 1))
 
 
-def _batch_paths(config, n_samples, seed):
+def _batch_paths(config, ops, n_samples, seed):
     """All paths at once, one spawned stream per path.
 
+    ops are the config's BackwardEuler or CrankNicolson operators.
     Returns an (n_samples, d) array whose row i equals the single-path
     sampler run with the i-th spawned SeedSequence.
     """
     children = np.random.SeedSequence(seed).spawn(n_samples)
-    if isinstance(config, AdvDiffConfig):
-        M, Q_h, lu_piv, _ = advdiff_operators(config)
-        n_state = M.shape[0]
-    else:
-        M, Q_h, lu_piv, RP, _ = wave_operators(config)
-        n_state = 2 * M.shape[0]
-    chol = _chol_with_jitter(Q_h)
+    M, lu_piv = ops.M, ops.lu_piv
     n = M.shape[0]
+    n_state = n if isinstance(config, AdvDiffConfig) else 2 * n
+    chol = _chol_with_jitter(ops.Q_h)
     xi = np.empty((n_samples, config.n_steps, n))
     X = np.zeros((n_state, n_samples))
     for i, child in enumerate(children):
@@ -205,7 +206,7 @@ def _batch_paths(config, n_samples, seed):
     rhs = np.zeros((n_state, n_samples))
     for j in range(config.n_steps):
         rhs[n:, :] = root_dt * (chol @ xi[:, j, :].T)
-        X = scipy.linalg.lu_solve(lu_piv, RP @ X + rhs)
+        X = scipy.linalg.lu_solve(lu_piv, ops.RP @ X + rhs)
     return X.T
 
 
@@ -235,22 +236,23 @@ def mc_validate(mc):
     """
     config = mc.scheme
     mesh = config.mesh
-    M = assemble_mass(mesh)
+    wave = isinstance(config, WaveConfig)
+    ops = wave_operators(config) if wave else advdiff_operators(config)
+    M = ops.M
     n = M.shape[0]
-
-    if isinstance(config, AdvDiffConfig):
-        K_det = advdiff_run(config)
-        gap_rate = config.c0**2
-        margin_scale = float(np.sum(M * K_det))
-    else:
-        K_full = wave_run(config)
+    K_full = propagate(ops.step, config.n_steps, config.K0)
+    if wave:
         K_det = extract_position_cov(K_full)
         # the O(dt^2) load-vs-increment gap scales with the velocity block
         gap_rate = 1.0
         margin_scale = float(np.sum(M * K_full[n:, n:]))
+    else:
+        K_det = K_full
+        gap_rate = config.c0**2
+        margin_scale = float(np.sum(M * K_det))
 
-    samples = _batch_paths(config, mc.n_samples, mc.seed)
-    if isinstance(config, WaveConfig):
+    samples = _batch_paths(config, ops, mc.n_samples, mc.seed)
+    if wave:
         samples = samples[:, :n]
     K_emp = empirical_cov(samples)
 

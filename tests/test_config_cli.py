@@ -172,6 +172,16 @@ def test_load_study_errors(tmp_path):
         bad_snap = WAVE_INI.replace("snapshot_t = 0.5", f"snapshot_t = {snap}")
         with pytest.raises(ConfigError, match="outside"):
             load_study(_write(tmp_path, bad_snap, "s.ini"))
+    for kernel, problem in (
+        ("type = exponential\nscale = nan", "scale must be finite"),
+        ("type = exponential\nscale = inf", "scale must be finite"),
+        ("type = matern\nnu = nan", "nu must be finite"),
+        ("type = matern\nnu = 0.5\nsigma = nan", "sigma must be finite"),
+        ("type = matern\nnu = 200", "nu must not exceed"),
+    ):
+        bad_kernel = HEAT_INI.replace("type = white", kernel)
+        with pytest.raises(ConfigError, match=problem):
+            load_study(_write(tmp_path, bad_kernel, "k.ini"))
 
 
 def test_load_mc_overrides(tmp_path):
@@ -237,6 +247,10 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert main(["sweep"]) == 1
     assert main(["sweep", "--config", str(tmp_path / "nope.ini")]) == 1
     capsys.readouterr()
+    # Gamma(200) once escaped main as an OverflowError traceback
+    huge_nu = HEAT_INI.replace("type = white", "type = matern\nnu = 200")
+    assert main(["sweep", "--config", _write(tmp_path, huge_nu)]) == 1
+    assert "config error" in capsys.readouterr().err
 
 
 def test_cli_help_exits_zero():

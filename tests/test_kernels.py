@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.polynomial.legendre import leggauss
 from numpy.testing import assert_allclose
 
@@ -200,3 +201,96 @@ def test_kernel_parameter_validation():
         Matern(sigma=1.0, nu=-0.5, rho=1.0)
     with pytest.raises(ValueError):
         Matern(sigma=1.0, nu=0.5, rho=0.0)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="scale must be finite"):
+            Exponential(bad)
+        for key in ("sigma", "nu", "rho"):
+            params = dict(sigma=1.0, nu=0.5, rho=1.0)
+            params[key] = bad
+            with pytest.raises(ValueError, match=f"{key} must be finite"):
+                Matern(**params)
+    # Gamma(200) overflows a double; nu beyond 30 is refused up front
+    with pytest.raises(ValueError, match="nu must not exceed"):
+        Matern(sigma=1.0, nu=200.0, rho=1.0)
+    Matern(sigma=1.0, nu=30.0, rho=1.0)
+
+
+def test_matern_large_nu_takes_its_limits():
+    # K_nu overflows near z = 0 and (w)^nu far from it; the kernel then
+    # takes its limits sigma^2 and 0 instead of 0 * inf = nan
+    m = Matern(sigma=2.0, nu=25.0, rho=0.1)
+    near = kernel_eval(m, np.zeros(3), np.array([1e-300, 1e-20, 1e-15]))
+    assert np.array_equal(near, np.full(3, 4.0))
+    tiny_rho = Matern(sigma=2.0, nu=25.0, rho=1e-12)
+    assert kernel_eval(tiny_rho, 0.0, 1.0) == 0.0
+    Q = assemble_Q(Mesh1D(64, "dirichlet"), m)
+    assert np.isfinite(Q).all()
+    ev = np.linalg.eigvalsh(Q)
+    assert ev.min() >= -1e-12 * ev.max()
+
+
+def _skew(x, y):
+    return np.exp(-np.abs(x - y)) * (1.0 + x) * (2.0 - y)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    n_cells=st.integers(2, 64),
+    bc=st.sampled_from(["dirichlet", "neumann"]),
+    kernel=st.builds(
+        Matern,
+        sigma=st.floats(0.1, 10.0),
+        nu=st.floats(0.01, 3.0),
+        rho=st.floats(0.05, 1.0),
+    )
+    | st.builds(Exponential, scale=st.floats(0.1, 50.0)),
+)
+def test_offset_blocks_match_generic_assembly(n_cells, bc, kernel):
+    # stationary kernels assemble one block per cell offset; wrapping the
+    # same pointwise kernel in Custom forces the per-cell-pair path
+    mesh = Mesh1D(n_cells, bc)
+    Q = assemble_Q(mesh, kernel)
+    Q_generic = assemble_Q(mesh, Custom(kernel.pointwise))
+    assert np.array_equal(Q, Q.T)
+    gap = np.abs(Q - Q_generic).max()
+    assert gap <= 1e-13 * np.abs(Q_generic).max(), gap
+
+
+@pytest.mark.parametrize(
+    "n_cells, bc, kernel, entries",
+    [
+        (5, "neumann", BrownianBridge(), {
+            (0, 0): 0.0003555555555555553,
+            (1, 1): 0.004533333333333335,
+            (1, 3): 0.003199999999999998,
+            (2, 3): 0.00633333333333333,
+            (5, 5): 0.00035555555555555465,
+        }),
+        (7, "dirichlet", BrownianBridge(), {
+            (0, 0): 0.0018186866583368045,
+            (2, 3): 0.0037241427183118143,
+            (3, 3): 0.004317645425517148,
+            (1, 5): 0.0008329862557267802,
+        }),
+        (4, "neumann", Custom(_skew), {
+            (0, 0): 0.030378449077378057,
+            (0, 1): 0.056517914239151375,
+            (1, 2): 0.10995948845328173,
+            (2, 2): 0.12554779906241503,
+            (4, 4): 0.03037844907737809,
+            (0, 4): 0.016495683113620162,
+        }),
+        (6, "dirichlet", Custom(_skew), {
+            (0, 0): 0.05504985311325745,
+            (1, 2): 0.05295962145436511,
+            (2, 2): 0.057909832561945776,
+            (0, 4): 0.03378551608201424,
+        }),
+    ],
+)
+def test_generic_gram_entries_pinned(n_cells, bc, kernel, entries):
+    # values of the per-cell-pair assembly before it was vectorized
+    Q = assemble_Q(Mesh1D(n_cells, bc), kernel)
+    assert np.array_equal(Q, Q.T)
+    for (i, j), want in entries.items():
+        assert Q[i, j] == pytest.approx(want, rel=1e-13, abs=0)

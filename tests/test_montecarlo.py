@@ -20,7 +20,9 @@ from spdecov import (
     sample_path_advdiff,
     sample_path_wave,
 )
+from spdecov.advdiff import advdiff_operators
 from spdecov.montecarlo import _batch_paths
+from spdecov.wave import wave_operators
 
 
 def test_empirical_cov_two_samples():
@@ -80,7 +82,7 @@ def test_batch_rows_equal_single_paths_advdiff():
     # row i of the batch consumes the i-th spawned stream, so it must
     # reproduce the single-path sampler up to BLAS rounding
     cfg = _advdiff_cfg()
-    X = _batch_paths(cfg, 5, seed=42)
+    X = _batch_paths(cfg, advdiff_operators(cfg), 5, seed=42)
     children = np.random.SeedSequence(42).spawn(5)
     singles = np.array([sample_path_advdiff(cfg, c) for c in children])
     assert_allclose(X, singles, atol=1e-13)
@@ -88,7 +90,7 @@ def test_batch_rows_equal_single_paths_advdiff():
 
 def test_batch_rows_equal_single_paths_wave():
     cfg = _wave_cfg()
-    X = _batch_paths(cfg, 5, seed=7)
+    X = _batch_paths(cfg, wave_operators(cfg), 5, seed=7)
     children = np.random.SeedSequence(7).spawn(5)
     singles = np.array([sample_path_wave(cfg, c) for c in children])
     assert_allclose(X, singles, atol=1e-13)
