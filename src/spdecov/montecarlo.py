@@ -27,16 +27,22 @@ import scipy.linalg
 
 from .advdiff import AdvDiffConfig, advdiff_operators
 from .errnorms import err_hs_norm, err_trace_norm
-from .exceptions import CholeskyError, TooFewSamplesError
-from .linalg import propagate, psd_sqrt, sym_eig, symmetrize
+from .exceptions import (
+    CholeskyError,
+    NoConvergenceError,
+    NumericalError,
+    TooFewSamplesError,
+)
+from .linalg import propagate, psd_sqrt, symmetrize
 from .wave import WaveConfig, extract_position_cov, wave_operators
 
-# mc_validate builds each scheme's operators once and propagates them
-# itself; these stay importable here because perfbench/spans.py traces
-# them by this path
+# mc_validate builds each scheme's operators once, propagates them itself
+# and takes its jackknife eigenvalues in stacked calls; these stay
+# importable here because perfbench/spans.py traces them by this path
 from .advdiff import advdiff_run  # noqa: F401
 from .fem import assemble_form  # noqa: F401
 from .kernels import assemble_Q  # noqa: F401
+from .linalg import sym_eig  # noqa: F401
 from .wave import wave_run  # noqa: F401
 
 __all__ = [
@@ -56,6 +62,11 @@ CHOLESKY_JITTERS = (0.0, 1e-14, 1e-12, 1e-10)
 #: n_steps * trace(M K_det)
 MC_CONSISTENCY_COEFF = 1.0
 
+#: bytes of one stack of d x d leave-one-out matrices in the jackknife;
+#: a chunk holds up to three such stacks, so it takes max(1, this //
+#: (8 d^2)) paths and its transient memory stays a few MB whatever d is
+JACKKNIFE_CHUNK_BYTES = 2**20
+
 
 @dataclass(frozen=True)
 class McConfig:
@@ -66,8 +77,11 @@ class McConfig:
     seed: int
 
     def __post_init__(self):
-        if self.n_samples < 2:
-            raise TooFewSamplesError("n_samples must be at least 2")
+        if self.n_samples < 3:
+            raise TooFewSamplesError(
+                f"n_samples must be at least 3, got {self.n_samples}: the "
+                "jackknife needs two paths left after dropping one"
+            )
 
 
 @dataclass(frozen=True)
@@ -107,57 +121,18 @@ def _chol_with_jitter(Q):
     )
 
 
-def _rng_for(seed):
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.Generator(np.random.Philox(seed))
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-
-
-def _initial_draw(config, rng, n_state):
-    if config.K0 is None:
-        return np.zeros(n_state)
-    return psd_sqrt(np.asarray(config.K0, dtype=float)) @ rng.standard_normal(
-        n_state
-    )
-
-
 def sample_path_advdiff(config, seed):
     """Simulate one backward Euler path; returns coefficients at t = T.
 
     seed may be an integer or a numpy SeedSequence. A fixed seed gives a
     bit-identical path on every call.
     """
-    M, Q_h, lu_piv, _ = advdiff_operators(config)
-    chol = _chol_with_jitter(Q_h)
-    rng = _rng_for(seed)
-    dt = config.dt
-    x = _initial_draw(config, rng, M.shape[0])
-    drift = 1.0 + config.c0 * dt
-    noise = np.sqrt(dt) * (chol @ rng.standard_normal((config.n_steps, M.shape[0])).T)
-    for j in range(config.n_steps):
-        x = scipy.linalg.lu_solve(lu_piv, drift * (M @ x) + noise[:, j])
-    return x
+    return _batch_paths(config, advdiff_operators(config), [seed])[0]
 
 
 def sample_path_wave(config, seed):
-    """Simulate one CN wave path; returns the stacked (u, v) coefficients.
-
-    The noise load lands on the velocity row of the linear system:
-    L x_j = R P x_{j-1} + [0; b_j].
-    """
-    M, Q_h, lu_piv, RP, _ = wave_operators(config)
-    chol = _chol_with_jitter(Q_h)
-    rng = _rng_for(seed)
-    n = M.shape[0]
-    dt = config.dt
-    x = _initial_draw(config, rng, 2 * n)
-    noise = np.sqrt(dt) * (chol @ rng.standard_normal((config.n_steps, n)).T)
-    rhs = np.zeros(2 * n)
-    for j in range(config.n_steps):
-        rhs[:n] = 0.0
-        rhs[n:] = noise[:, j]
-        x = scipy.linalg.lu_solve(lu_piv, RP @ x + rhs)
-    return x
+    """Simulate one CN wave path; returns the stacked (u, v) coefficients."""
+    return _batch_paths(config, wave_operators(config), [seed])[0]
 
 
 def empirical_cov(samples):
@@ -177,45 +152,81 @@ def empirical_cov(samples):
     return symmetrize(Xc.T @ Xc / (n - 1))
 
 
-def _batch_paths(config, ops, n_samples, seed):
-    """All paths at once, one spawned stream per path.
+def _batch_paths(config, ops, seeds):
+    """One path per seed, all advanced together.
 
-    ops are the config's BackwardEuler or CrankNicolson operators.
-    Returns an (n_samples, d) array whose row i equals the single-path
-    sampler run with the i-th spawned SeedSequence.
+    ops are the config's BackwardEuler or CrankNicolson operators; each
+    seed is an integer or a SeedSequence whose stream drives its path
+    alone. Returns a (len(seeds), d) array whose row i does not depend
+    on the other seeds. The wave noise load lands on the velocity row of
+    the linear system: L x_j = R P x_{j-1} + [0; b_j].
     """
-    children = np.random.SeedSequence(seed).spawn(n_samples)
     M, lu_piv = ops.M, ops.lu_piv
     n = M.shape[0]
     n_state = n if isinstance(config, AdvDiffConfig) else 2 * n
     chol = _chol_with_jitter(ops.Q_h)
-    xi = np.empty((n_samples, config.n_steps, n))
-    X = np.zeros((n_state, n_samples))
-    for i, child in enumerate(children):
-        rng = _rng_for(child)
-        X[:, i] = _initial_draw(config, rng, n_state)
-        xi[i] = rng.standard_normal((config.n_steps, n))
+    K0 = config.K0
+    root_K0 = None if K0 is None else psd_sqrt(np.asarray(K0, dtype=float))
+    # indexed (step, path, dof), so each step's noise block is contiguous
+    xi = np.empty((config.n_steps, len(seeds), n))
+    X = np.zeros((n_state, len(seeds)))
+    for i, seed in enumerate(seeds):
+        rng = np.random.Generator(np.random.Philox(seed))
+        if root_K0 is not None:
+            X[:, i] = root_K0 @ rng.standard_normal(n_state)
+        xi[:, i, :] = rng.standard_normal((config.n_steps, n))
     root_dt = np.sqrt(config.dt)
     if isinstance(config, AdvDiffConfig):
         drift = 1.0 + config.c0 * config.dt
         for j in range(config.n_steps):
-            B = root_dt * (chol @ xi[:, j, :].T)
+            B = root_dt * (chol @ xi[j].T)
             X = scipy.linalg.lu_solve(lu_piv, drift * (M @ X) + B)
         return X.T
 
-    rhs = np.zeros((n_state, n_samples))
+    rhs = np.zeros((n_state, len(seeds)))
     for j in range(config.n_steps):
-        rhs[n:, :] = root_dt * (chol @ xi[:, j, :].T)
+        rhs[n:, :] = root_dt * (chol @ xi[j].T)
         X = scipy.linalg.lu_solve(lu_piv, ops.RP @ X + rhs)
     return X.T
 
 
-def _same_mesh_distances(dK, M, root_M):
-    """(trace, HS) distance of a coefficient difference on one mesh."""
-    W = symmetrize(root_M @ dK @ root_M)
-    tr = float(np.abs(sym_eig(W).eigenvalues).sum())
-    KM = dK @ M
-    hs = float(np.sqrt(max(np.sum(KM * KM.T), 0.0)))
+# an overflow surfaces as the NumericalError of the finite check instead
+@np.errstate(over="ignore", invalid="ignore")
+def _jackknife_distances(samples, root_M, K_det):
+    """Leave-one-out (trace, HS) distances of the empirical covariance.
+
+    Entry i measures the covariance of all paths but path i against
+    K_det. With Y = samples M^{1/2}, the leave-one-out covariance in the
+    M^{1/2} frame is a rank-two update of Y^T Y, so a chunk of paths is
+    one stack of d x d matrices W_i and one stacked eigvalsh. The HS
+    distance is sqrt(sum w^2) because ||M^{1/2} D M^{1/2}||_F^2 =
+    trace((D M)^2).
+    """
+    n_s, d = samples.shape
+    Y = samples @ root_M
+    r = Y.sum(axis=0)
+    # W_i is exactly symmetric: B, R and both outer products are
+    B = symmetrize(root_M @ (samples.T @ samples) @ root_M)
+    R = symmetrize(root_M @ K_det @ root_M)
+    chunk = max(1, JACKKNIFE_CHUNK_BYTES // (8 * d * d))
+    tr = np.empty(n_s)
+    hs = np.empty(n_s)
+    for lo in range(0, n_s, chunk):
+        y = Y[lo : lo + chunk]
+        t = r - y
+        W = B - y[:, :, None] * y[:, None, :]
+        W -= t[:, :, None] * t[:, None, :] / (n_s - 1)
+        W = W / (n_s - 2) - R
+        if not np.isfinite(W).all():
+            raise NumericalError(
+                "leave-one-out covariance has non-finite entries"
+            )
+        try:
+            w = np.linalg.eigvalsh(W)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergenceError(str(exc)) from exc
+        tr[lo : lo + chunk] = np.abs(w).sum(axis=1)
+        hs[lo : lo + chunk] = np.sqrt((w * w).sum(axis=1))
     return tr, hs
 
 
@@ -251,7 +262,8 @@ def mc_validate(mc):
         gap_rate = config.c0**2
         margin_scale = float(np.sum(M * K_det))
 
-    samples = _batch_paths(config, ops, mc.n_samples, mc.seed)
+    seeds = np.random.SeedSequence(mc.seed).spawn(mc.n_samples)
+    samples = _batch_paths(config, ops, seeds)
     if wave:
         samples = samples[:, :n]
     K_emp = empirical_cov(samples)
@@ -259,21 +271,8 @@ def mc_validate(mc):
     trace_d = err_trace_norm(K_emp, mesh, K_det, mesh)
     hs_d = err_hs_norm(K_emp, mesh, K_det, mesh)
 
-    # jackknife over paths with O(d^2) leave-one-out covariance updates
-    root_M = psd_sqrt(M)
+    tr_vals, hs_vals = _jackknife_distances(samples, psd_sqrt(M), K_det)
     n_s = mc.n_samples
-    A = samples.T @ samples
-    s = samples.sum(axis=0)
-    tr_vals = np.empty(n_s)
-    hs_vals = np.empty(n_s)
-    for i in range(n_s):
-        x = samples[i]
-        s_i = s - x
-        A_i = A - np.outer(x, x)
-        C_i = (A_i - np.outer(s_i, s_i) / (n_s - 1)) / (n_s - 2)
-        tr_vals[i], hs_vals[i] = _same_mesh_distances(
-            symmetrize(C_i) - K_det, M, root_M
-        )
     fac = (n_s - 1.0) / n_s
     se_tr = float(np.sqrt(fac * np.sum((tr_vals - tr_vals.mean()) ** 2)))
     se_hs = float(np.sqrt(fac * np.sum((hs_vals - hs_vals.mean()) ** 2)))

@@ -317,6 +317,15 @@ def test_cli_mc_deterministic(tmp_path, capsys):
     assert float(row.split(",")[0]) > 0.0
 
 
+def test_cli_mc_two_samples(tmp_path, capsys):
+    # the jackknife divides by n_samples - 2, so two samples are refused
+    path = _write(tmp_path, HEAT_INI)
+    assert main(["mc", "--config", path, "--samples", "2", "--seed", "9"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "n_samples must be at least 3" in err
+
+
 def _reject_constant(name):
     raise ValueError(f"bare {name} in jsonl")
 

@@ -10,6 +10,7 @@ from spdecov import (
     Custom,
     McConfig,
     Mesh1D,
+    NumericalError,
     TooFewSamplesError,
     WaveConfig,
     WhiteNoise,
@@ -17,11 +18,19 @@ from spdecov import (
     assemble_mass,
     empirical_cov,
     mc_validate,
+    psd_sqrt,
     sample_path_advdiff,
     sample_path_wave,
+    sym_eig,
+    symmetrize,
 )
+from spdecov import montecarlo
 from spdecov.advdiff import advdiff_operators
-from spdecov.montecarlo import _batch_paths
+from spdecov.montecarlo import (
+    JACKKNIFE_CHUNK_BYTES,
+    _batch_paths,
+    _jackknife_distances,
+)
 from spdecov.wave import wave_operators
 
 
@@ -78,22 +87,100 @@ def _wave_cfg(**kw):
     return WaveConfig(**base)
 
 
-def test_batch_rows_equal_single_paths_advdiff():
-    # row i of the batch consumes the i-th spawned stream, so it must
-    # reproduce the single-path sampler up to BLAS rounding
+@pytest.mark.parametrize(
+    "cfg, operators, single",
+    [
+        (_advdiff_cfg(), advdiff_operators, sample_path_advdiff),
+        (_advdiff_cfg(K0=0.5 * np.eye(9)), advdiff_operators, sample_path_advdiff),
+        (_wave_cfg(), wave_operators, sample_path_wave),
+        (_wave_cfg(K0=0.5 * np.eye(14)), wave_operators, sample_path_wave),
+    ],
+    ids=["advdiff", "advdiff-K0", "wave", "wave-K0"],
+)
+def test_batch_of_five_equals_five_batches_of_one(cfg, operators, single):
+    # each row consumes only its own stream. The single-path samplers are
+    # batches of one, which go through BLAS's one-column kernels (gemv,
+    # and trsv in the LU solve) and round differently from the
+    # many-column ones, so they agree to rounding; splitting into
+    # batches of two and three keeps the many-column kernels and must
+    # agree bit for bit
+    ops = operators(cfg)
+    seeds = np.random.SeedSequence(42).spawn(5)
+    X = _batch_paths(cfg, ops, seeds)
+    ones = np.array([single(cfg, s) for s in seeds])
+    assert_allclose(X, ones, rtol=0.0, atol=1e-13)
+    split = np.vstack(
+        [_batch_paths(cfg, ops, seeds[:2]), _batch_paths(cfg, ops, seeds[2:])]
+    )
+    assert np.array_equal(X, split)
+
+
+def test_mc_needs_three_samples():
+    # the jackknife's leave-one-out covariance divides by n_samples - 2
     cfg = _advdiff_cfg()
-    X = _batch_paths(cfg, advdiff_operators(cfg), 5, seed=42)
-    children = np.random.SeedSequence(42).spawn(5)
-    singles = np.array([sample_path_advdiff(cfg, c) for c in children])
-    assert_allclose(X, singles, atol=1e-13)
+    with pytest.raises(TooFewSamplesError, match="n_samples must be at least 3"):
+        McConfig(scheme=cfg, n_samples=2, seed=0)
+    rep = mc_validate(McConfig(scheme=cfg, n_samples=3, seed=0))
+    assert np.isfinite([rep.sampling_error_hs, rep.sampling_error_trace]).all()
 
 
-def test_batch_rows_equal_single_paths_wave():
-    cfg = _wave_cfg()
-    X = _batch_paths(cfg, wave_operators(cfg), 5, seed=7)
-    children = np.random.SeedSequence(7).spawn(5)
-    singles = np.array([sample_path_wave(cfg, c) for c in children])
-    assert_allclose(X, singles, atol=1e-13)
+def _loop_jackknife(samples, M, K_det):
+    """The per-path leave-one-out loop the stacked jackknife replaced."""
+    root_M = psd_sqrt(M)
+    n_s = samples.shape[0]
+    A = samples.T @ samples
+    s = samples.sum(axis=0)
+    tr = np.empty(n_s)
+    hs = np.empty(n_s)
+    for i, x in enumerate(samples):
+        s_i = s - x
+        C_i = (A - np.outer(x, x) - np.outer(s_i, s_i) / (n_s - 1)) / (n_s - 2)
+        dK = symmetrize(C_i) - K_det
+        W = symmetrize(root_M @ dK @ root_M)
+        tr[i] = np.abs(sym_eig(W).eigenvalues).sum()
+        KM = dK @ M
+        hs[i] = np.sqrt(max(np.sum(KM * KM.T), 0.0))
+    return tr, hs
+
+
+def _jackknife_se(vals):
+    n = len(vals)
+    return np.sqrt((n - 1) / n * np.sum((vals - vals.mean()) ** 2))
+
+
+@pytest.mark.parametrize(
+    "cfg", [_advdiff_cfg(), _wave_cfg()], ids=["advdiff-neumann", "wave-dirichlet"]
+)
+def test_stacked_jackknife_matches_per_path_loop(cfg, monkeypatch):
+    n_samples = 3001
+    d = cfg.mesh.n_dof
+    chunk = max(1, JACKKNIFE_CHUNK_BYTES // (8 * d * d))
+    assert n_samples > chunk and n_samples % chunk != 0
+
+    seen = {}
+
+    def spy(samples, root_M, K_det):
+        seen["args"] = (samples, K_det)
+        seen["out"] = _jackknife_distances(samples, root_M, K_det)
+        return seen["out"]
+
+    monkeypatch.setattr(montecarlo, "_jackknife_distances", spy)
+    rep = mc_validate(McConfig(scheme=cfg, n_samples=n_samples, seed=31))
+    tr, hs = seen["out"]
+    samples, K_det = seen["args"]
+    tr_ref, hs_ref = _loop_jackknife(samples, assemble_mass(cfg.mesh), K_det)
+    assert_allclose(tr, tr_ref, rtol=1e-12, atol=0.0)
+    assert_allclose(hs, hs_ref, rtol=1e-12, atol=0.0)
+    assert rep.sampling_error_trace == pytest.approx(_jackknife_se(tr_ref), rel=1e-12)
+    assert rep.sampling_error_hs == pytest.approx(_jackknife_se(hs_ref), rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200], ids=["nan", "inf", "overflow"])
+def test_jackknife_rejects_non_finite_stack(bad):
+    samples = np.random.default_rng(0).standard_normal((10, 3))
+    samples[4, 1] = bad
+    with pytest.raises(NumericalError, match="non-finite"):
+        _jackknife_distances(samples, np.eye(3), np.eye(3))
 
 
 def test_single_path_deterministic():
