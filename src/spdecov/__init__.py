@@ -71,7 +71,6 @@ from .kernels import (
 )
 from .linalg import (
     congruence_solve,
-    lu_factor_checked,
     propagate,
     psd_sqrt,
     sym_eig,
@@ -177,7 +176,6 @@ __all__ = [
     "levels_from_exponents",
     "load_mc",
     "load_study",
-    "lu_factor_checked",
     "mc_validate",
     "midpoint_rule",
     "modal_cov_function",

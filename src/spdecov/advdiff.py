@@ -16,14 +16,13 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .fem import Coefficients, Mesh1D, assemble_form, assemble_mass
 from .kernels import Kernel, assemble_Q
 from .linalg import (
     AffineStep,
+    checked_inverse,
     congruence_solve,
-    lu_factor_checked,
     propagate,
     symmetrize,
 )
@@ -89,13 +88,13 @@ def advdiff_step(K_prev, M, A, Q_h, dt, c0):
 class BackwardEuler(NamedTuple):
     """Operators of one backward Euler step.
 
-    step is the covariance update; M, Q_h and the LU factors lu_piv of
+    step is the covariance update; M, Q_h and the inverse L_inv of
     M + dt A also drive the path sampler in montecarlo.
     """
 
     M: np.ndarray
     Q_h: np.ndarray
-    lu_piv: tuple
+    L_inv: np.ndarray
     step: AffineStep
 
 
@@ -106,13 +105,10 @@ def backward_euler_step(M, A, Q_h, dt, c0):
     and g = 1 + 2 c0 dt, so that one update solves
     (M + dt A) K (M + dt A)^T = g M K_prev M + dt Q_h.
     """
-    lu_piv = lu_factor_checked(M + dt * A)
-    T = scipy.linalg.lu_solve(lu_piv, M, check_finite=False)
-    Y = scipy.linalg.lu_solve(lu_piv, dt * Q_h, check_finite=False)
-    noise = scipy.linalg.lu_solve(lu_piv, Y.T, check_finite=False)
-    growth = 1.0 + 2.0 * c0 * dt
-    step = AffineStep(T, symmetrize(noise), growth)
-    return BackwardEuler(M, Q_h, lu_piv, step)
+    L_inv = checked_inverse(M + dt * A)
+    noise = symmetrize(L_inv @ (dt * Q_h) @ L_inv.T)
+    step = AffineStep(L_inv @ M, noise, 1.0 + 2.0 * c0 * dt)
+    return BackwardEuler(M, Q_h, L_inv, step)
 
 
 def advdiff_operators(config):

@@ -5,11 +5,9 @@ coefficient matrices at the mesh sizes of interest are small (at most a
 few hundred rows) and inherently dense, so no sparse paths are provided.
 """
 
-import warnings
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import (
     NonSymmetricError,
@@ -23,6 +21,7 @@ __all__ = [
     "AffineStep",
     "sym_eig",
     "psd_sqrt",
+    "checked_inverse",
     "congruence_solve",
     "propagate",
     "symmetrize",
@@ -31,8 +30,8 @@ __all__ = [
 #: relative symmetry slack accepted by sym_eig
 SYMMETRY_RTOL = 1e-9
 
-#: pivot floor for congruence_solve, relative to max|L|
-PIVOT_RTOL = 1e-14
+#: largest condition number kappa_inf(L) that checked_inverse accepts
+COND_MAX = 1e14
 
 
 class SymEig(NamedTuple):
@@ -132,12 +131,38 @@ def psd_sqrt(A, tol=1e-10):
     return symmetrize(root @ V.T)
 
 
+def checked_inverse(L):
+    """Inverse of L, raising SingularError when L is numerically singular.
+
+    L counts as singular when numpy's LU factorization meets a zero
+    pivot or when kappa_inf(L) = ||L||_inf ||L^{-1}||_inf exceeds
+    COND_MAX, past which a solve with L keeps at most about two correct
+    digits.
+
+    Raises
+    ------
+    SingularError
+        If L is singular or its condition number exceeds 1e14.
+    """
+    L = _as_square(L, "L")
+    try:
+        L_inv = np.linalg.inv(L)
+    except np.linalg.LinAlgError as exc:
+        raise SingularError(str(exc)) from exc
+    kappa = np.linalg.norm(L, np.inf) * np.linalg.norm(L_inv, np.inf)
+    if not kappa <= COND_MAX:
+        raise SingularError(
+            f"condition number {kappa:.3e} exceeds {COND_MAX:.0e}"
+        )
+    return L_inv
+
+
 def congruence_solve(L, RHS):
     """Solve L X L^T = RHS for symmetric RHS.
 
-    The one-step references advdiff_step and wave_cov_step use it with
-    L = M + dt*A or the CN block L, factored outside any symmetry
-    assumptions. X is symmetrized before return.
+    The one-step reference advdiff_step uses it with L = M + dt*A,
+    factored outside any symmetry assumptions. X is symmetrized before
+    return.
 
     Parameters
     ----------
@@ -154,16 +179,14 @@ def congruence_solve(L, RHS):
     Raises
     ------
     SingularError
-        If an LU pivot magnitude drops below 1e-14 * max|L|.
+        If L is singular or its condition number exceeds 1e14.
     """
     L = _as_square(L, "L")
     RHS = _as_square(RHS, "RHS")
     if L.shape != RHS.shape:
         raise ValueError(f"shape mismatch: L {L.shape} vs RHS {RHS.shape}")
-    lu_piv = lu_factor_checked(L)
-    Y = scipy.linalg.lu_solve(lu_piv, RHS, check_finite=False)
-    X = scipy.linalg.lu_solve(lu_piv, Y.T, check_finite=False)
-    return symmetrize(X)
+    L_inv = checked_inverse(L)
+    return symmetrize(L_inv @ RHS @ L_inv.T)
 
 
 class AffineStep(NamedTuple):
@@ -210,18 +233,3 @@ def propagate(step, n_steps, K0=None, callback=None):
         Q = g * symmetrize(T @ Q @ T.T) + Q
         T = T @ T
         g = g * g
-
-
-def lu_factor_checked(L):
-    """LU-factor L, raising SingularError on a collapsed pivot."""
-    L = _as_square(L, "L")
-    # the pivot check below turns singularity into a typed error; the
-    # scipy advisory warning would only duplicate it
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(L, check_finite=False)
-    floor = PIVOT_RTOL * max(np.abs(L).max(), 1e-300)
-    pivot = np.abs(np.diag(lu)).min()
-    if pivot < floor:
-        raise SingularError(f"pivot {pivot:.3e} below floor {floor:.3e}")
-    return lu, piv

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-import scipy.linalg
 
 from .advdiff import AdvDiffConfig, advdiff_operators
 from .errnorms import err_hs_norm, err_trace_norm
@@ -158,12 +157,13 @@ def _batch_paths(config, ops, seeds):
     ops are the config's BackwardEuler or CrankNicolson operators; each
     seed is an integer or a SeedSequence whose stream drives its path
     alone. Returns a (len(seeds), d) array whose row i does not depend
-    on the other seeds. The wave noise load lands on the velocity row of
-    the linear system: L x_j = R P x_{j-1} + [0; b_j].
+    on the other seeds. A step solves L x_j = g M x_{j-1} + b_j
+    (advdiff, g = 1 + c0 dt) or L x_j = R P x_{j-1} + [0; b_j] (wave,
+    the load on the velocity row), so x_j = g T x_{j-1} + L^{-1} b_j
+    with the T of the covariance step.
     """
-    M, lu_piv = ops.M, ops.lu_piv
-    n = M.shape[0]
-    n_state = n if isinstance(config, AdvDiffConfig) else 2 * n
+    n = ops.M.shape[0]
+    n_state = ops.L_inv.shape[0]
     chol = _chol_with_jitter(ops.Q_h)
     K0 = config.K0
     root_K0 = None if K0 is None else psd_sqrt(np.asarray(K0, dtype=float))
@@ -175,18 +175,14 @@ def _batch_paths(config, ops, seeds):
         if root_K0 is not None:
             X[:, i] = root_K0 @ rng.standard_normal(n_state)
         xi[:, i, :] = rng.standard_normal((config.n_steps, n))
-    root_dt = np.sqrt(config.dt)
+    T = ops.step.T
     if isinstance(config, AdvDiffConfig):
-        drift = 1.0 + config.c0 * config.dt
-        for j in range(config.n_steps):
-            B = root_dt * (chol @ xi[j].T)
-            X = scipy.linalg.lu_solve(lu_piv, drift * (M @ X) + B)
-        return X.T
-
-    rhs = np.zeros((n_state, len(seeds)))
+        T = (1.0 + config.c0 * config.dt) * T
+    # b_j fills the last n rows: all of them for advdiff, the velocity
+    # block for wave
+    load = np.sqrt(config.dt) * (ops.L_inv[:, -n:] @ chol)
     for j in range(config.n_steps):
-        rhs[n:, :] = root_dt * (chol @ xi[j].T)
-        X = scipy.linalg.lu_solve(lu_piv, ops.RP @ X + rhs)
+        X = T @ X + load @ xi[j].T
     return X.T
 
 

@@ -11,6 +11,7 @@ from spdecov import (
     sym_eig,
     symmetrize,
 )
+from spdecov.advdiff import backward_euler_step
 
 
 def test_sym_eig_diagonal_case():
@@ -100,3 +101,19 @@ def test_congruence_solve_singular():
     L = np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(SingularError):
         congruence_solve(L, np.eye(2))
+
+
+# LU pivot 2^-51 against max|L| = 2: a plain solve returns entries of
+# about 4.5e15 without complaint
+NEAR_SINGULAR = np.array([[1.0, 2.0], [1.0, 2.0 + 2.0**-51]])
+
+
+def test_congruence_solve_near_singular():
+    with pytest.raises(SingularError):
+        congruence_solve(NEAR_SINGULAR, np.eye(2))
+
+
+def test_backward_euler_step_near_singular():
+    # A = 0 makes M + dt A the near-singular matrix itself
+    with pytest.raises(SingularError):
+        backward_euler_step(NEAR_SINGULAR, np.zeros((2, 2)), np.eye(2), 0.5, 0.0)
