@@ -11,12 +11,12 @@ Layout
 ------
 linalg      symmetric eigendecompositions, PSD square roots,
             congruence solves, the doubling covariance propagator
-fem         meshes, P1 mass/stiffness/advection assembly, cross-mesh
-            Gram matrices, the mass-conservation shift c0
+fem         meshes, P1 mass/stiffness/advection assembly, hat values
+            for exact prolongation to nested meshes, the shift c0
 kernels     noise covariance kernels and their Galerkin projection Q_h
 advdiff     backward Euler covariance recursion for the heat scheme
 wave        Crank-Nicolson covariance recursion for the wave scheme
-errnorms    trace-class and Hilbert-Schmidt distances across meshes
+errnorms    trace-class and Hilbert-Schmidt distances across nested meshes
 spectral    sine-basis oracle: closed forms and spectral Galerkin runs
 montecarlo  sampled-path cross-validation of the recursions
 study       refinement sweeps, rate fitting, report serialization
@@ -38,7 +38,6 @@ from .exceptions import (
     DegenerateFitError,
     EllipticityError,
     MismatchedBCError,
-    NegativeSquareError,
     NoConvergenceError,
     NonSymmetricError,
     NoPointwiseKernelError,
@@ -56,7 +55,6 @@ from .fem import (
     assemble_mass,
     assemble_stiffness,
     compute_c0,
-    cross_mass,
     hat_values,
 )
 from .kernels import (
@@ -134,7 +132,6 @@ __all__ = [
     "McReport",
     "Mesh1D",
     "MismatchedBCError",
-    "NegativeSquareError",
     "NoConvergenceError",
     "NonSymmetricError",
     "NoPointwiseKernelError",
@@ -160,7 +157,6 @@ __all__ = [
     "compute_c0",
     "congruence_solve",
     "cov_l2_distance",
-    "cross_mass",
     "eigenfunction_values",
     "eigenvalues",
     "emit",

@@ -13,7 +13,7 @@ forward equation.
 """
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .fem import Coefficients, Mesh1D, assemble_form, assemble_mass
 from .kernels import Kernel, assemble_Q
 from .linalg import (
     AffineStep,
+    SchemeOperators,
     checked_inverse,
     congruence_solve,
     propagate,
@@ -29,7 +30,6 @@ from .linalg import (
 
 __all__ = [
     "AdvDiffConfig",
-    "BackwardEuler",
     "backward_euler_step",
     "advdiff_operators",
     "advdiff_step",
@@ -85,19 +85,6 @@ def advdiff_step(K_prev, M, A, Q_h, dt, c0):
     return congruence_solve(M + dt * A, symmetrize(RHS))
 
 
-class BackwardEuler(NamedTuple):
-    """Operators of one backward Euler step.
-
-    step is the covariance update; M, Q_h and the inverse L_inv of
-    M + dt A also drive the path sampler in montecarlo.
-    """
-
-    M: np.ndarray
-    Q_h: np.ndarray
-    L_inv: np.ndarray
-    step: AffineStep
-
-
 def backward_euler_step(M, A, Q_h, dt, c0):
     """The covariance step K <- g T K T^T + Q of backward Euler.
 
@@ -108,11 +95,11 @@ def backward_euler_step(M, A, Q_h, dt, c0):
     L_inv = checked_inverse(M + dt * A)
     noise = symmetrize(L_inv @ (dt * Q_h) @ L_inv.T)
     step = AffineStep(L_inv @ M, noise, 1.0 + 2.0 * c0 * dt)
-    return BackwardEuler(M, Q_h, L_inv, step)
+    return SchemeOperators(M, Q_h, L_inv, step)
 
 
 def advdiff_operators(config):
-    """Assemble a config's matrices into its BackwardEuler operators."""
+    """Assemble a config's matrices into its backward Euler operators."""
     mesh = config.mesh
     M = assemble_mass(mesh)
     A = assemble_form(mesh, config.coeffs, config.c0)

@@ -1,26 +1,28 @@
 """Trace-class and Hilbert-Schmidt distances between covariance operators.
 
-Both operators live on (possibly different) uniform meshes; the
-distances are computed through Gram matrices of the joint hat basis, so
-no interpolation between meshes is ever performed. For nested meshes
-the joint basis is linearly dependent and the joint Gram matrix is
-singular PSD; that is fine, its square root only needs the eigenvalue
-clamp.
+Both operators live on uniform meshes of one boundary flavor, and one
+mesh refines the other (the same mesh included). A coarse hat is then
+exactly piecewise linear on the fine mesh, so the coarse operator of K
+is the fine operator of P K P^T, with P the coarse hats at the fine
+DoF nodes. Both distances are taken from the one coefficient difference
+D on the finer mesh and its mass matrix M.
 """
 
 import numpy as np
 
-from .exceptions import NegativeSquareError, ShapeMismatchError
-from .fem import assemble_mass, cross_mass
+from .exceptions import MismatchedBCError, ShapeMismatchError
+from .fem import assemble_mass, hat_values
 from .linalg import psd_sqrt, sym_eig, symmetrize
 
 __all__ = ["err_trace_norm", "err_hs_norm"]
 
-#: relative clamp below which a negative squared norm is roundoff
-HS_CLAMP_RTOL = 1e-10
 
+def _difference(K, mesh, Kref, mesh_ref):
+    """Difference D of K and Kref on the finer mesh, and its mass M.
 
-def _difference_blocks(K, mesh, Kref, mesh_ref):
+    The coarser matrix is prolonged exactly, as P K P^T with P the
+    coarse hats at the fine DoF nodes; on one mesh P is skipped.
+    """
     K = np.asarray(K, dtype=float)
     Kref = np.asarray(Kref, dtype=float)
     if K.shape != (mesh.n_dof, mesh.n_dof):
@@ -31,18 +33,33 @@ def _difference_blocks(K, mesh, Kref, mesh_ref):
         raise ShapeMismatchError(
             f"Kref shape {Kref.shape} does not match mesh ({mesh_ref.n_dof} DoF)"
         )
-    return K, Kref
+    if mesh.bc != mesh_ref.bc:
+        raise MismatchedBCError(
+            f"cannot mix {mesh.bc!r} and {mesh_ref.bc!r} meshes"
+        )
+    coarse, fine = sorted((mesh, mesh_ref), key=lambda m: m.n_cells)
+    if fine.n_cells % coarse.n_cells:
+        raise ShapeMismatchError(
+            f"a {fine.n_cells}-cell mesh does not refine "
+            f"a {coarse.n_cells}-cell mesh"
+        )
+    if coarse.n_cells < fine.n_cells:
+        P = hat_values(coarse, fine.dof_nodes)
+        if mesh is coarse:
+            K = P @ K @ P.T
+        else:
+            Kref = P @ Kref @ P.T
+    return K - Kref, assemble_mass(fine)
 
 
 def err_trace_norm(K, mesh, Kref, mesh_ref):
     """Trace-norm (L1) distance between two covariance operators.
 
     The operators are K = sum K[m,n] phi_m x phi_n on `mesh` and
-    likewise Kref on `mesh_ref`. Their difference has coefficient
-    matrix D = blockdiag(K, -Kref) over the concatenated basis with
-    joint Gram matrix N, and the distance is
+    likewise Kref on `mesh_ref`. With D their coefficient difference on
+    the finer mesh and M its mass matrix, the distance is
 
-        sum |eig( sqrt(N) D sqrt(N) )|,
+        sum |eig( M^{1/2} D M^{1/2} )|,
 
     the trace norm of the difference operator.
 
@@ -51,28 +68,23 @@ def err_trace_norm(K, mesh, Kref, mesh_ref):
     K, Kref : (n, n), (m, m) array_like
         Symmetric covariance coefficient matrices.
     mesh, mesh_ref : Mesh1D
-        The meshes carrying them; must share the bc flavor.
+        The meshes carrying them; one must refine the other, and both
+        must share the bc flavor.
 
     Returns
     -------
     float
+
+    Raises
+    ------
+    ShapeMismatchError
+        If a matrix does not fit its mesh, or neither mesh refines the
+        other.
+    MismatchedBCError
+        If the meshes carry different boundary flavors.
     """
-    K, Kref = _difference_blocks(K, mesh, Kref, mesh_ref)
-    Ma = assemble_mass(mesh)
-    if mesh == mesh_ref:
-        # same basis: reduce on the mesh directly; the joint Gram below is
-        # singular in this case and its square root costs ~sqrt(eps) accuracy
-        root = psd_sqrt(Ma)
-        W = symmetrize(root @ (K - Kref) @ root)
-        return float(np.abs(sym_eig(W).eigenvalues).sum())
-    Mb = assemble_mass(mesh_ref)
-    C = cross_mass(mesh, mesh_ref)
-    N = np.block([[Ma, C], [C.T, Mb]])
-    root = psd_sqrt(N)
-    n = Ma.shape[0]
-    D = np.zeros_like(N)
-    D[:n, :n] = K
-    D[n:, n:] = -Kref
+    D, M = _difference(K, mesh, Kref, mesh_ref)
+    root = psd_sqrt(M)
     W = symmetrize(root @ D @ root)
     return float(np.abs(sym_eig(W).eigenvalues).sum())
 
@@ -80,40 +92,9 @@ def err_trace_norm(K, mesh, Kref, mesh_ref):
 def err_hs_norm(K, mesh, Kref, mesh_ref):
     """Hilbert-Schmidt (L2) distance between two covariance operators.
 
-    Evaluated through the three-trace expansion
-
-        trace((K Ma)^2) - 2 trace(K C Kref C^T) + trace((Kref Mb)^2)
-
-    with C the cross-mesh Gram matrix, then the square root. Cancellation
-    can push the expression a hair negative when the operators nearly
-    coincide; anything above -1e-10 of the leading term is clamped.
-
-    Raises
-    ------
-    NegativeSquareError
-        If the expression is negative beyond the clamp.
+    With D and M as in err_trace_norm this is sqrt(trace((D M)^2)).
+    Arguments and errors are those of err_trace_norm.
     """
-    K, Kref = _difference_blocks(K, mesh, Kref, mesh_ref)
-    Ma = assemble_mass(mesh)
-    if mesh == mesh_ref:
-        # same basis: work on the difference, dodging the cancellation
-        D = (K - Kref) @ Ma
-        return float(np.sqrt(max(np.sum(D * D.T), 0.0)))
-    Mb = assemble_mass(mesh_ref)
-    C = cross_mass(mesh, mesh_ref)
-
-    KM = K @ Ma
-    RM = Kref @ Mb
-    t1 = float(np.sum(KM * KM.T))
-    t3 = float(np.sum(RM * RM.T))
-    X = K @ C
-    Y = Kref @ C.T
-    t2 = float(np.sum(X * Y.T))
-
-    val = t1 - 2.0 * t2 + t3
-    lead = max(abs(t1), abs(t2), abs(t3), 1e-300)
-    if val < -HS_CLAMP_RTOL * lead:
-        raise NegativeSquareError(
-            f"squared HS distance {val:.3e} below -{HS_CLAMP_RTOL:.0e} * {lead:.3e}"
-        )
-    return float(np.sqrt(max(val, 0.0)))
+    D, M = _difference(K, mesh, Kref, mesh_ref)
+    DM = D @ M
+    return float(np.sqrt(max(np.sum(DM * DM.T), 0.0)))

@@ -51,10 +51,6 @@ class NoPointwiseKernelError(ConfigError):
     """The kernel has no pointwise evaluation (white noise)."""
 
 
-class NegativeSquareError(NumericalError):
-    """A squared-norm expression came out negative beyond roundoff."""
-
-
 class CholeskyError(NumericalError):
     """Cholesky factorization failed even after the jitter ladder."""
 

@@ -1,10 +1,10 @@
 """P1 finite elements on uniform meshes of the unit interval.
 
 Provides the Gram and form matrices behind the covariance recursions:
-mass matrix, advection-diffusion form matrix (generally nonsymmetric),
-Dirichlet Laplacian stiffness, and cross-mesh mass matrices between two
-different uniform meshes. Dirichlet degrees of freedom are eliminated,
-never penalized.
+mass matrix, advection-diffusion form matrix (generally nonsymmetric)
+and Dirichlet Laplacian stiffness, plus point values of the hats, which
+prolong coefficients exactly from a mesh to any mesh refining it.
+Dirichlet degrees of freedom are eliminated, never penalized.
 """
 
 from dataclasses import dataclass
@@ -12,7 +12,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .exceptions import EllipticityError, MismatchedBCError
+from .exceptions import EllipticityError
 
 __all__ = [
     "Mesh1D",
@@ -21,7 +21,6 @@ __all__ = [
     "assemble_mass",
     "assemble_stiffness",
     "assemble_form",
-    "cross_mass",
     "compute_c0",
     "hat_values",
 ]
@@ -239,40 +238,6 @@ def hat_values(mesh, x):
     u = x[:, None] / mesh.h
     k = mesh.dof_nodes[None, :] / mesh.h
     return np.clip(1.0 - np.abs(u - k), 0.0, None)
-
-
-def cross_mass(mesh_a, mesh_b):
-    """Gram matrix <phi^a_i, phi^b_j> between two uniform meshes.
-
-    Integration is exact: the union of the two node sets splits (0, 1)
-    into subintervals on which both bases are linear, and 2-point
-    Gauss-Legendre integrates the quadratic products exactly. Meshes
-    need not be nested. With mesh_a == mesh_b this reproduces
-    assemble_mass.
-
-    Raises
-    ------
-    MismatchedBCError
-        If the meshes carry different boundary flavors.
-    """
-    if mesh_a.bc != mesh_b.bc:
-        raise MismatchedBCError(
-            f"cannot mix {mesh_a.bc!r} and {mesh_b.bc!r} meshes"
-        )
-    if mesh_a.n_cells == mesh_b.n_cells:
-        return assemble_mass(mesh_a)
-    cuts = np.union1d(
-        np.arange(mesh_a.n_cells + 1) / mesh_a.n_cells,
-        np.arange(mesh_b.n_cells + 1) / mesh_b.n_cells,
-    )
-    xg, wg = np.polynomial.legendre.leggauss(2)
-    mid = 0.5 * (cuts[:-1] + cuts[1:])
-    half = 0.5 * np.diff(cuts)
-    pts = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    wts = (half[:, None] * wg[None, :]).ravel()
-    Pa = hat_values(mesh_a, pts)
-    Pb = hat_values(mesh_b, pts)
-    return (Pa * wts[:, None]).T @ Pb
 
 
 def compute_c0(coeffs, epsilon):

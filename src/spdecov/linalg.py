@@ -19,6 +19,7 @@ from .exceptions import (
 __all__ = [
     "SymEig",
     "AffineStep",
+    "SchemeOperators",
     "sym_eig",
     "psd_sqrt",
     "checked_inverse",
@@ -200,6 +201,21 @@ class AffineStep(NamedTuple):
     T: np.ndarray
     Q: np.ndarray
     g: float = 1.0
+
+
+class SchemeOperators(NamedTuple):
+    """Operators of one time step of a scheme.
+
+    step is the covariance update; the mass matrix M, the noise Gram
+    matrix Q_h and the inverse L_inv of the step's system matrix L
+    (M + dt A for backward Euler, the block L for Crank-Nicolson) also
+    drive the path sampler in montecarlo.
+    """
+
+    M: np.ndarray
+    Q_h: np.ndarray
+    L_inv: np.ndarray
+    step: AffineStep
 
 
 def propagate(step, n_steps, K0=None, callback=None):

@@ -154,13 +154,14 @@ def empirical_cov(samples):
 def _batch_paths(config, ops, seeds):
     """One path per seed, all advanced together.
 
-    ops are the config's BackwardEuler or CrankNicolson operators; each
-    seed is an integer or a SeedSequence whose stream drives its path
-    alone. Returns a (len(seeds), d) array whose row i does not depend
-    on the other seeds. A step solves L x_j = g M x_{j-1} + b_j
-    (advdiff, g = 1 + c0 dt) or L x_j = R P x_{j-1} + [0; b_j] (wave,
-    the load on the velocity row), so x_j = g T x_{j-1} + L^{-1} b_j
-    with the T of the covariance step.
+    ops are the config's SchemeOperators, from advdiff_operators or
+    wave_operators; each seed is an integer or a SeedSequence whose
+    stream drives its path alone. Returns a (len(seeds), d) array whose
+    row i does not depend on the other seeds. A step solves
+    L x_j = g M x_{j-1} + b_j (advdiff, g = 1 + c0 dt) or
+    L x_j = R P x_{j-1} + [0; b_j] (wave, the load on the velocity
+    row), so x_j = g T x_{j-1} + L^{-1} b_j with the T of the
+    covariance step.
     """
     n = ops.M.shape[0]
     n_state = ops.L_inv.shape[0]

@@ -88,6 +88,10 @@ class StudyConfig:
                 raise ConfigError(
                     "reference must be at least as fine as every level"
                 )
+            if rc % c:
+                raise ConfigError(
+                    f"a {c}-cell level does not nest in the {rc}-cell reference"
+                )
 
 
 @dataclass(frozen=True)

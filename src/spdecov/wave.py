@@ -29,6 +29,7 @@ from .fem import Mesh1D, assemble_mass, assemble_stiffness
 from .kernels import Kernel, assemble_Q
 from .linalg import (
     AffineStep,
+    SchemeOperators,
     checked_inverse,
     propagate,
     symmetrize,
@@ -37,7 +38,6 @@ from .linalg import (
 __all__ = [
     "WaveConfig",
     "BlockStep",
-    "CrankNicolson",
     "build_cn_blocks",
     "build_perturbation",
     "crank_nicolson_step",
@@ -166,19 +166,6 @@ def resolve_g_gram(g_spec, Q_h):
     return np.asarray(g_spec, dtype=float)
 
 
-class CrankNicolson(NamedTuple):
-    """Operators of one CN step.
-
-    step is the covariance update; M, Q_h and the inverse L_inv of L
-    also drive the path sampler in montecarlo.
-    """
-
-    M: np.ndarray
-    Q_h: np.ndarray
-    L_inv: np.ndarray
-    step: AffineStep
-
-
 def crank_nicolson_step(M, S, Q_h, G_h, dt):
     """The covariance step K <- T_hat K T_hat^T + Q of Crank-Nicolson.
 
@@ -194,11 +181,11 @@ def crank_nicolson_step(M, S, Q_h, G_h, dt):
     # how far the finest Matern sweep errors move with the thread count
     T_hat = np.linalg.solve(blocks.L, blocks.R @ blocks.P)
     step = AffineStep(T_hat, _noise_increment(Q_h, M, dt))
-    return CrankNicolson(M, Q_h, L_inv, step)
+    return SchemeOperators(M, Q_h, L_inv, step)
 
 
 def wave_operators(config):
-    """Assemble a config's matrices into its CrankNicolson operators."""
+    """Assemble a config's matrices into its Crank-Nicolson operators."""
     mesh = config.mesh
     M = assemble_mass(mesh)
     S = assemble_stiffness(mesh)

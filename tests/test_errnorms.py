@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from spdecov import (
@@ -7,6 +8,7 @@ from spdecov import (
     Coefficients,
     Exponential,
     Mesh1D,
+    MismatchedBCError,
     ShapeMismatchError,
     advdiff_run,
     assemble_mass,
@@ -109,13 +111,56 @@ def test_shape_gate():
     mesh = Mesh1D(4, "dirichlet")
     with pytest.raises(ShapeMismatchError):
         err_trace_norm(np.eye(2), mesh, np.eye(3), mesh)
+    # neither mesh refines the other
+    coarse, fine = Mesh1D(3, "dirichlet"), Mesh1D(8, "dirichlet")
+    for err in (err_trace_norm, err_hs_norm):
+        with pytest.raises(ShapeMismatchError, match="does not refine"):
+            err(np.eye(2), coarse, np.eye(7), fine)
+        with pytest.raises(ShapeMismatchError, match="does not refine"):
+            err(np.eye(7), fine, np.eye(2), coarse)
+        # nested, but of different boundary flavors
+        with pytest.raises(MismatchedBCError):
+            err(np.eye(1), Mesh1D(2), np.eye(5), Mesh1D(4, "neumann"))
 
 
-def _cov_grids(n_coarse, n_fine):
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n_cells=st.integers(2, 8),
+    ratio=st.integers(1, 4),
+    bc=st.sampled_from(["dirichlet", "neumann"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_self_prolongation_distance_vanishes(n_cells, ratio, bc, seed):
+    # a coarse covariance and its covariance function sampled at the
+    # nodes of a refinement are the same operator
+    coarse = Mesh1D(n_cells, bc)
+    fine = Mesh1D(n_cells * ratio, bc)
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((coarse.n_dof, coarse.n_dof))
+    K = B @ B.T
+    K_fine = nodal_cov_function(K, coarse, fine.dof_nodes)
+    C = rng.standard_normal((fine.n_dof, fine.n_dof))
+    other = C @ C.T
+    scale = np.abs(K).max()
+    for err in (err_trace_norm, err_hs_norm):
+        d = err(K, coarse, K_fine, fine)
+        assert d <= 1e-13 * scale
+        assert err(K_fine, fine, K, coarse) == pytest.approx(
+            d, rel=1e-12, abs=1e-13 * scale
+        )
+        d = err(K, coarse, other, fine)
+        assert err(other, fine, K, coarse) == pytest.approx(d, rel=1e-12)
+
+
+#: (bc, coarse cells, fine cells) of the cross-mesh oracle checks
+CROSS_MESH_CASES = (("dirichlet", 4, 8), ("neumann", 4, 8), ("neumann", 3, 12))
+
+
+def _cov_grids(bc, n_coarse, n_fine):
     coeffs = Coefficients.constant(a11=1.0)
 
     def run(n_cells):
-        mesh = Mesh1D(n_cells, "dirichlet")
+        mesh = Mesh1D(n_cells, bc)
         cfg = AdvDiffConfig(
             mesh=mesh,
             coeffs=coeffs,
@@ -132,31 +177,33 @@ def _cov_grids(n_coarse, n_fine):
 def test_cross_mesh_hs_matches_function_quadrature():
     # the HS distance is the L2((0,1)^2) distance of covariance functions,
     # so a dense quadrature of the nodal interpolants must reproduce it
-    (mesh_a, K), (mesh_b, Kref) = _cov_grids(4, 8)
-    hs = err_hs_norm(K, mesh_a, Kref, mesh_b)
     x, w = midpoint_rule(2048)
-    Ca = nodal_cov_function(K, mesh_a, x)
-    Cb = nodal_cov_function(Kref, mesh_b, x)
-    D = Ca - Cb
-    quad = np.sqrt(np.einsum("p,q,pq->", w, w, D * D))
-    assert hs == pytest.approx(quad, rel=5e-6)
+    for case in CROSS_MESH_CASES:
+        (mesh_a, K), (mesh_b, Kref) = _cov_grids(*case)
+        hs = err_hs_norm(K, mesh_a, Kref, mesh_b)
+        Ca = nodal_cov_function(K, mesh_a, x)
+        Cb = nodal_cov_function(Kref, mesh_b, x)
+        D = Ca - Cb
+        quad = np.sqrt(np.einsum("p,q,pq->", w, w, D * D))
+        assert hs == pytest.approx(quad, rel=5e-6), case
 
 
 def test_cross_mesh_trace_matches_dense_operator():
     # trace norm via a dense grid discretization of the kernel difference
-    (mesh_a, K), (mesh_b, Kref) = _cov_grids(4, 8)
-    tr = err_trace_norm(K, mesh_a, Kref, mesh_b)
     x, w = midpoint_rule(2048)
-    D = nodal_cov_function(K, mesh_a, x) - nodal_cov_function(Kref, mesh_b, x)
     rw = np.sqrt(w)
-    vals = np.linalg.eigvalsh(symmetrize(rw[:, None] * D * rw[None, :]))
-    assert tr == pytest.approx(np.abs(vals).sum(), rel=5e-6)
+    for case in CROSS_MESH_CASES:
+        (mesh_a, K), (mesh_b, Kref) = _cov_grids(*case)
+        tr = err_trace_norm(K, mesh_a, Kref, mesh_b)
+        D = nodal_cov_function(K, mesh_a, x) - nodal_cov_function(Kref, mesh_b, x)
+        vals = np.linalg.eigvalsh(symmetrize(rw[:, None] * D * rw[None, :]))
+        assert tr == pytest.approx(np.abs(vals).sum(), rel=5e-6), case
 
 
 def test_cross_mesh_nested_refinement_sanity():
     # distance to a refinement of itself shrinks as the fine run refines
-    (mesh_a, K), (mesh_b, Kref) = _cov_grids(4, 8)
-    (_, _), (mesh_c, Kref2) = _cov_grids(4, 16)
+    (mesh_a, K), (mesh_b, Kref) = _cov_grids("dirichlet", 4, 8)
+    (_, _), (mesh_c, Kref2) = _cov_grids("dirichlet", 4, 16)
     d_ab = err_hs_norm(K, mesh_a, Kref, mesh_b)
     d_bc = err_hs_norm(Kref, mesh_b, Kref2, mesh_c)
     assert d_bc < d_ab

@@ -6,12 +6,10 @@ from spdecov import (
     Coefficients,
     EllipticityError,
     Mesh1D,
-    MismatchedBCError,
     assemble_form,
     assemble_mass,
     assemble_stiffness,
     compute_c0,
-    cross_mass,
     hat_values,
 )
 
@@ -194,34 +192,33 @@ def test_hat_values_partition_of_unity():
     x = np.linspace(0.0, 1.0, 101)
     P = hat_values(mesh, x)
     assert_allclose(P.sum(axis=1), 1.0, atol=1e-14)
-    # cardinal at the nodes
-    Pn = hat_values(mesh, mesh.dof_nodes)
-    assert_allclose(Pn, np.eye(mesh.n_dof), atol=1e-14)
+    # cardinal at the nodes: on its own mesh, prolongation is the identity
+    for mesh in (mesh, Mesh1D(5, "dirichlet"), Mesh1D(5, "neumann")):
+        Pn = hat_values(mesh, mesh.dof_nodes)
+        assert_allclose(Pn, np.eye(mesh.n_dof), rtol=0, atol=1e-15)
 
 
-def test_cross_mass_same_mesh_is_mass():
-    mesh = Mesh1D(5, "dirichlet")
-    C = cross_mass(mesh, mesh)
-    assert np.array_equal(C, assemble_mass(mesh))
+def _prolonged_mass(coarse, fine):
+    """P^T M_fine with P the coarse hats at the fine DoF nodes."""
+    P = hat_values(coarse, fine.dof_nodes)
+    return P.T @ assemble_mass(fine)
 
 
-def test_cross_mass_coarse_fine_row():
+def test_prolonged_mass_coarse_fine_row():
     # single coarse hat against the three fine hats at 1/4, 1/2, 3/4.
     # outer overlaps are 1/8 each; the middle one integrates to 5/24
     # (analytic piecewise integration; total must be 1/2 - 2*(1/48),
     # the coarse hat area minus the constrained boundary-hat overlaps).
-    coarse = Mesh1D(2, "dirichlet")
-    fine = Mesh1D(4, "dirichlet")
-    C = cross_mass(coarse, fine)
+    C = _prolonged_mass(Mesh1D(2, "dirichlet"), Mesh1D(4, "dirichlet"))
     assert C.shape == (1, 3)
     assert_allclose(C[0], [1.0 / 8.0, 5.0 / 24.0, 1.0 / 8.0], rtol=0, atol=1e-14)
     assert_allclose(C.sum(), 11.0 / 24.0, rtol=0, atol=1e-14)
 
 
-def test_cross_mass_matches_dense_quadrature():
+def test_prolonged_mass_matches_dense_quadrature():
     coarse = Mesh1D(3, "neumann")
     fine = Mesh1D(12, "neumann")
-    C = cross_mass(coarse, fine)
+    C = _prolonged_mass(coarse, fine)
     # independent oracle on a very fine midpoint grid
     x = (np.arange(240000) + 0.5) / 240000
     Pa = hat_values(coarse, x)
@@ -230,15 +227,17 @@ def test_cross_mass_matches_dense_quadrature():
     assert np.abs(C - oracle).max() <= 1e-9
 
 
-def test_cross_mass_transpose_consistency():
-    a = Mesh1D(2, "dirichlet")
-    b = Mesh1D(8, "dirichlet")
-    assert_allclose(cross_mass(a, b), cross_mass(b, a).T, rtol=0, atol=1e-15)
-
-
-def test_cross_mass_rejects_mixed_bc():
-    with pytest.raises(MismatchedBCError):
-        cross_mass(Mesh1D(2, "dirichlet"), Mesh1D(4, "neumann"))
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("n_coarse, n_fine", [(2, 4), (3, 12), (8, 64), (64, 1024)])
+def test_prolongation_preserves_mass(bc, n_coarse, n_fine):
+    # coarse hats are piecewise linear on the fine mesh, so P^T M_fine P
+    # is the coarse Gram matrix itself
+    coarse = Mesh1D(n_coarse, bc)
+    fine = Mesh1D(n_fine, bc)
+    P = hat_values(coarse, fine.dof_nodes)
+    assert_allclose(
+        P.T @ assemble_mass(fine) @ P, assemble_mass(coarse), rtol=0, atol=1e-16
+    )
 
 
 def test_compute_c0_advection_example():

@@ -92,6 +92,8 @@ def test_study_validation():
         _study(levels=((8, 64), (4, 16)))
     with pytest.raises(ConfigError):
         _study(reference=(8, 64))
+    with pytest.raises(ConfigError, match="does not nest"):
+        _study(levels=((3, 9),), reference=(8, 64))
 
     nan, inf = float("nan"), float("inf")
     for T in (nan, inf, 0.0, -1.0):
