@@ -235,9 +235,13 @@ def hat_values(mesh, x):
     phi_i(x). Points must lie in [0, 1].
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    u = x[:, None] / mesh.h
-    k = mesh.dof_nodes[None, :] / mesh.h
-    return np.clip(1.0 - np.abs(u - k), 0.0, None)
+    u = x * mesh.n_cells
+    # points within rounding of a node are put on it, so the hats are
+    # exactly 0 or 1 there and a mesh's own nodes give the identity
+    node = np.rint(u)
+    u = np.where(np.abs(u - node) <= 4 * np.finfo(float).eps * mesh.n_cells, node, u)
+    k = np.rint(mesh.dof_nodes * mesh.n_cells)
+    return np.clip(1.0 - np.abs(u[:, None] - k[None, :]), 0.0, None)
 
 
 def compute_c0(coeffs, epsilon):

@@ -8,7 +8,6 @@ from spdecov import (
     Coefficients,
     Exponential,
     Mesh1D,
-    MismatchedBCError,
     ShapeMismatchError,
     advdiff_run,
     assemble_mass,
@@ -118,9 +117,6 @@ def test_shape_gate():
             err(np.eye(2), coarse, np.eye(7), fine)
         with pytest.raises(ShapeMismatchError, match="does not refine"):
             err(np.eye(7), fine, np.eye(2), coarse)
-        # nested, but of different boundary flavors
-        with pytest.raises(MismatchedBCError):
-            err(np.eye(1), Mesh1D(2), np.eye(5), Mesh1D(4, "neumann"))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -6,10 +6,13 @@ from spdecov import (
     Coefficients,
     EllipticityError,
     Mesh1D,
+    MismatchedBCError,
     assemble_form,
     assemble_mass,
     assemble_stiffness,
     compute_c0,
+    err_hs_norm,
+    err_trace_norm,
     hat_values,
 )
 
@@ -204,6 +207,13 @@ def _prolonged_mass(coarse, fine):
     return P.T @ assemble_mass(fine)
 
 
+def test_cross_mass_same_mesh_is_mass():
+    # on one mesh the prolongation is the identity, so the cross Gram of
+    # a mesh with itself is its mass matrix
+    mesh = Mesh1D(5, "dirichlet")
+    assert np.array_equal(_prolonged_mass(mesh, mesh), assemble_mass(mesh))
+
+
 def test_prolonged_mass_coarse_fine_row():
     # single coarse hat against the three fine hats at 1/4, 1/2, 3/4.
     # outer overlaps are 1/8 each; the middle one integrates to 5/24
@@ -225,6 +235,17 @@ def test_prolonged_mass_matches_dense_quadrature():
     Pb = hat_values(fine, x)
     oracle = (Pa / 240000).T @ Pb
     assert np.abs(C - oracle).max() <= 1e-9
+
+
+def test_cross_mass_rejects_mixed_bc():
+    # nested meshes of different boundary flavors share no hat space, so
+    # the cross-mesh distances refuse them in either order
+    dirichlet, neumann = Mesh1D(2, "dirichlet"), Mesh1D(4, "neumann")
+    for err in (err_trace_norm, err_hs_norm):
+        with pytest.raises(MismatchedBCError):
+            err(np.eye(1), dirichlet, np.eye(5), neumann)
+        with pytest.raises(MismatchedBCError):
+            err(np.eye(5), neumann, np.eye(1), dirichlet)
 
 
 @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
