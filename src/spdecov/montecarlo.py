@@ -14,9 +14,13 @@ path is the CN block step with the noise load [0; b_j] on the velocity
 row; its increment covariance L^{-1} blockdiag(0, dt Q_h) L^{-T} matches
 the deterministic un-propagated increment to the same O(dt^2) order.
 
-Per-path random streams come from numpy's SeedSequence spawning over a
-counter-based Philox generator, so path i is reproducible regardless of
+Path i draws from the counter-based Philox stream of the i-th child of
+SeedSequence(seed).spawn(n_samples), so it is reproducible regardless of
 scheduling, and the empirical covariance is accumulated in path order.
+A fresh Philox is fully described by its key and a zero counter, so the
+children are never built: _philox_keys runs numpy's SeedSequence mixing
+for all of them at once as uint32 column operations, and _batch_paths
+re-keys one generator before each path.
 """
 
 from dataclasses import dataclass
@@ -28,6 +32,7 @@ from .advdiff import AdvDiffConfig, advdiff_operators
 from .errnorms import err_hs_norm, err_trace_norm
 from .exceptions import (
     CholeskyError,
+    ConfigError,
     NoConvergenceError,
     NumericalError,
     TooFewSamplesError,
@@ -66,6 +71,14 @@ MC_CONSISTENCY_COEFF = 1.0
 #: (8 d^2)) paths and its transient memory stays a few MB whatever d is
 JACKKNIFE_CHUNK_BYTES = 2**20
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+
 
 @dataclass(frozen=True)
 class McConfig:
@@ -76,6 +89,16 @@ class McConfig:
     seed: int
 
     def __post_init__(self):
+        # a seed of None would draw OS entropy, and a negative one has no
+        # finite word split; the spawn key of a path is one 32-bit word
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ConfigError(
+                f"seed must be a non-negative integer, got {self.seed!r}"
+            )
+        if not _is_int(self.n_samples) or self.n_samples >= 2**32:
+            raise ConfigError(
+                f"n_samples must be an integer below 2**32, got {self.n_samples!r}"
+            )
         if self.n_samples < 3:
             raise TooFewSamplesError(
                 f"n_samples must be at least 3, got {self.n_samples}: the "
@@ -106,6 +129,10 @@ class McReport:
         return self.sampling_error_hs
 
 
+def _is_int(x):
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _chol_with_jitter(Q):
     """Lower Cholesky factor of Q, climbing the jitter ladder."""
     n = Q.shape[0]
@@ -126,12 +153,12 @@ def sample_path_advdiff(config, seed):
     seed may be an integer or a numpy SeedSequence. A fixed seed gives a
     bit-identical path on every call.
     """
-    return _batch_paths(config, advdiff_operators(config), [seed])[0]
+    return _batch_paths(config, advdiff_operators(config), _seed_key(seed))[0]
 
 
 def sample_path_wave(config, seed):
     """Simulate one CN wave path; returns the stacked (u, v) coefficients."""
-    return _batch_paths(config, wave_operators(config), [seed])[0]
+    return _batch_paths(config, wave_operators(config), _seed_key(seed))[0]
 
 
 def empirical_cov(samples):
@@ -151,14 +178,84 @@ def empirical_cov(samples):
     return symmetrize(Xc.T @ Xc / (n - 1))
 
 
-def _batch_paths(config, ops, seeds):
-    """One path per seed, all advanced together.
+def _seed_key(seed):
+    """The Philox key of Philox(seed), as a (1, 2) uint64 array."""
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    return seed.generate_state(2, np.uint64)[None]
+
+
+def _hashmix(value, const):
+    """SeedSequence's hashmix of uint32 words; returns the next constant too."""
+    value = value ^ const
+    const = const * _MULT_A & _MASK32
+    value = value * const
+    return value ^ (value >> _XSHIFT), const
+
+
+def _mix(x, y):
+    r = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return r ^ (r >> _XSHIFT)
+
+
+def _philox_keys(seed, n):
+    """Philox keys of the n children of SeedSequence(seed), in one pass.
+
+    Returns an (n, 2) uint64 array whose row i is
+    SeedSequence(seed).spawn(n)[i].generate_state(2, np.uint64), the key
+    of Philox(child). Each step of numpy's SeedSequence algorithm runs on
+    a uint32 column: shape (1,) for the seed's words, which every child
+    shares, and (n,) from the child's spawn key (i,) on. seed is a
+    non-negative integer and n is below 2**32.
+    """
+    seed = int(seed)
+    # little-endian 32-bit words, zero-padded to the pool because a
+    # spawn key follows
+    words = [
+        (seed >> s) & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)
+    ]
+    words += [0] * (_POOL_SIZE - len(words))
+    entropy = [np.array([w], dtype=np.uint32) for w in words]
+    entropy.append(np.arange(n, dtype=np.uint32))
+
+    const = _INIT_A
+    pool = []
+    for word in entropy[:_POOL_SIZE]:
+        value, const = _hashmix(word, const)
+        pool.append(value)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], value)
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            value, const = _hashmix(word, const)
+            pool[dst] = _mix(pool[dst], value)
+
+    # generate_state(2, np.uint64): four uint32 words, low word first
+    const = _INIT_B
+    state = []
+    for k in range(4):
+        value = pool[k % _POOL_SIZE] ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const
+        state.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
+    shift = np.uint64(32)
+    return np.stack(
+        [state[0] | state[1] << shift, state[2] | state[3] << shift], axis=1
+    )
+
+
+def _batch_paths(config, ops, keys):
+    """One path per Philox key, all advanced together.
 
     ops are the config's SchemeOperators, from advdiff_operators or
-    wave_operators; each seed is an integer or a SeedSequence whose
-    stream drives its path alone. Returns a (len(seeds), d) array whose
-    row i does not depend on the other seeds. A step solves
-    L x_j = g M x_{j-1} + b_j (advdiff, g = 1 + c0 dt) or
+    wave_operators; keys is an (n_paths, 2) uint64 array, and path i
+    draws from the stream of a fresh Philox under keys[i] (counter 0):
+    first its K0 draw, then its (n_steps, d) noise block. Returns an
+    (n_paths, d) array whose row i does not depend on the other keys. A
+    step solves L x_j = g M x_{j-1} + b_j (advdiff, g = 1 + c0 dt) or
     L x_j = R P x_{j-1} + [0; b_j] (wave, the load on the velocity
     row), so x_j = g T x_{j-1} + L^{-1} b_j with the T of the
     covariance step.
@@ -169,10 +266,21 @@ def _batch_paths(config, ops, seeds):
     K0 = config.K0
     root_K0 = None if K0 is None else psd_sqrt(np.asarray(K0, dtype=float))
     # indexed (step, path, dof), so each step's noise block is contiguous
-    xi = np.empty((config.n_steps, len(seeds), n))
-    X = np.zeros((n_state, len(seeds)))
-    for i, seed in enumerate(seeds):
-        rng = np.random.Generator(np.random.Philox(seed))
+    xi = np.empty((config.n_steps, len(keys), n))
+    X = np.zeros((n_state, len(keys)))
+    # one generator, re-keyed to the state of a fresh Philox per path
+    bitgen = np.random.Philox(0)
+    rng = np.random.Generator(bitgen)
+    zero = np.zeros(4, dtype=np.uint64)
+    for i, key in enumerate(keys):
+        bitgen.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": zero, "key": key},
+            "buffer": zero,
+            "buffer_pos": 4,  # the four-word buffer is spent
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
         if root_K0 is not None:
             X[:, i] = root_K0 @ rng.standard_normal(n_state)
         xi[:, i, :] = rng.standard_normal((config.n_steps, n))
@@ -259,8 +367,7 @@ def mc_validate(mc):
         gap_rate = config.c0**2
         margin_scale = float(np.sum(M * K_det))
 
-    seeds = np.random.SeedSequence(mc.seed).spawn(mc.n_samples)
-    samples = _batch_paths(config, ops, seeds)
+    samples = _batch_paths(config, ops, _philox_keys(mc.seed, mc.n_samples))
     if wave:
         samples = samples[:, :n]
     K_emp = empirical_cov(samples)

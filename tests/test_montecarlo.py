@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from spdecov import (
@@ -7,6 +8,7 @@ from spdecov import (
     BrownianBridge,
     CholeskyError,
     Coefficients,
+    ConfigError,
     Custom,
     McConfig,
     Mesh1D,
@@ -29,7 +31,9 @@ from spdecov.advdiff import advdiff_operators
 from spdecov.montecarlo import (
     JACKKNIFE_CHUNK_BYTES,
     _batch_paths,
+    _chol_with_jitter,
     _jackknife_distances,
+    _philox_keys,
 )
 from spdecov.wave import wave_operators
 
@@ -87,7 +91,7 @@ def _wave_cfg(**kw):
     return WaveConfig(**base)
 
 
-@pytest.mark.parametrize(
+BATCH_CASES = pytest.mark.parametrize(
     "cfg, operators, single",
     [
         (_advdiff_cfg(), advdiff_operators, sample_path_advdiff),
@@ -97,6 +101,9 @@ def _wave_cfg(**kw):
     ],
     ids=["advdiff", "advdiff-K0", "wave", "wave-K0"],
 )
+
+
+@BATCH_CASES
 def test_batch_of_five_equals_five_batches_of_one(cfg, operators, single):
     # each row consumes only its own stream. The single-path samplers are
     # batches of one, which go through BLAS's one-column kernels (gemv,
@@ -105,14 +112,87 @@ def test_batch_of_five_equals_five_batches_of_one(cfg, operators, single):
     # batches of two and three keeps the many-column kernels and must
     # agree bit for bit
     ops = operators(cfg)
-    seeds = np.random.SeedSequence(42).spawn(5)
-    X = _batch_paths(cfg, ops, seeds)
-    ones = np.array([single(cfg, s) for s in seeds])
+    keys = _philox_keys(42, 5)
+    X = _batch_paths(cfg, ops, keys)
+    ones = np.array([single(cfg, s) for s in np.random.SeedSequence(42).spawn(5)])
     assert_allclose(X, ones, rtol=0.0, atol=1e-13)
     split = np.vstack(
-        [_batch_paths(cfg, ops, seeds[:2]), _batch_paths(cfg, ops, seeds[2:])]
+        [_batch_paths(cfg, ops, keys[:2]), _batch_paths(cfg, ops, keys[2:])]
     )
     assert np.array_equal(X, split)
+
+
+def _loop_batch_paths(config, ops, seeds):
+    """The sampler before re-keying: one Generator(Philox(child)) per path."""
+    n = ops.M.shape[0]
+    n_state = ops.L_inv.shape[0]
+    chol = _chol_with_jitter(ops.Q_h)
+    K0 = config.K0
+    root_K0 = None if K0 is None else psd_sqrt(np.asarray(K0, dtype=float))
+    xi = np.empty((config.n_steps, len(seeds), n))
+    X = np.zeros((n_state, len(seeds)))
+    for i, seed in enumerate(seeds):
+        rng = np.random.Generator(np.random.Philox(seed))
+        if root_K0 is not None:
+            X[:, i] = root_K0 @ rng.standard_normal(n_state)
+        xi[:, i, :] = rng.standard_normal((config.n_steps, n))
+    T = ops.step.T
+    if isinstance(config, AdvDiffConfig):
+        T = (1.0 + config.c0 * config.dt) * T
+    load = np.sqrt(config.dt) * (ops.L_inv[:, -n:] @ chol)
+    for j in range(config.n_steps):
+        X = T @ X + load @ xi[j].T
+    return X.T
+
+
+@BATCH_CASES
+def test_rekeyed_batch_equals_spawned_generators(cfg, operators, single):
+    # re-keying one Philox must reproduce the spawned children's draws
+    # bit for bit, the K0 draw included
+    ops = operators(cfg)
+    X = _batch_paths(cfg, ops, _philox_keys(42, 5))
+    ref = _loop_batch_paths(cfg, ops, np.random.SeedSequence(42).spawn(5))
+    assert np.array_equal(X, ref)
+
+
+def _spawned_keys(seed, n):
+    children = np.random.SeedSequence(seed).spawn(n)
+    return np.array([c.generate_state(2, np.uint64) for c in children])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**160 - 1), n=st.integers(1, 64))
+def test_philox_keys_match_spawned_children(seed, n):
+    # the range crosses the four-word pool: seeds of five words and more
+    # are not padded before the spawn key
+    keys = _philox_keys(seed, n)
+    assert keys.dtype == np.uint64 and keys.shape == (n, 2)
+    assert np.array_equal(keys, _spawned_keys(seed, n))
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**128, 2**130 + 7])
+def test_philox_keys_at_word_boundaries(seed):
+    assert np.array_equal(_philox_keys(seed, 7), _spawned_keys(seed, 7))
+
+
+@pytest.mark.parametrize(
+    "seed", [-1, -(2**40), 2.5, None, True, "7", np.float64(3.0)]
+)
+def test_seed_must_be_a_non_negative_integer(seed):
+    with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+        McConfig(scheme=_advdiff_cfg(), n_samples=10, seed=seed)
+
+
+@pytest.mark.parametrize("n_samples", [2**32, 2**40, 10.0, True, None])
+def test_n_samples_must_be_an_integer_below_2_32(n_samples):
+    with pytest.raises(ConfigError, match="n_samples must be an integer"):
+        McConfig(scheme=_advdiff_cfg(), n_samples=n_samples, seed=0)
+
+
+def test_numpy_integers_are_accepted():
+    cfg = _advdiff_cfg()
+    rep = mc_validate(McConfig(scheme=cfg, n_samples=np.int64(50), seed=np.uint32(5)))
+    assert rep == mc_validate(McConfig(scheme=cfg, n_samples=50, seed=5))
 
 
 def test_mc_needs_three_samples():

@@ -5,7 +5,8 @@ call starts the second library's thread pool, which then competes with
 numpy's idle workers for the cores. The package therefore needs scipy
 only for scipy.special.kv, and these tests run the command line in
 fresh interpreters to check that scipy.linalg never loads and that the
-sweep errors do not depend on the OpenBLAS thread count.
+sweep errors and the Monte Carlo report do not depend on the OpenBLAS
+thread count.
 """
 
 import json
@@ -100,12 +101,13 @@ def runs(tmp_path_factory):
             eq: read_report((tmp / f"{eq}-{threads}.csv").read_text())
             for eq in ("heat", "wave")
         }
-        out[threads] = (json.loads(proc.stdout), reports)
+        mc_csv = (tmp / f"mc-{threads}.csv").read_bytes()
+        out[threads] = (json.loads(proc.stdout), reports, mc_csv)
     return out
 
 
 def test_scipy_linalg_never_loads(runs):
-    for threads, (linalg_loaded, _) in runs.items():
+    for threads, (linalg_loaded, _, _) in runs.items():
         assert not linalg_loaded, f"scipy.linalg loaded at {threads} threads"
 
 
@@ -119,3 +121,9 @@ def test_sweep_errors_do_not_depend_on_thread_count(runs, eq):
         assert_allclose(
             [a.err_L1, a.err_L2], [b.err_L1, b.err_L2], rtol=1e-9, atol=0
         )
+
+
+def test_mc_report_does_not_depend_on_thread_count(runs):
+    # every path draws from its own stream and the sums run in path
+    # order, so the report is byte-identical across thread counts
+    assert runs["1"][2] == runs["2"][2]
