@@ -9,8 +9,8 @@ operators.
 
 Layout
 ------
-linalg      symmetric eigendecompositions, PSD square roots,
-            congruence solves, the doubling covariance propagator
+linalg      symmetric eigendecompositions, PSD square roots, the
+            checked inverse, the doubling covariance propagator
 fem         meshes, P1 mass/stiffness/advection assembly, hat values
             for exact prolongation to nested meshes, the shift c0
 kernels     noise covariance kernels and their Galerkin projection Q_h
@@ -23,7 +23,7 @@ study       refinement sweeps, rate fitting, report serialization
 config,cli  INI-driven command line front end (spde-cov)
 """
 
-from .advdiff import AdvDiffConfig, advdiff_run, advdiff_step
+from .advdiff import AdvDiffConfig, advdiff_run
 from .config import (
     coefficient_from_name,
     kernel_from_section,
@@ -65,26 +65,11 @@ from .kernels import (
     Matern,
     WhiteNoise,
     assemble_Q,
-    kernel_eval,
 )
-from .linalg import (
-    congruence_solve,
-    propagate,
-    psd_sqrt,
-    sym_eig,
-    symmetrize,
-)
-from .montecarlo import (
-    McConfig,
-    McReport,
-    empirical_cov,
-    mc_validate,
-    sample_path_advdiff,
-    sample_path_wave,
-)
+from .linalg import propagate, psd_sqrt, sym_eig, symmetrize
+from .montecarlo import McConfig, McReport, empirical_cov, mc_validate
 from .spectral import (
     cov_l2_distance,
-    eigenfunction_values,
     eigenvalues,
     heat_cov_closed_form,
     midpoint_rule,
@@ -104,14 +89,7 @@ from .study import (
     run_single,
     run_sweep,
 )
-from .wave import (
-    WaveConfig,
-    build_cn_blocks,
-    build_perturbation,
-    extract_position_cov,
-    wave_energy,
-    wave_run,
-)
+from .wave import WaveConfig, extract_position_cov, wave_energy, wave_run
 
 __version__ = "0.1.0"
 
@@ -146,18 +124,13 @@ __all__ = [
     "WaveConfig",
     "WhiteNoise",
     "advdiff_run",
-    "advdiff_step",
     "assemble_Q",
     "assemble_form",
     "assemble_mass",
     "assemble_stiffness",
-    "build_cn_blocks",
-    "build_perturbation",
     "coefficient_from_name",
     "compute_c0",
-    "congruence_solve",
     "cov_l2_distance",
-    "eigenfunction_values",
     "eigenvalues",
     "emit",
     "empirical_cov",
@@ -167,7 +140,6 @@ __all__ = [
     "fit_rate",
     "hat_values",
     "heat_cov_closed_form",
-    "kernel_eval",
     "kernel_from_section",
     "levels_from_exponents",
     "load_mc",
@@ -182,8 +154,6 @@ __all__ = [
     "read_report",
     "run_single",
     "run_sweep",
-    "sample_path_advdiff",
-    "sample_path_wave",
     "spectral_galerkin_cov",
     "sym_eig",
     "symmetrize",

@@ -12,6 +12,7 @@ exactly the covariance of the backward Euler path scheme for the
 forward equation.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -23,7 +24,6 @@ from .linalg import (
     AffineStep,
     SchemeOperators,
     checked_inverse,
-    congruence_solve,
     propagate,
     symmetrize,
 )
@@ -32,7 +32,6 @@ __all__ = [
     "AdvDiffConfig",
     "backward_euler_step",
     "advdiff_operators",
-    "advdiff_step",
     "advdiff_run",
 ]
 
@@ -57,8 +56,8 @@ class AdvDiffConfig:
     K0: Optional[np.ndarray] = field(default=None)
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise ValueError("T must be positive")
+        if not (math.isfinite(self.T) and self.T > 0):
+            raise ValueError(f"T must be finite and positive, got {self.T!r}")
         if self.n_steps < 1:
             raise ValueError("need at least one step")
         if self.dt > 1.0:
@@ -73,16 +72,6 @@ class AdvDiffConfig:
     @property
     def dt(self):
         return self.T / self.n_steps
-
-
-def advdiff_step(K_prev, M, A, Q_h, dt, c0):
-    """One backward Euler covariance step.
-
-    Returns the symmetrized solution of
-    (M + dt A) K (M + dt A)^T = (1 + 2 c0 dt) M K_prev M + dt Q_h.
-    """
-    RHS = (1.0 + 2.0 * c0 * dt) * (M @ K_prev @ M) + dt * Q_h
-    return congruence_solve(M + dt * A, symmetrize(RHS))
 
 
 def backward_euler_step(M, A, Q_h, dt, c0):

@@ -8,7 +8,7 @@ Dirichlet degrees of freedom are eliminated, never penalized.
 """
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from .exceptions import EllipticityError
 __all__ = [
     "Mesh1D",
     "Coefficients",
-    "FemMatrices",
     "assemble_mass",
     "assemble_stiffness",
     "assemble_form",
@@ -105,14 +104,6 @@ class Coefficients:
         )
 
 
-class FemMatrices(NamedTuple):
-    """Assembled matrices of one mesh: mass M, form matrix A, stiffness S."""
-
-    M: np.ndarray
-    A: np.ndarray
-    S: np.ndarray
-
-
 def assemble_mass(mesh):
     """Exact P1 mass matrix.
 
@@ -175,8 +166,8 @@ def assemble_form(mesh, coeffs, c0=0.0):
     this convention M + dt*A is exactly the matrix whose congruence
     inverse drives the backward Euler covariance recursion.
 
-    Variable-coefficient terms use 4-point Gauss-Legendre per cell; the
-    c0 mass term is exact.
+    Variable-coefficient terms use FORM_QUAD_ORDER (12) Gauss-Legendre
+    points per cell; the c0 mass term is exact.
 
     Raises
     ------

@@ -26,7 +26,6 @@ __all__ = [
     "Matern",
     "BrownianBridge",
     "Custom",
-    "kernel_eval",
     "assemble_Q",
 ]
 
@@ -146,31 +145,6 @@ class Custom(Kernel):
         # expand degenerate outputs (e.g. constants) to the full shape
         shape = np.broadcast_shapes(np.shape(x), np.shape(y))
         return np.broadcast_to(np.asarray(self.q(x, y), dtype=float), shape)
-
-
-def kernel_eval(spec, x, y):
-    """Evaluate the pointwise kernel q(x, y).
-
-    Parameters
-    ----------
-    spec : Kernel
-        Any spec except WhiteNoise.
-    x, y : float or array_like
-        Points in [0, 1]; broadcast against each other.
-
-    Raises
-    ------
-    NoPointwiseKernelError
-        For white noise.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.min() < 0 or x.max() > 1 or y.min() < 0 or y.max() > 1:
-        raise ValueError("kernel arguments must lie in [0, 1]")
-    out = spec.pointwise(x, y)
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
 
 
 def _graded_gauss(order, panels, grade):

@@ -23,7 +23,6 @@ __all__ = [
     "sym_eig",
     "psd_sqrt",
     "checked_inverse",
-    "congruence_solve",
     "propagate",
     "symmetrize",
 ]
@@ -156,38 +155,6 @@ def checked_inverse(L):
             f"condition number {kappa:.3e} exceeds {COND_MAX:.0e}"
         )
     return L_inv
-
-
-def congruence_solve(L, RHS):
-    """Solve L X L^T = RHS for symmetric RHS.
-
-    The one-step reference advdiff_step uses it with L = M + dt*A,
-    factored outside any symmetry assumptions. X is symmetrized before
-    return.
-
-    Parameters
-    ----------
-    L : (n, n) array_like
-        Invertible matrix.
-    RHS : (n, n) array_like
-        Symmetric right-hand side.
-
-    Returns
-    -------
-    (n, n) ndarray
-        Symmetrized solution X = L^{-1} RHS L^{-T}.
-
-    Raises
-    ------
-    SingularError
-        If L is singular or its condition number exceeds 1e14.
-    """
-    L = _as_square(L, "L")
-    RHS = _as_square(RHS, "RHS")
-    if L.shape != RHS.shape:
-        raise ValueError(f"shape mismatch: L {L.shape} vs RHS {RHS.shape}")
-    L_inv = checked_inverse(L)
-    return symmetrize(L_inv @ RHS @ L_inv.T)
 
 
 class AffineStep(NamedTuple):

@@ -52,8 +52,6 @@ from .wave import wave_run  # noqa: F401
 __all__ = [
     "McConfig",
     "McReport",
-    "sample_path_advdiff",
-    "sample_path_wave",
     "empirical_cov",
     "mc_validate",
 ]
@@ -124,10 +122,6 @@ class McReport:
     n_samples: int
     seed: int
 
-    @property
-    def sampling_error_estimate(self):
-        return self.sampling_error_hs
-
 
 def _is_int(x):
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
@@ -147,20 +141,6 @@ def _chol_with_jitter(Q):
     )
 
 
-def sample_path_advdiff(config, seed):
-    """Simulate one backward Euler path; returns coefficients at t = T.
-
-    seed may be an integer or a numpy SeedSequence. A fixed seed gives a
-    bit-identical path on every call.
-    """
-    return _batch_paths(config, advdiff_operators(config), _seed_key(seed))[0]
-
-
-def sample_path_wave(config, seed):
-    """Simulate one CN wave path; returns the stacked (u, v) coefficients."""
-    return _batch_paths(config, wave_operators(config), _seed_key(seed))[0]
-
-
 def empirical_cov(samples):
     """Unbiased empirical covariance, divisor n - 1.
 
@@ -176,13 +156,6 @@ def empirical_cov(samples):
         raise TooFewSamplesError("need at least 2 samples")
     Xc = X - X.mean(axis=0)
     return symmetrize(Xc.T @ Xc / (n - 1))
-
-
-def _seed_key(seed):
-    """The Philox key of Philox(seed), as a (1, 2) uint64 array."""
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    return seed.generate_state(2, np.uint64)[None]
 
 
 def _hashmix(value, const):

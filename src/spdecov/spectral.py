@@ -150,7 +150,7 @@ def spectral_galerkin_cov(n_modes, config, fine_dt):
         return propagate(ops.step, n_steps)
 
     if isinstance(config, WaveConfig):
-        if isinstance(config.g_spec, np.ndarray):
+        if not isinstance(config.g_spec, str):
             raise ConfigError(
                 "explicit Gram g_spec has no eigenbasis translation"
             )

@@ -340,25 +340,19 @@ def write_table(fmt, columns, rows, title=None, footer=None, block=None):
     return "\n".join(lines) + "\n"
 
 
-def emit(report, fmt="csv", path=None):
+def emit(report, fmt="csv"):
     """Serialize a RateReport through write_table.
 
-    fmt is 'csv', 'jsonl' (json-lines), or 'gnuplot' (gnuplot-data).
-    Returns the text; writes it to `path` as UTF-8 when given. The CSV
-    carries exactly the columns level,h,dt,err_L1,err_L2,wall_time_s
-    plus trailing '# slope_*=' comment lines.
+    fmt is 'csv', 'jsonl' or 'gnuplot'. The CSV carries exactly the
+    columns level,h,dt,err_L1,err_L2,wall_time_s plus trailing
+    '# slope_*=' comment lines.
     """
-    fmt = {"json-lines": "jsonl", "gnuplot-data": "gnuplot"}.get(fmt, fmt)
-    text = write_table(
+    return write_table(
         fmt,
         CSV_HEADER.split(","),
         [astuple(r) for r in report.rows],
         footer={"slope_L1": report.slope_L1, "slope_L2": report.slope_L2},
     )
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
 
 
 def read_report(text):

@@ -19,12 +19,12 @@ dt P_h B (P_h B)^*:
     K_j = T_hat K_{j-1} T_hat^T + dt blockdiag(0, M^{-1} Q_h M^{-T}).
 """
 
+import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
-from .exceptions import ShapeMismatchError
 from .fem import Mesh1D, assemble_mass, assemble_stiffness
 from .kernels import Kernel, assemble_Q
 from .linalg import (
@@ -37,23 +37,12 @@ from .linalg import (
 
 __all__ = [
     "WaveConfig",
-    "BlockStep",
-    "build_cn_blocks",
-    "build_perturbation",
     "crank_nicolson_step",
     "wave_operators",
     "wave_run",
     "extract_position_cov",
     "wave_energy",
 ]
-
-
-class BlockStep(NamedTuple):
-    """CN step factors: solve L x_next = R P x."""
-
-    L: np.ndarray
-    R: np.ndarray
-    P: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -75,14 +64,21 @@ class WaveConfig:
     def __post_init__(self):
         if self.mesh.bc != "dirichlet":
             raise ValueError("wave runs require a dirichlet mesh")
-        if self.T <= 0 or self.n_steps < 1:
-            raise ValueError("need T > 0 and n_steps >= 1")
+        if not (math.isfinite(self.T) and self.T > 0) or self.n_steps < 1:
+            raise ValueError("need a finite T > 0 and n_steps >= 1")
         if self.dt > 1.0:
             raise ValueError("dt must not exceed 1")
+        n = self.mesh.n_dof
         if isinstance(self.g_spec, str):
             if self.g_spec not in ("minus_q", "zero"):
                 raise ValueError(f"unknown g_spec {self.g_spec!r}")
-        n2 = 2 * self.mesh.n_dof
+        elif np.shape(self.g_spec) != (n, n):
+            raise ValueError(
+                f"g_spec shape {np.shape(self.g_spec)} does not fit {n} DoF"
+            )
+        elif not np.isfinite(np.asarray(self.g_spec, dtype=float)).all():
+            raise ValueError("g_spec has non-finite entries")
+        n2 = 2 * n
         if self.K0 is not None and np.shape(self.K0) != (n2, n2):
             raise ValueError(
                 f"K0 shape {np.shape(self.K0)} does not fit block size {n2}"
@@ -91,43 +87,6 @@ class WaveConfig:
     @property
     def dt(self):
         return self.T / self.n_steps
-
-
-def _check_square_pair(X, Y):
-    if X.shape != Y.shape or X.ndim != 2 or X.shape[0] != X.shape[1]:
-        raise ShapeMismatchError(f"incompatible shapes {X.shape} and {Y.shape}")
-
-
-def build_cn_blocks(M, S, dt):
-    """Assemble the weak-form Crank-Nicolson block factors L and R.
-
-    The perturbation slot of the returned BlockStep is the identity;
-    install one from build_perturbation as needed.
-    """
-    M = np.asarray(M, dtype=float)
-    S = np.asarray(S, dtype=float)
-    _check_square_pair(M, S)
-    n = M.shape[0]
-    half = 0.5 * dt
-    L = np.block([[M, -half * M], [half * S, M]])
-    R = np.block([[M, half * M], [-half * S, M]])
-    return BlockStep(L, R, np.eye(2 * n))
-
-
-def build_perturbation(G_h, M, dt):
-    """Coefficient factor of I + dt F, F feeding G u into the velocity.
-
-    Returns the 2N x 2N matrix [[I, 0], [dt M^{-1} G_h, I]]. G_h is the
-    Gram matrix <G phi_j, phi_i>; for g_spec 'minus_q' pass -Q_h.
-    """
-    G_h = np.asarray(G_h, dtype=float)
-    M = np.asarray(M, dtype=float)
-    _check_square_pair(G_h, M)
-    n = M.shape[0]
-    P = np.eye(2 * n)
-    if dt != 0.0:
-        P[n:, :n] = dt * np.linalg.solve(M, G_h)
-    return P
 
 
 def _noise_increment(Q_h, M, dt):
@@ -157,29 +116,24 @@ def wave_energy(K, M, S):
     return float(np.sum(S * K[:n, :n]) + np.sum(M * K[n:, n:]))
 
 
-def resolve_g_gram(g_spec, Q_h):
-    """Gram matrix G_h for a config's g_spec, or None when G = 0."""
-    if isinstance(g_spec, str):
-        if g_spec == "minus_q":
-            return -Q_h
-        return None
-    return np.asarray(g_spec, dtype=float)
-
-
 def crank_nicolson_step(M, S, Q_h, G_h, dt):
     """The covariance step K <- T_hat K T_hat^T + Q of Crank-Nicolson.
 
     T_hat = L^{-1} R P and Q = dt blockdiag(0, M^{-1} Q_h M^{-T}); the
     growth factor is 1. G_h is the Gram matrix of the inhomogeneity, or
-    None for G = 0.
+    None for G = 0 (then P = I).
     """
-    blocks = build_cn_blocks(M, S, dt)
+    n = M.shape[0]
+    half = 0.5 * dt
+    L = np.block([[M, -half * M], [half * S, M]])
+    R = np.block([[M, half * M], [-half * S, M]])
+    P = np.eye(2 * n)
     if G_h is not None:
-        blocks = blocks._replace(P=build_perturbation(G_h, M, dt))
-    L_inv = checked_inverse(blocks.L)
+        P[n:, :n] = dt * np.linalg.solve(M, G_h)
+    L_inv = checked_inverse(L)
     # a solve, not L_inv @ R P: the product's larger residual doubles
     # how far the finest Matern sweep errors move with the thread count
-    T_hat = np.linalg.solve(blocks.L, blocks.R @ blocks.P)
+    T_hat = np.linalg.solve(L, R @ P)
     step = AffineStep(T_hat, _noise_increment(Q_h, M, dt))
     return SchemeOperators(M, Q_h, L_inv, step)
 
@@ -190,7 +144,11 @@ def wave_operators(config):
     M = assemble_mass(mesh)
     S = assemble_stiffness(mesh)
     Q_h = assemble_Q(mesh, config.kernel)
-    G_h = resolve_g_gram(config.g_spec, Q_h)
+    g_spec = config.g_spec
+    if isinstance(g_spec, str):
+        G_h = -Q_h if g_spec == "minus_q" else None
+    else:
+        G_h = np.asarray(g_spec, dtype=float)
     return crank_nicolson_step(M, S, Q_h, G_h, config.dt)
 
 

@@ -10,12 +10,54 @@ from spdecov import (
     Mesh1D,
     WhiteNoise,
     advdiff_run,
-    advdiff_step,
     assemble_form,
     assemble_mass,
     assemble_Q,
-    congruence_solve,
+    symmetrize,
 )
+from spdecov.linalg import _as_square, checked_inverse
+
+
+def congruence_solve(L, RHS):
+    """Solve L X L^T = RHS for symmetric RHS.
+
+    The one-step reference advdiff_step uses it with L = M + dt*A,
+    factored outside any symmetry assumptions. X is symmetrized before
+    return.
+
+    Parameters
+    ----------
+    L : (n, n) array_like
+        Invertible matrix.
+    RHS : (n, n) array_like
+        Symmetric right-hand side.
+
+    Returns
+    -------
+    (n, n) ndarray
+        Symmetrized solution X = L^{-1} RHS L^{-T}.
+
+    Raises
+    ------
+    SingularError
+        If L is singular or its condition number exceeds 1e14.
+    """
+    L = _as_square(L, "L")
+    RHS = _as_square(RHS, "RHS")
+    if L.shape != RHS.shape:
+        raise ValueError(f"shape mismatch: L {L.shape} vs RHS {RHS.shape}")
+    L_inv = checked_inverse(L)
+    return symmetrize(L_inv @ RHS @ L_inv.T)
+
+
+def advdiff_step(K_prev, M, A, Q_h, dt, c0):
+    """One backward Euler covariance step.
+
+    Returns the symmetrized solution of
+    (M + dt A) K (M + dt A)^T = (1 + 2 c0 dt) M K_prev M + dt Q_h.
+    """
+    RHS = (1.0 + 2.0 * c0 * dt) * (M @ K_prev @ M) + dt * Q_h
+    return congruence_solve(M + dt * A, symmetrize(RHS))
 
 
 def _scalar_config(T=0.5, n_steps=1, c0=0.0):
@@ -33,6 +75,31 @@ def test_scalar_step_value():
     # M = 1/3, A = 4, Q = 1/3, dt = 1/2: K_1 = (dt*Q)/(M+dt*A)^2 = 3/98
     K = advdiff_run(_scalar_config())
     assert abs(K[0, 0] - 3.0 / 98.0) <= 1e-14
+
+
+def test_congruence_solve_scalar_case():
+    # L = M + dt*A = 1/3 + (1/2)*4 = 7/3; RHS = dt*Q_h = 1/6
+    X = congruence_solve(np.array([[7.0 / 3.0]]), np.array([[1.0 / 6.0]]))
+    assert_allclose(X[0, 0], 3.0 / 98.0, rtol=0, atol=1e-16)
+
+
+def test_congruence_solve_roundtrip():
+    rng = np.random.default_rng(3)
+    L = rng.standard_normal((8, 8)) + 8.0 * np.eye(8)
+    X = symmetrize(rng.standard_normal((8, 8)))
+    RHS = L @ X @ L.T
+    got = congruence_solve(L, RHS)
+    assert_allclose(got, X, atol=1e-9 * np.abs(RHS).max())
+    # post: residual gate
+    assert np.abs(L @ got @ L.T - RHS).max() <= 1e-9 * np.abs(RHS).max()
+
+
+def test_congruence_solve_output_symmetric():
+    rng = np.random.default_rng(4)
+    L = rng.standard_normal((5, 5)) + 5.0 * np.eye(5)
+    RHS = symmetrize(rng.standard_normal((5, 5)))
+    X = congruence_solve(L, RHS)
+    assert_allclose(X, X.T, rtol=0, atol=0)
 
 
 def test_step_matches_run_loop():
@@ -210,6 +277,16 @@ def test_config_validation():
     with pytest.raises(ValueError):
         # dt must not exceed 1
         AdvDiffConfig(mesh=mesh, coeffs=coeffs, c0=0.0, kernel=WhiteNoise(), T=3.0, n_steps=2)
+
+
+def test_config_rejects_non_finite_T():
+    # nan passes T <= 0 and dt > 1 alike
+    mesh = Mesh1D(2, "dirichlet")
+    coeffs = Coefficients.constant(a11=1.0)
+    with pytest.raises(ValueError, match="T must be finite"):
+        AdvDiffConfig(
+            mesh=mesh, coeffs=coeffs, c0=0.0, kernel=WhiteNoise(), T=np.nan, n_steps=1
+        )
 
 
 def test_dt_property():

@@ -16,46 +16,45 @@ from spdecov import (
     assemble_mass,
     assemble_stiffness,
     hat_values,
-    kernel_eval,
 )
 
 
 def test_brownian_bridge_midpoint():
-    assert kernel_eval(BrownianBridge(), 0.5, 0.5) == pytest.approx(0.25, abs=0)
+    assert BrownianBridge().pointwise(0.5, 0.5) == pytest.approx(0.25, abs=0)
 
 
 def test_brownian_bridge_formula():
     x = np.array([0.2, 0.7, 0.0])
     y = np.array([0.5, 0.4, 1.0])
-    got = kernel_eval(BrownianBridge(), x, y)
+    got = BrownianBridge().pointwise(x, y)
     assert_allclose(got, np.minimum(x, y) - x * y, atol=1e-16)
 
 
 def test_exponential_endpoints():
-    assert kernel_eval(Exponential(2.0), 0.0, 1.0) == pytest.approx(
+    assert Exponential(2.0).pointwise(0.0, 1.0) == pytest.approx(
         np.exp(-2.0), abs=1e-16
     )
-    assert kernel_eval(Exponential(2.0), 0.3, 0.3) == pytest.approx(1.0, abs=0)
+    assert Exponential(2.0).pointwise(0.3, 0.3) == pytest.approx(1.0, abs=0)
 
 
 def test_matern_half_is_exponential():
     # nu = 1/2 closed form sigma^2 exp(-z / rho)
     m = Matern(sigma=1.5, nu=0.5, rho=0.3)
     for z in (0.1, 0.5, 1.0):
-        got = kernel_eval(m, 0.0, z)
+        got = m.pointwise(0.0, z)
         assert got == pytest.approx(1.5**2 * np.exp(-z / 0.3), abs=1e-10)
 
 
 def test_matern_diagonal_is_variance():
     m = Matern(sigma=10.0, nu=0.01, rho=0.1)
     x = np.linspace(0.0, 1.0, 7)
-    assert_allclose(kernel_eval(m, x, x), np.full(7, 100.0), rtol=1e-13)
+    assert_allclose(m.pointwise(x, x), np.full(7, 100.0), rtol=1e-13)
 
 
 def test_matern_tiny_nu_values_finite_and_decaying():
     m = Matern(sigma=10.0, nu=0.01, rho=0.1)
     z = np.array([1e-12, 1e-6, 1e-2, 0.1, 0.5, 1.0])
-    vals = kernel_eval(m, np.zeros_like(z), z)
+    vals = m.pointwise(np.zeros_like(z), z)
     assert np.all(np.isfinite(vals))
     assert np.all(np.diff(vals) < 0)
     assert vals[-1] > 0
@@ -63,14 +62,7 @@ def test_matern_tiny_nu_values_finite_and_decaying():
 
 def test_white_noise_has_no_pointwise_kernel():
     with pytest.raises(NoPointwiseKernelError):
-        kernel_eval(WhiteNoise(), 0.5, 0.5)
-
-
-def test_kernel_eval_domain_check():
-    with pytest.raises(ValueError):
-        kernel_eval(Exponential(1.0), -0.1, 0.5)
-    with pytest.raises(ValueError):
-        kernel_eval(Exponential(1.0), 0.5, 1.1)
+        WhiteNoise().pointwise(0.5, 0.5)
 
 
 def test_custom_kernel_passthrough():
@@ -219,10 +211,10 @@ def test_matern_large_nu_takes_its_limits():
     # K_nu overflows near z = 0 and (w)^nu far from it; the kernel then
     # takes its limits sigma^2 and 0 instead of 0 * inf = nan
     m = Matern(sigma=2.0, nu=25.0, rho=0.1)
-    near = kernel_eval(m, np.zeros(3), np.array([1e-300, 1e-20, 1e-15]))
+    near = m.pointwise(np.zeros(3), np.array([1e-300, 1e-20, 1e-15]))
     assert np.array_equal(near, np.full(3, 4.0))
     tiny_rho = Matern(sigma=2.0, nu=25.0, rho=1e-12)
-    assert kernel_eval(tiny_rho, 0.0, 1.0) == 0.0
+    assert tiny_rho.pointwise(0.0, 1.0) == 0.0
     Q = assemble_Q(Mesh1D(64, "dirichlet"), m)
     assert np.isfinite(Q).all()
     ev = np.linalg.eigvalsh(Q)

@@ -6,12 +6,12 @@ from spdecov import (
     NonSymmetricError,
     NotPSDError,
     SingularError,
-    congruence_solve,
     psd_sqrt,
     sym_eig,
     symmetrize,
 )
 from spdecov.advdiff import backward_euler_step
+from spdecov.linalg import checked_inverse
 
 
 def test_sym_eig_diagonal_case():
@@ -72,35 +72,10 @@ def test_psd_sqrt_rejects_indefinite():
         psd_sqrt(np.diag([1.0, -1e-3]))
 
 
-def test_congruence_solve_scalar_case():
-    # L = M + dt*A = 1/3 + (1/2)*4 = 7/3; RHS = dt*Q_h = 1/6
-    X = congruence_solve(np.array([[7.0 / 3.0]]), np.array([[1.0 / 6.0]]))
-    assert_allclose(X[0, 0], 3.0 / 98.0, rtol=0, atol=1e-16)
-
-
-def test_congruence_solve_roundtrip():
-    rng = np.random.default_rng(3)
-    L = rng.standard_normal((8, 8)) + 8.0 * np.eye(8)
-    X = symmetrize(rng.standard_normal((8, 8)))
-    RHS = L @ X @ L.T
-    got = congruence_solve(L, RHS)
-    assert_allclose(got, X, atol=1e-9 * np.abs(RHS).max())
-    # post: residual gate
-    assert np.abs(L @ got @ L.T - RHS).max() <= 1e-9 * np.abs(RHS).max()
-
-
-def test_congruence_solve_output_symmetric():
-    rng = np.random.default_rng(4)
-    L = rng.standard_normal((5, 5)) + 5.0 * np.eye(5)
-    RHS = symmetrize(rng.standard_normal((5, 5)))
-    X = congruence_solve(L, RHS)
-    assert_allclose(X, X.T, rtol=0, atol=0)
-
-
 def test_congruence_solve_singular():
     L = np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(SingularError):
-        congruence_solve(L, np.eye(2))
+        checked_inverse(L)
 
 
 # LU pivot 2^-51 against max|L| = 2: a plain solve returns entries of
@@ -110,7 +85,7 @@ NEAR_SINGULAR = np.array([[1.0, 2.0], [1.0, 2.0 + 2.0**-51]])
 
 def test_congruence_solve_near_singular():
     with pytest.raises(SingularError):
-        congruence_solve(NEAR_SINGULAR, np.eye(2))
+        checked_inverse(NEAR_SINGULAR)
 
 
 def test_backward_euler_step_near_singular():

@@ -21,8 +21,6 @@ from spdecov import (
     empirical_cov,
     mc_validate,
     psd_sqrt,
-    sample_path_advdiff,
-    sample_path_wave,
     sym_eig,
     symmetrize,
 )
@@ -92,29 +90,28 @@ def _wave_cfg(**kw):
 
 
 BATCH_CASES = pytest.mark.parametrize(
-    "cfg, operators, single",
+    "cfg, operators",
     [
-        (_advdiff_cfg(), advdiff_operators, sample_path_advdiff),
-        (_advdiff_cfg(K0=0.5 * np.eye(9)), advdiff_operators, sample_path_advdiff),
-        (_wave_cfg(), wave_operators, sample_path_wave),
-        (_wave_cfg(K0=0.5 * np.eye(14)), wave_operators, sample_path_wave),
+        (_advdiff_cfg(), advdiff_operators),
+        (_advdiff_cfg(K0=0.5 * np.eye(9)), advdiff_operators),
+        (_wave_cfg(), wave_operators),
+        (_wave_cfg(K0=0.5 * np.eye(14)), wave_operators),
     ],
     ids=["advdiff", "advdiff-K0", "wave", "wave-K0"],
 )
 
 
 @BATCH_CASES
-def test_batch_of_five_equals_five_batches_of_one(cfg, operators, single):
-    # each row consumes only its own stream. The single-path samplers are
-    # batches of one, which go through BLAS's one-column kernels (gemv,
-    # and trsv in the LU solve) and round differently from the
+def test_batch_of_five_equals_five_batches_of_one(cfg, operators):
+    # each row consumes only its own stream. Batches of one go through
+    # BLAS's one-column kernels (gemv) and round differently from the
     # many-column ones, so they agree to rounding; splitting into
     # batches of two and three keeps the many-column kernels and must
     # agree bit for bit
     ops = operators(cfg)
     keys = _philox_keys(42, 5)
     X = _batch_paths(cfg, ops, keys)
-    ones = np.array([single(cfg, s) for s in np.random.SeedSequence(42).spawn(5)])
+    ones = np.vstack([_batch_paths(cfg, ops, keys[i : i + 1]) for i in range(5)])
     assert_allclose(X, ones, rtol=0.0, atol=1e-13)
     split = np.vstack(
         [_batch_paths(cfg, ops, keys[:2]), _batch_paths(cfg, ops, keys[2:])]
@@ -146,7 +143,7 @@ def _loop_batch_paths(config, ops, seeds):
 
 
 @BATCH_CASES
-def test_rekeyed_batch_equals_spawned_generators(cfg, operators, single):
+def test_rekeyed_batch_equals_spawned_generators(cfg, operators):
     # re-keying one Philox must reproduce the spawned children's draws
     # bit for bit, the K0 draw included
     ops = operators(cfg)
@@ -263,12 +260,16 @@ def test_jackknife_rejects_non_finite_stack(bad):
         _jackknife_distances(samples, np.eye(3), np.eye(3))
 
 
+def _one_path(cfg, seed):
+    return _batch_paths(cfg, advdiff_operators(cfg), _philox_keys(seed, 1))[0]
+
+
 def test_single_path_deterministic():
     cfg = _advdiff_cfg()
-    x1 = sample_path_advdiff(cfg, 123)
-    x2 = sample_path_advdiff(cfg, 123)
+    x1 = _one_path(cfg, 123)
+    x2 = _one_path(cfg, 123)
     assert np.array_equal(x1, x2)
-    assert not np.array_equal(x1, sample_path_advdiff(cfg, 124))
+    assert not np.array_equal(x1, _one_path(cfg, 124))
 
 
 def test_mc_validate_deterministic():
@@ -350,11 +351,11 @@ def test_rank_one_noise_uses_jitter_ladder():
     # q(x, y) = 1 gives a rank-one Q_h whose exact Cholesky fails; the
     # jitter ladder must still produce paths
     cfg = _advdiff_cfg(kernel=Custom(q=lambda x, y: 1.0))
-    x = sample_path_advdiff(cfg, 3)
+    x = _one_path(cfg, 3)
     assert np.all(np.isfinite(x))
 
 
 def test_zero_noise_raises_cholesky_error():
     cfg = _advdiff_cfg(kernel=Custom(q=lambda x, y: 0.0))
     with pytest.raises(CholeskyError):
-        sample_path_advdiff(cfg, 3)
+        _one_path(cfg, 3)

@@ -1,0 +1,133 @@
+"""The package's public surface: the names spdecov exports, and no others."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import spdecov
+
+PUBLIC_NAMES = [
+    "AdvDiffConfig",
+    "BrownianBridge",
+    "CholeskyError",
+    "Coefficients",
+    "ConfigError",
+    "Custom",
+    "DegenerateFitError",
+    "EllipticityError",
+    "Exponential",
+    "Kernel",
+    "LevelResult",
+    "Matern",
+    "McConfig",
+    "McReport",
+    "Mesh1D",
+    "MismatchedBCError",
+    "NoConvergenceError",
+    "NoPointwiseKernelError",
+    "NonSymmetricError",
+    "NotPSDError",
+    "NumericalError",
+    "RateReport",
+    "ShapeMismatchError",
+    "SingularError",
+    "SpdeCovError",
+    "StudyConfig",
+    "TooFewSamplesError",
+    "WaveConfig",
+    "WhiteNoise",
+    "advdiff_run",
+    "assemble_Q",
+    "assemble_form",
+    "assemble_mass",
+    "assemble_stiffness",
+    "coefficient_from_name",
+    "compute_c0",
+    "cov_l2_distance",
+    "eigenvalues",
+    "emit",
+    "empirical_cov",
+    "err_hs_norm",
+    "err_trace_norm",
+    "extract_position_cov",
+    "fit_rate",
+    "hat_values",
+    "heat_cov_closed_form",
+    "kernel_from_section",
+    "levels_from_exponents",
+    "load_mc",
+    "load_study",
+    "mc_validate",
+    "midpoint_rule",
+    "modal_cov_function",
+    "nodal_cov_function",
+    "propagate",
+    "psd_sqrt",
+    "read_config",
+    "read_report",
+    "run_single",
+    "run_sweep",
+    "spectral_galerkin_cov",
+    "sym_eig",
+    "symmetrize",
+    "wave_cov_closed_form",
+    "wave_energy",
+    "wave_run",
+]
+
+#: names deleted from the package, by the module that defined them;
+#: eigenfunction_values only left the package export
+REMOVED = {
+    "advdiff": ["advdiff_step"],
+    "fem": ["FemMatrices"],
+    "kernels": ["kernel_eval"],
+    "linalg": ["congruence_solve"],
+    "montecarlo": ["sample_path_advdiff", "sample_path_wave", "_seed_key"],
+    "wave": [
+        "BlockStep",
+        "build_cn_blocks",
+        "build_perturbation",
+        "resolve_g_gram",
+        "_check_square_pair",
+    ],
+}
+
+
+def _modules():
+    return [
+        importlib.import_module(f"spdecov.{info.name}")
+        for info in pkgutil.iter_modules(spdecov.__path__)
+    ]
+
+
+def test_public_names_pinned():
+    assert len(PUBLIC_NAMES) == 66
+    assert sorted(spdecov.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert getattr(spdecov, name) is not None
+
+
+def test_every_module_all_entry_resolves():
+    modules = _modules()
+    assert len(modules) == 12
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_removed_names_not_importable():
+    for module, names in REMOVED.items():
+        mod = importlib.import_module(f"spdecov.{module}")
+        for name in names:
+            assert not hasattr(mod, name), f"spdecov.{module}.{name}"
+            assert not hasattr(spdecov, name), name
+    assert not hasattr(spdecov, "eigenfunction_values")
+    assert not hasattr(spdecov.McReport, "sampling_error_estimate")
+
+
+def test_emit_takes_only_the_writer_formats():
+    report = spdecov.RateReport(rows=())
+    for alias in ("json-lines", "gnuplot-data"):
+        with pytest.raises(spdecov.ConfigError):
+            spdecov.emit(report, fmt=alias)

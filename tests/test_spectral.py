@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,7 +13,6 @@ from spdecov import (
     WaveConfig,
     WhiteNoise,
     cov_l2_distance,
-    eigenfunction_values,
     eigenvalues,
     heat_cov_closed_form,
     midpoint_rule,
@@ -20,6 +21,7 @@ from spdecov import (
     spectral_galerkin_cov,
     wave_cov_closed_form,
 )
+from spdecov.spectral import eigenfunction_values
 
 
 def _composite_gauss(cells=64, order=8):
@@ -205,6 +207,9 @@ def test_config_gates():
     )
     with pytest.raises(ConfigError):
         spectral_galerkin_cov(4, gram, 1e-2)
+    # a nested list is an explicit Gram too, not G = 0
+    with pytest.raises(ConfigError):
+        spectral_galerkin_cov(4, replace(gram, g_spec=np.eye(3).tolist()), 1e-2)
 
 
 def test_brownian_bridge_noise_projection():

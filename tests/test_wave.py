@@ -11,13 +11,11 @@ from spdecov import (
     assemble_mass,
     assemble_Q,
     assemble_stiffness,
-    build_cn_blocks,
-    build_perturbation,
     extract_position_cov,
     wave_energy,
     wave_run,
 )
-from spdecov.wave import resolve_g_gram
+from spdecov.wave import crank_nicolson_step
 
 
 def _zero_kernel():
@@ -26,17 +24,21 @@ def _zero_kernel():
     )
 
 
+def _cn_one_dof(G_h, dt):
+    # M = 1/3, S = 4, no noise
+    return crank_nicolson_step(
+        np.array([[1.0 / 3.0]]), np.array([[4.0]]), np.zeros((1, 1)), G_h, dt
+    )
+
+
 def test_cn_blocks_one_dof():
-    # M = 1/3, S = 4, dt = 1
-    L, R, P = build_cn_blocks(np.array([[1.0 / 3.0]]), np.array([[4.0]]), 1.0)
-    assert_allclose(L, [[1.0 / 3.0, -1.0 / 6.0], [2.0, 1.0 / 3.0]], atol=1e-16)
-    assert_allclose(R, [[1.0 / 3.0, 1.0 / 6.0], [-2.0, 1.0 / 3.0]], atol=1e-16)
-    assert_allclose(P, np.eye(2), atol=0)
+    # L = [[1/3, -1/6], [2, 1/3]] at dt = 1, det L = 4/9
+    L_inv = _cn_one_dof(None, 1.0).L_inv
+    assert_allclose(L_inv, [[0.75, 0.375], [-4.5, 0.75]], atol=1e-15)
 
 
 def test_cn_propagator_one_dof():
-    L, R, _ = build_cn_blocks(np.array([[1.0 / 3.0]]), np.array([[4.0]]), 1.0)
-    Tc = np.linalg.solve(L, R)
+    Tc = _cn_one_dof(None, 1.0).step.T
     assert_allclose(Tc, [[-0.5, 0.25], [-3.0, -0.5]], atol=1e-12)
     assert abs(np.linalg.det(Tc) - 1.0) <= 1e-12
     assert_allclose(np.abs(np.linalg.eigvals(Tc)), [1.0, 1.0], atol=1e-12)
@@ -47,24 +49,17 @@ def test_cn_determinant_on_assembled_meshes():
         mesh = Mesh1D(n_cells, "dirichlet")
         M = assemble_mass(mesh)
         S = assemble_stiffness(mesh)
-        L, R, _ = build_cn_blocks(M, S, dt)
-        Tc = np.linalg.solve(L, R)
+        Tc = crank_nicolson_step(M, S, np.zeros_like(M), None, dt).step.T
         sign, logdet = np.linalg.slogdet(Tc)
         assert sign == 1.0
         assert abs(logdet) <= 1e-8
 
 
 def test_perturbation_one_dof():
-    P = build_perturbation(np.array([[-1.0 / 3.0]]), np.array([[1.0 / 3.0]]), 0.5)
-    assert_allclose(P, [[1.0, 0.0], [-0.5, 1.0]], atol=1e-15)
-
-
-def test_resolve_g_gram():
-    Q = np.array([[2.0]])
-    assert_allclose(resolve_g_gram("minus_q", Q), [[-2.0]], atol=0)
-    assert resolve_g_gram("zero", Q) is None
-    G = np.array([[0.7]])
-    assert_allclose(resolve_g_gram(G, Q), G, atol=0)
+    # G_h = -1/3 at dt = 1/2: L^{-1} R = [[1/7, 2/7], [-24/7, 1/7]] times
+    # P = [[1, 0], [dt M^{-1} G_h, 1]] = [[1, 0], [-1/2, 1]]
+    Tc = _cn_one_dof(np.array([[-1.0 / 3.0]]), 0.5).step.T
+    assert_allclose(Tc, [[0.0, 2.0 / 7.0], [-3.5, 1.0 / 7.0]], atol=1e-15)
 
 
 def test_one_step_noise_shape():
@@ -179,6 +174,28 @@ def test_config_validation():
         WaveConfig(mesh=mesh, kernel=WhiteNoise(), g_spec="bogus", T=1.0, n_steps=1)
     with pytest.raises(ValueError):
         WaveConfig(mesh=mesh, kernel=WhiteNoise(), g_spec="zero", T=1.0, n_steps=1, K0=np.zeros((1, 1)))
+
+
+def test_explicit_g_spec_shape_checked():
+    mesh = Mesh1D(4, "dirichlet")
+    for G in (np.zeros((4, 4)), np.zeros(3), np.zeros((3, 4))):
+        with pytest.raises(ValueError, match="g_spec shape"):
+            WaveConfig(mesh=mesh, kernel=WhiteNoise(), g_spec=G, T=1.0, n_steps=4)
+
+
+def test_explicit_g_spec_must_be_finite():
+    mesh = Mesh1D(8, "dirichlet")
+    for bad in (np.full((7, 7), np.nan), np.diag([np.inf] + [0.0] * 6)):
+        with pytest.raises(ValueError, match="non-finite"):
+            WaveConfig(mesh=mesh, kernel=WhiteNoise(), g_spec=bad, T=1.0, n_steps=4)
+
+
+def test_config_rejects_non_finite_T():
+    with pytest.raises(ValueError, match="finite T"):
+        WaveConfig(
+            mesh=Mesh1D(2, "dirichlet"), kernel=WhiteNoise(), g_spec="zero",
+            T=np.nan, n_steps=1,
+        )
 
 
 def test_run_symmetric_and_psd():
