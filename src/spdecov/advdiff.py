@@ -96,17 +96,15 @@ def advdiff_operators(config):
     return backward_euler_step(M, A, Q_h, config.dt, config.c0)
 
 
-def advdiff_run(config, callback=None):
+def advdiff_run(config):
     """Iterate the covariance recursion to t = T.
+
+    The recursion is evaluated by binary doubling (linalg.propagate),
+    which needs O(log n_steps) products instead of n_steps steps.
 
     Parameters
     ----------
     config : AdvDiffConfig
-    callback : callable, optional
-        Called as callback(j, K_j) after every step, j = 1..n_steps.
-        Meant for invariant monitoring and snapshots. Without one the
-        recursion is evaluated by binary doubling (linalg.propagate),
-        which needs O(log n_steps) products instead of n_steps steps.
 
     Returns
     -------
@@ -114,4 +112,4 @@ def advdiff_run(config, callback=None):
         Covariance coefficient matrix at the final time.
     """
     step = advdiff_operators(config).step
-    return propagate(step, config.n_steps, config.K0, callback)
+    return propagate(step, config.n_steps, config.K0)

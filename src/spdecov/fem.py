@@ -60,21 +60,18 @@ class Mesh1D:
         return self.n_cells - 1 if self.bc == "dirichlet" else self.n_cells + 1
 
     @property
+    def dofs(self):
+        """Slice of the n_cells + 1 mesh nodes that are degrees of freedom.
+
+        Every assembled matrix is this block of its node matrix, so the
+        Dirichlet boundary nodes are eliminated by dropping them here.
+        """
+        return slice(1, -1) if self.bc == "dirichlet" else slice(None)
+
+    @property
     def dof_nodes(self):
         """Coordinates of the degree-of-freedom nodes."""
-        if self.bc == "dirichlet":
-            idx = np.arange(1, self.n_cells)
-        else:
-            idx = np.arange(0, self.n_cells + 1)
-        return idx * self.h
-
-    def dof_index(self, node):
-        """Global DoF index of mesh node `node`, or -1 if constrained."""
-        if self.bc == "dirichlet":
-            if node == 0 or node == self.n_cells:
-                return -1
-            return node - 1
-        return node
+        return np.arange(self.n_cells + 1)[self.dofs] * self.h
 
 
 @dataclass(frozen=True)
@@ -104,23 +101,27 @@ class Coefficients:
         )
 
 
-def assemble_mass(mesh):
-    """Exact P1 mass matrix.
+def _assemble(mesh, loc):
+    """DoF matrix of the P1 element matrices loc[i, j, c].
 
-    Tridiagonal with interior diagonal 2h/3 and off-diagonal h/6; the
-    Neumann boundary nodes carry h/3 (half hats).
+    loc[i, j, c] couples local node i with local node j of cell c
+    (0 left, 1 right); a (2, 2) array serves every cell. The entries are
+    added into the (n_cells + 1)^2 node matrix, whose degree-of-freedom
+    block is returned.
     """
-    n = mesh.n_dof
+    n = mesh.n_cells
+    A = np.zeros((n + 1, n + 1))
+    cells = np.arange(n)
+    for i in range(2):
+        for j in range(2):
+            A[cells + i, cells + j] += loc[i, j]
+    return A[mesh.dofs, mesh.dofs]
+
+
+def assemble_mass(mesh):
+    """Exact P1 mass matrix."""
     h = mesh.h
-    M = np.zeros((n, n))
-    d = np.full(n, 2.0 * h / 3.0)
-    if mesh.bc == "neumann":
-        d[0] = d[-1] = h / 3.0
-    np.fill_diagonal(M, d)
-    off = np.full(n - 1, h / 6.0)
-    M[np.arange(n - 1), np.arange(1, n)] = off
-    M[np.arange(1, n), np.arange(n - 1)] = off
-    return M
+    return _assemble(mesh, np.array([[h / 3.0, h / 6.0], [h / 6.0, h / 3.0]]))
 
 
 def assemble_stiffness(mesh):
@@ -129,17 +130,7 @@ def assemble_stiffness(mesh):
     Only meaningful as an SPD operator on the Dirichlet mesh; on a
     Neumann mesh the constant nullspace makes it singular.
     """
-    n = mesh.n_dof
-    h = mesh.h
-    S = np.zeros((n, n))
-    d = np.full(n, 2.0 / h)
-    if mesh.bc == "neumann":
-        d[0] = d[-1] = 1.0 / h
-    np.fill_diagonal(S, d)
-    off = np.full(n - 1, -1.0 / h)
-    S[np.arange(n - 1), np.arange(1, n)] = off
-    S[np.arange(1, n), np.arange(n - 1)] = off
-    return S
+    return _assemble(mesh, (1.0 / mesh.h) * np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
 
 def _cell_quadrature(mesh, order):
@@ -174,9 +165,7 @@ def assemble_form(mesh, coeffs, c0=0.0):
     EllipticityError
         If a11 < lambda0 at any quadrature point.
     """
-    n = mesh.n_dof
     h = mesh.h
-    A = np.zeros((n, n))
     pts, wts = _cell_quadrature(mesh, FORM_QUAD_ORDER)
 
     a11_v = np.asarray(coeffs.a11(pts), dtype=float)
@@ -187,33 +176,23 @@ def assemble_form(mesh, coeffs, c0=0.0):
             f"a11 dips to {a11_v.min():.6g} below lambda0 = {coeffs.lambda0:.6g}"
         )
 
-    for cell in range(mesh.n_cells):
-        x = pts[cell]
-        w = wts[cell]
-        xl = cell * h
-        # local P1 basis on the cell: index 0 = left node, 1 = right node
-        phi = np.stack([(xl + h - x) / h, (x - xl) / h])
-        dphi = np.array([-1.0 / h, 1.0 / h])
-        loc = np.empty((2, 2))
-        for i in range(2):
-            for j in range(2):
-                loc[i, j] = np.sum(
-                    w
-                    * (
-                        a11_v[cell] * dphi[i] * dphi[j]
-                        + a1_v[cell] * dphi[j] * phi[i]
-                        + a0_v[cell] * phi[i] * phi[j]
-                    )
-                )
-        for i_loc, node_i in enumerate((cell, cell + 1)):
-            gi = mesh.dof_index(node_i)
-            if gi < 0:
-                continue
-            for j_loc, node_j in enumerate((cell, cell + 1)):
-                gj = mesh.dof_index(node_j)
-                if gj >= 0:
-                    A[gi, gj] += loc[i_loc, j_loc]
-
+    # local P1 basis on every cell: index 0 = left node, 1 = right node
+    xl = (np.arange(mesh.n_cells) * h)[:, None]
+    phi = np.stack([(xl + h - pts) / h, (pts - xl) / h])
+    dphi = np.array([-1.0 / h, 1.0 / h])
+    loc = np.empty((2, 2, mesh.n_cells))
+    for i in range(2):
+        for j in range(2):
+            loc[i, j] = np.sum(
+                wts
+                * (
+                    a11_v * dphi[i] * dphi[j]
+                    + a1_v * dphi[j] * phi[i]
+                    + a0_v * phi[i] * phi[j]
+                ),
+                axis=1,
+            )
+    A = _assemble(mesh, loc)
     if c0 != 0.0:
         A += c0 * assemble_mass(mesh)
     return A

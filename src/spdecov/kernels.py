@@ -230,8 +230,7 @@ def _scatter(blocks, mesh):
     Q[:-1, 1:] += blocks[0, 1]
     Q[1:, :-1] += blocks[1, 0]
     Q[1:, 1:] += blocks[1, 1]
-    keep = slice(1, -1) if mesh.bc == "dirichlet" else slice(None)
-    return Q[keep, keep]
+    return Q[mesh.dofs, mesh.dofs]
 
 
 def assemble_Q(mesh, spec):

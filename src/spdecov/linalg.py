@@ -1,8 +1,9 @@
 """Dense symmetric matrix primitives shared by all covariance recursions.
 
 Everything here operates on plain float64 numpy arrays. Covariance
-coefficient matrices at the mesh sizes of interest are small (at most a
-few hundred rows) and inherently dense, so no sparse paths are provided.
+coefficient matrices at the mesh sizes of interest have at most a few
+thousand rows (1025 DoF at h = 2^-10, twice that for a wave block) and
+are inherently dense, so no sparse paths are provided.
 """
 
 from typing import NamedTuple
@@ -185,28 +186,21 @@ class SchemeOperators(NamedTuple):
     step: AffineStep
 
 
-def propagate(step, n_steps, K0=None, callback=None):
+def propagate(step, n_steps, K0=None):
     """n_steps iterations of K <- g T K T^T + Q from K0 (None: zero).
 
-    With a callback, called as callback(j, K_j) after every step j =
-    1..n_steps, the recursion steps. Without one it is evaluated by
-    binary doubling at O(log n_steps) matrix products (Smith 1968, SIAM
-    J. Appl. Math. 16:198): the maps of 2^k steps, with propagator
-    T^(2^k) and growth g^(2^k), are built by squaring and applied for
-    the set bits of n_steps; they commute, so bit order does not
-    matter. K0 and every update are symmetrized, so for symmetric Q the
-    result is exactly symmetric. Doubling equals stepping up to
-    rounding.
+    The recursion is evaluated by binary doubling at O(log n_steps)
+    matrix products (Smith 1968, SIAM J. Appl. Math. 16:198): the maps
+    of 2^k steps, with propagator T^(2^k) and growth g^(2^k), are built
+    by squaring and applied for the set bits of n_steps; they commute,
+    so bit order does not matter. K0 and every update are symmetrized,
+    so for symmetric Q the result is exactly symmetric. Doubling equals
+    stepping up to rounding.
     """
     T, Q, g = step
     K = np.zeros_like(Q) if K0 is None else symmetrize(
         np.asarray(K0, dtype=float)
     )
-    if callback is not None:
-        for j in range(1, n_steps + 1):
-            K = g * symmetrize(T @ K @ T.T) + Q
-            callback(j, K)
-        return K
     while True:
         if n_steps & 1:
             K = g * symmetrize(T @ K @ T.T) + Q

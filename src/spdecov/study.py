@@ -21,6 +21,7 @@ from .errnorms import err_hs_norm, err_trace_norm
 from .exceptions import ConfigError, DegenerateFitError
 from .fem import Coefficients, Mesh1D
 from .kernels import Kernel
+from .montecarlo import _is_int
 from .wave import WaveConfig, extract_position_cov, wave_run
 
 __all__ = [
@@ -76,6 +77,12 @@ class StudyConfig:
             )
         if not self.levels:
             raise ConfigError("study has no levels")
+        for c, s in (*self.levels, self.reference):
+            if not (_is_int(c) and c >= 2 and _is_int(s) and s >= 1):
+                raise ConfigError(
+                    f"level ({c!r}, {s!r}) needs an integer n_cells >= 2 "
+                    "and an integer n_steps >= 1"
+                )
         bad = [n for n in self.norms if n not in ("L1", "L2")]
         if bad:
             raise ConfigError(f"unknown norms {bad}")
@@ -111,8 +118,6 @@ class RateReport:
     rows: Tuple[LevelResult, ...]
     slope_L1: float = float("nan")
     slope_L2: float = float("nan")
-    residual_L1: float = float("nan")
-    residual_L2: float = float("nan")
 
 
 def _check_horizon(T):
@@ -234,25 +239,17 @@ def run_sweep(study):
 
     hs = [r.h for r in rows]
     slopes = {}
-    residuals = {}
     for norm, errs in (
         ("L1", [r.err_L1 for r in rows]),
         ("L2", [r.err_L2 for r in rows]),
     ):
-        if norm not in study.norms:
-            slopes[norm], residuals[norm] = float("nan"), float("nan")
-            continue
-        try:
-            slopes[norm], residuals[norm] = _fit_with_residual(hs, errs)
-        except DegenerateFitError:
-            slopes[norm], residuals[norm] = float("nan"), float("nan")
-    return RateReport(
-        rows=rows,
-        slope_L1=slopes["L1"],
-        slope_L2=slopes["L2"],
-        residual_L1=residuals["L1"],
-        residual_L2=residuals["L2"],
-    )
+        slopes[norm] = float("nan")
+        if norm in study.norms:
+            try:
+                slopes[norm] = fit_rate(hs, errs)
+            except DegenerateFitError:
+                pass
+    return RateReport(rows=rows, slope_L1=slopes["L1"], slope_L2=slopes["L2"])
 
 
 def _usable_pairs(hs, errs):
@@ -270,7 +267,12 @@ def _usable_pairs(hs, errs):
     return pairs
 
 
-def _fit_with_residual(hs, errs):
+def fit_rate(hs, errs):
+    """Least-squares slope of log(err) against log(h).
+
+    Zero errors are excluded with a warning; fewer than two usable
+    pairs raise DegenerateFitError.
+    """
     pairs = _usable_pairs(hs, errs)
     if len(pairs) < 2:
         raise DegenerateFitError(
@@ -278,18 +280,7 @@ def _fit_with_residual(hs, errs):
         )
     lh = np.log([p[0] for p in pairs])
     le = np.log([p[1] for p in pairs])
-    coef, diag = np.polyfit(lh, le, 1, full=True)[:2]
-    ssr = float(diag[0]) if len(diag) else 0.0
-    return float(coef[0]), float(np.sqrt(ssr / len(pairs)))
-
-
-def fit_rate(hs, errs):
-    """Least-squares slope of log(err) against log(h).
-
-    Zero errors are excluded with a warning; fewer than two usable
-    pairs raise DegenerateFitError.
-    """
-    return _fit_with_residual(hs, errs)[0]
+    return float(np.polyfit(lh, le, 1)[0])
 
 
 def _cell(x):

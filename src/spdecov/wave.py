@@ -152,16 +152,15 @@ def wave_operators(config):
     return crank_nicolson_step(M, S, Q_h, G_h, config.dt)
 
 
-def wave_run(config, callback=None):
+def wave_run(config):
     """Iterate the block covariance recursion to t = T.
+
+    The recursion is evaluated by binary doubling (linalg.propagate),
+    which needs O(log n_steps) products instead of n_steps steps.
 
     Parameters
     ----------
     config : WaveConfig
-    callback : callable, optional
-        Called as callback(j, K_j) after every step. Without one the
-        recursion is evaluated by binary doubling (linalg.propagate),
-        which needs O(log n_steps) products instead of n_steps steps.
 
     Returns
     -------
@@ -170,4 +169,4 @@ def wave_run(config, callback=None):
         to extract_position_cov for the measurable part.
     """
     step = wave_operators(config).step
-    return propagate(step, config.n_steps, config.K0, callback)
+    return propagate(step, config.n_steps, config.K0)

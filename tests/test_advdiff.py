@@ -16,6 +16,7 @@ from spdecov import (
     symmetrize,
 )
 from spdecov.linalg import _as_square, checked_inverse
+from stepping import iterates, stepped_run
 
 
 def congruence_solve(L, RHS):
@@ -110,8 +111,7 @@ def test_step_matches_run_loop():
     K = np.zeros((1, 1))
     for _ in range(4):
         K = advdiff_step(K, M, A, Q, cfg.dt, cfg.c0)
-    # a no-op callback makes the run step instead of doubling
-    K_run = advdiff_run(cfg, callback=lambda j, K: None)
+    K_run = stepped_run(cfg)
     assert_allclose(K, K_run, rtol=0, atol=1e-16)
 
 
@@ -202,8 +202,7 @@ def test_trace_monotone_from_zero_data():
         T=1.0,
         n_steps=16,
     )
-    traces = []
-    advdiff_run(cfg, callback=lambda j, K: traces.append(np.trace(K)))
+    traces = [np.trace(K) for K in iterates(cfg)]
     assert len(traces) == 16
     assert np.all(np.diff(traces) >= -1e-13)
 

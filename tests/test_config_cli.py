@@ -253,6 +253,14 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_cli_rejects_a_one_cell_level(tmp_path, capsys):
+    # levels = 0:2 starts at a single cell, which no mesh accepts; the
+    # config is refused when it is read, not after the reference has run
+    path = _write(tmp_path, HEAT_INI.replace("levels = 2:3", "levels = 0:2"))
+    assert main(["sweep", "--config", path]) == 1
+    assert "level (1, 1) needs an integer n_cells >= 2" in capsys.readouterr().err
+
+
 def test_cli_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

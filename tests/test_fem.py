@@ -3,18 +3,27 @@ import pytest
 from numpy.testing import assert_allclose
 
 from spdecov import (
+    BrownianBridge,
     Coefficients,
+    Custom,
     EllipticityError,
+    Exponential,
+    Matern,
     Mesh1D,
     MismatchedBCError,
+    WhiteNoise,
     assemble_form,
     assemble_mass,
+    assemble_Q,
     assemble_stiffness,
     compute_c0,
     err_hs_norm,
     err_trace_norm,
     hat_values,
 )
+
+_CELLS = [2, 3, 7, 64]
+_BCS = ["dirichlet", "neumann"]
 
 
 def test_mesh_basic():
@@ -60,6 +69,66 @@ def test_stiffness_neumann_two_cells():
     assert_allclose(S, expected, rtol=0, atol=1e-13)
 
 
+def _tridiagonal(mesh, diag, off):
+    """Hand-built P1 tridiagonal: diagonal diag, off-diagonal off, and
+    half the diagonal on the Neumann boundary nodes."""
+    n = mesh.n_dof
+    A = np.zeros((n, n))
+    d = np.full(n, 2.0 * diag)
+    if mesh.bc == "neumann":
+        d[0] = d[-1] = diag
+    np.fill_diagonal(A, d)
+    A[np.arange(n - 1), np.arange(1, n)] = off
+    A[np.arange(1, n), np.arange(n - 1)] = off
+    return A
+
+
+@pytest.mark.parametrize("bc", _BCS)
+@pytest.mark.parametrize("n_cells", _CELLS)
+def test_mass_is_exact_tridiagonal(n_cells, bc):
+    mesh = Mesh1D(n_cells, bc)
+    h = mesh.h
+    assert np.array_equal(assemble_mass(mesh), _tridiagonal(mesh, h / 3.0, h / 6.0))
+
+
+@pytest.mark.parametrize("bc", _BCS)
+@pytest.mark.parametrize("n_cells", _CELLS)
+def test_stiffness_is_exact_tridiagonal(n_cells, bc):
+    mesh = Mesh1D(n_cells, bc)
+    h = mesh.h
+    assert np.array_equal(
+        assemble_stiffness(mesh), _tridiagonal(mesh, 1.0 / h, -1.0 / h)
+    )
+
+
+_VARIABLE = Coefficients(
+    a11=lambda x: 1.0 + 0.5 * np.cos(np.pi * x),
+    a1=lambda x: np.sin(2.0 * np.pi * x),
+    a0=lambda x: x**2,
+    lambda0=0.5,
+)
+_BUILDERS = {
+    "mass": assemble_mass,
+    "stiffness": assemble_stiffness,
+    "form": lambda mesh: assemble_form(mesh, _VARIABLE, c0=0.125),
+    "white": lambda mesh: assemble_Q(mesh, WhiteNoise()),
+    "exponential": lambda mesh: assemble_Q(mesh, Exponential(scale=3.0)),
+    "matern": lambda mesh: assemble_Q(mesh, Matern(sigma=2.0, nu=0.5, rho=0.3)),
+    "bridge": lambda mesh: assemble_Q(mesh, BrownianBridge()),
+    "custom": lambda mesh: assemble_Q(mesh, Custom(q=lambda x, y: np.cos(x - 2.0 * y))),
+}
+
+
+@pytest.mark.parametrize("n_cells", [2, 3, 7, 16])
+@pytest.mark.parametrize("name", list(_BUILDERS))
+def test_dirichlet_drops_the_boundary_nodes(name, n_cells):
+    # Dirichlet elimination keeps the interior block of the Neumann
+    # matrix, bit for bit, for every assembled matrix
+    build = _BUILDERS[name]
+    full = build(Mesh1D(n_cells, "neumann"))
+    assert np.array_equal(build(Mesh1D(n_cells, "dirichlet")), full[1:-1, 1:-1])
+
+
 def test_mass_row_sums_are_hat_integrals():
     # partition of unity: row sums of the Neumann mass equal integral of each hat
     mesh = Mesh1D(8, "neumann")
@@ -98,8 +167,11 @@ def _form_quadrature_oracle(mesh, coeffs, c0, npts=50):
     xg, wg = np.polynomial.legendre.leggauss(npts)
     n = mesh.n_dof
     A = np.zeros((n, n))
+    M = np.zeros((n, n))
     h = mesh.h
     nodes = np.arange(mesh.n_cells + 1) * h
+    # Dirichlet DoF k sits at node k + 1; node 0 and the last node have none
+    first = 1 if mesh.bc == "dirichlet" else 0
     for c in range(mesh.n_cells):
         xs = nodes[c] + 0.5 * h * (xg + 1.0)
         ws = 0.5 * h * wg
@@ -108,15 +180,15 @@ def _form_quadrature_oracle(mesh, coeffs, c0, npts=50):
         rv = (xs - nodes[c]) / h
         vals = [lv, rv]
         grads = [np.full_like(xs, -1.0 / h), np.full_like(xs, 1.0 / h)]
-        dofs = [mesh.dof_index(c), mesh.dof_index(c + 1)]
+        dofs = [c - first, c + 1 - first]
         a11 = coeffs.a11(xs)
         a1 = coeffs.a1(xs)
         a0 = coeffs.a0(xs)
         for i_loc, i in enumerate(dofs):
-            if i < 0:
+            if not 0 <= i < n:
                 continue
             for j_loc, j in enumerate(dofs):
-                if j < 0:
+                if not 0 <= j < n:
                     continue
                 integ = (
                     a11 * grads[i_loc] * grads[j_loc]
@@ -124,20 +196,6 @@ def _form_quadrature_oracle(mesh, coeffs, c0, npts=50):
                     + a0 * vals[j_loc] * vals[i_loc]
                 )
                 A[i, j] += np.sum(ws * integ)
-    M = np.zeros((n, n))
-    for c in range(mesh.n_cells):
-        xs = nodes[c] + 0.5 * h * (xg + 1.0)
-        ws = 0.5 * h * wg
-        lv = (nodes[c + 1] - xs) / h
-        rv = (xs - nodes[c]) / h
-        vals = [lv, rv]
-        dofs = [mesh.dof_index(c), mesh.dof_index(c + 1)]
-        for i_loc, i in enumerate(dofs):
-            if i < 0:
-                continue
-            for j_loc, j in enumerate(dofs):
-                if j < 0:
-                    continue
                 M[i, j] += np.sum(ws * vals[i_loc] * vals[j_loc])
     return A + c0 * M
 

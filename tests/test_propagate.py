@@ -10,6 +10,7 @@ from spdecov import (
     advdiff_run,
     wave_run,
 )
+from stepping import stepped_run
 
 _ADVECTION = Coefficients(
     a11=lambda x: np.full_like(x, 4.0),
@@ -36,8 +37,7 @@ def _random_psd(seed, n):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_doubling_matches_stepping(scheme, n_steps, with_K0, c0, seed):
-    # without a callback a run evaluates the recursion by doubling; a
-    # no-op callback forces plain stepping
+    # a run evaluates the recursion by doubling; stepped_run steps it
     mesh = Mesh1D(6, "dirichlet")
     if scheme == "advdiff":
         K0 = _random_psd(seed, mesh.n_dof) if with_K0 else None
@@ -54,7 +54,7 @@ def test_doubling_matches_stepping(scheme, n_steps, with_K0, c0, seed):
         )
         run = wave_run
     K = run(cfg)
-    K_step = run(cfg, callback=lambda j, K: None)
+    K_step = stepped_run(cfg)
     assert np.array_equal(K, K.T)
     gap = np.abs(K - K_step).max()
     assert gap <= 1e-10 * np.abs(K_step).max(), (n_steps, gap)

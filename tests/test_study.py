@@ -38,9 +38,11 @@ def test_fit_rate_tolerates_alternating_noise():
 def test_fit_rate_excludes_zero_with_warning():
     hs = [0.5, 0.25, 0.125]
     errs = [0.5**1.5, 0.25**1.5, 0.0]
-    with pytest.warns(UserWarning, match="nonpositive"):
+    with pytest.warns(UserWarning, match="nonpositive") as rec:
         slope = fit_rate(hs, errs)
     assert slope == pytest.approx(1.5, abs=1e-12)
+    # the warning names the caller of fit_rate, not a line inside it
+    assert rec[0].filename == __file__
 
 
 def test_fit_rate_degenerate():
@@ -102,6 +104,20 @@ def test_study_validation():
     for snapshot_t in (-0.5, 1.5, nan):
         with pytest.raises(ConfigError, match="outside"):
             _study(snapshot_t=snapshot_t)
+
+
+def test_study_rejects_levels_below_two_cells():
+    # refused up front, before the reference covariance is computed
+    for levels, reference in (
+        (((1, 1), (4, 16)), (32, 1024)),
+        (((4, 16),), (1, 1024)),
+        (((4, 0),), (32, 1024)),
+        (((4, 16),), (32, 0)),
+        (((4.0, 16),), (32, 1024)),
+        (((4, 16.5),), (32, 1024)),
+    ):
+        with pytest.raises(ConfigError, match="n_cells >= 2"):
+            _study(levels=levels, reference=reference)
 
 
 def test_reference_equal_to_level_is_allowed():

@@ -16,6 +16,7 @@ from spdecov import (
     wave_run,
 )
 from spdecov.wave import crank_nicolson_step
+from stepping import iterates, stepped_run
 
 
 def _zero_kernel():
@@ -120,8 +121,7 @@ def test_energy_conserved_noiseless():
     M = assemble_mass(mesh)
     S = assemble_stiffness(mesh)
     e0 = wave_energy(K0, M, S)
-    energies = []
-    wave_run(cfg, callback=lambda j, K: energies.append(wave_energy(K, M, S)))
+    energies = [wave_energy(K, M, S) for K in iterates(cfg)]
     assert len(energies) == 1000
     drift = np.abs(np.asarray(energies) - e0).max()
     assert drift <= 1e-6 * abs(e0)
@@ -138,7 +138,6 @@ def test_perturbed_run_not_conservative():
     cfg = WaveConfig(
         mesh=mesh, kernel=kern, g_spec="minus_q", T=1.0, n_steps=64, K0=K0
     )
-    zero_noise_energy = []
     # remove the driving noise but keep the perturbation: G explicit
     cfg2 = WaveConfig(
         mesh=mesh,
@@ -148,22 +147,8 @@ def test_perturbed_run_not_conservative():
         n_steps=64,
         K0=K0,
     )
-    wave_run(cfg2, callback=lambda j, K: zero_noise_energy.append(wave_energy(K, M, S)))
     e0 = wave_energy(K0, M, S)
-    assert zero_noise_energy[-1] != pytest.approx(e0, rel=1e-9)
-
-
-def test_callback_sequence():
-    cfg = WaveConfig(
-        mesh=Mesh1D(2, "dirichlet"),
-        kernel=WhiteNoise(),
-        g_spec="minus_q",
-        T=1.0,
-        n_steps=5,
-    )
-    seen = []
-    wave_run(cfg, callback=lambda j, K: seen.append((j, K.shape)))
-    assert seen == [(1, (2, 2)), (2, (2, 2)), (3, (2, 2)), (4, (2, 2)), (5, (2, 2))]
+    assert wave_energy(stepped_run(cfg2), M, S) != pytest.approx(e0, rel=1e-9)
 
 
 def test_config_validation():
@@ -216,8 +201,7 @@ def test_run_symmetric_and_psd():
 @pytest.mark.parametrize("g_spec", ["zero", "minus_q"])
 @pytest.mark.parametrize("with_K0", [False, True])
 def test_doubling_matches_stepping(g_spec, with_K0):
-    # without a callback wave_run evaluates the recursion by doubling;
-    # a no-op callback forces plain stepping
+    # wave_run evaluates the recursion by doubling; stepped_run steps it
     mesh = Mesh1D(6, "dirichlet")
     n2 = 2 * mesh.n_dof
     K0 = None
@@ -234,7 +218,7 @@ def test_doubling_matches_stepping(g_spec, with_K0):
             K0=K0,
         )
         K = wave_run(cfg)
-        K_step = wave_run(cfg, callback=lambda j, K: None)
+        K_step = stepped_run(cfg)
         assert np.array_equal(K, K.T)
         gap = np.abs(K - K_step).max()
         assert gap <= 1e-10 * np.abs(K_step).max(), (n_steps, gap)
