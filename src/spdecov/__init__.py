@@ -9,8 +9,8 @@ operators.
 
 Layout
 ------
-linalg      symmetric eigendecompositions, PSD square roots, the
-            checked inverse, the doubling covariance propagator
+linalg      the checked inverse, the doubling covariance propagator,
+            the PSD square root of the sampler's initial covariance
 fem         meshes, P1 mass/stiffness/advection assembly, hat values
             for exact prolongation to nested meshes, the shift c0
 kernels     noise covariance kernels and their Galerkin projection Q_h
@@ -66,7 +66,7 @@ from .kernels import (
     WhiteNoise,
     assemble_Q,
 )
-from .linalg import propagate, psd_sqrt, sym_eig, symmetrize
+from .linalg import propagate, symmetrize
 from .montecarlo import McConfig, McReport, empirical_cov, mc_validate
 from .spectral import (
     cov_l2_distance,
@@ -149,13 +149,11 @@ __all__ = [
     "modal_cov_function",
     "nodal_cov_function",
     "propagate",
-    "psd_sqrt",
     "read_config",
     "read_report",
     "run_single",
     "run_sweep",
     "spectral_galerkin_cov",
-    "sym_eig",
     "symmetrize",
     "wave_cov_closed_form",
     "wave_energy",

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fem import Coefficients, Mesh1D, assemble_form, assemble_mass
+from .fem import Coefficients, Mesh1D, _is_int, assemble_form, assemble_mass
 from .kernels import Kernel, assemble_Q
 from .linalg import (
     AffineStep,
@@ -58,8 +58,8 @@ class AdvDiffConfig:
     def __post_init__(self):
         if not (math.isfinite(self.T) and self.T > 0):
             raise ValueError(f"T must be finite and positive, got {self.T!r}")
-        if self.n_steps < 1:
-            raise ValueError("need at least one step")
+        if not _is_int(self.n_steps) or self.n_steps < 1:
+            raise ValueError(f"need an integer n_steps >= 1, got {self.n_steps!r}")
         if self.dt > 1.0:
             raise ValueError("dt must not exceed 1")
         if self.K0 is not None:

@@ -4,15 +4,16 @@ Both operators live on uniform meshes of one boundary flavor, and one
 mesh refines the other (the same mesh included). A coarse hat is then
 exactly piecewise linear on the fine mesh, so the coarse operator of K
 is the fine operator of P K P^T, with P the coarse hats at the fine
-DoF nodes. Both distances are taken from the one coefficient difference
-D on the finer mesh and its mass matrix M.
+DoF nodes. Both distances are taken from W = L^T D L, with D the
+coefficient difference on the finer mesh and L L^T its mass matrix: the
+difference operator's matrix in an orthonormal basis.
 """
 
 import numpy as np
 
 from .exceptions import MismatchedBCError, NoConvergenceError, ShapeMismatchError
 from .fem import assemble_mass, hat_values
-from .linalg import psd_sqrt, symmetrize
+from .linalg import symmetrize
 
 # err_trace_norm takes eigenvalues only; sym_eig stays importable here
 # because perfbench/spans.py traces it by this path
@@ -22,7 +23,7 @@ __all__ = ["err_trace_norm", "err_hs_norm"]
 
 
 def _difference(K, mesh, Kref, mesh_ref):
-    """Difference D of K and Kref on the finer mesh, and its mass M.
+    """W = L^T (K - Kref) L on the finer mesh, symmetrized.
 
     The coarser matrix is prolonged exactly, as P K P^T with P the
     coarse hats at the fine DoF nodes; on one mesh P is skipped.
@@ -53,7 +54,8 @@ def _difference(K, mesh, Kref, mesh_ref):
             K = P @ K @ P.T
         else:
             Kref = P @ Kref @ P.T
-    return K - Kref, assemble_mass(fine)
+    L = np.linalg.cholesky(assemble_mass(fine))
+    return symmetrize(L.T @ (K - Kref) @ L)
 
 
 def err_trace_norm(K, mesh, Kref, mesh_ref):
@@ -61,9 +63,9 @@ def err_trace_norm(K, mesh, Kref, mesh_ref):
 
     The operators are K = sum K[m,n] phi_m x phi_n on `mesh` and
     likewise Kref on `mesh_ref`. With D their coefficient difference on
-    the finer mesh and M its mass matrix, the distance is
+    the finer mesh and L L^T its mass matrix, the distance is
 
-        sum |eig( M^{1/2} D M^{1/2} )|,
+        sum |eig( L^T D L )|,
 
     the trace norm of the difference operator.
 
@@ -89,9 +91,7 @@ def err_trace_norm(K, mesh, Kref, mesh_ref):
     NoConvergenceError
         If LAPACK's eigenvalue solver does not converge.
     """
-    D, M = _difference(K, mesh, Kref, mesh_ref)
-    root = psd_sqrt(M)
-    W = symmetrize(root @ D @ root)
+    W = _difference(K, mesh, Kref, mesh_ref)
     try:
         w = np.linalg.eigvalsh(W)
     except np.linalg.LinAlgError as exc:
@@ -102,9 +102,8 @@ def err_trace_norm(K, mesh, Kref, mesh_ref):
 def err_hs_norm(K, mesh, Kref, mesh_ref):
     """Hilbert-Schmidt (L2) distance between two covariance operators.
 
-    With D and M as in err_trace_norm this is sqrt(trace((D M)^2)).
-    Arguments and errors are those of err_trace_norm.
+    With D and L as in err_trace_norm this is ||L^T D L||_F, which is
+    sqrt(trace((D M)^2)) for M = L L^T. Arguments and errors are those
+    of err_trace_norm, except NoConvergenceError.
     """
-    D, M = _difference(K, mesh, Kref, mesh_ref)
-    DM = D @ M
-    return float(np.sqrt(max(np.sum(DM * DM.T), 0.0)))
+    return float(np.linalg.norm(_difference(K, mesh, Kref, mesh_ref)))

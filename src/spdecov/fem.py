@@ -33,6 +33,11 @@ FORM_QUAD_ORDER = 12
 C0_GRID_POINTS = 1001
 
 
+def _is_int(x):
+    """True for Python and numpy integers, but not for bools."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class Mesh1D:
     """Uniform mesh of (0, 1) with n_cells cells.
@@ -46,8 +51,8 @@ class Mesh1D:
     bc: str = "dirichlet"
 
     def __post_init__(self):
-        if self.n_cells < 2:
-            raise ValueError("need n_cells >= 2")
+        if not _is_int(self.n_cells) or self.n_cells < 2:
+            raise ValueError(f"need an integer n_cells >= 2, got {self.n_cells!r}")
         if self.bc not in ("dirichlet", "neumann"):
             raise ValueError(f"unknown bc {self.bc!r}")
 
@@ -202,14 +207,19 @@ def hat_values(mesh, x):
     """Values of every basis hat at the points x.
 
     Returns an array of shape (len(x), n_dof), column i holding
-    phi_i(x). Points must lie in [0, 1].
+    phi_i(x). Points must be finite and lie in [0, 1], up to the
+    rounding slack of the node snap below; others raise ValueError.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     u = x * mesh.n_cells
+    snap = 4 * np.finfo(float).eps * mesh.n_cells
+    # a NaN fails both comparisons
+    if not np.all((u >= -snap) & (u <= mesh.n_cells + snap)):
+        raise ValueError("hat_values needs finite points in [0, 1]")
     # points within rounding of a node are put on it, so the hats are
     # exactly 0 or 1 there and a mesh's own nodes give the identity
     node = np.rint(u)
-    u = np.where(np.abs(u - node) <= 4 * np.finfo(float).eps * mesh.n_cells, node, u)
+    u = np.where(np.abs(u - node) <= snap, node, u)
     k = np.rint(mesh.dof_nodes * mesh.n_cells)
     return np.clip(1.0 - np.abs(u[:, None] - k[None, :]), 0.0, None)
 

@@ -34,6 +34,9 @@ SYMMETRY_RTOL = 1e-9
 #: largest condition number kappa_inf(L) that checked_inverse accepts
 COND_MAX = 1e14
 
+#: relative clamp of psd_sqrt for roundoff-negative eigenvalues
+PSD_RTOL = 1e-10
+
 
 class SymEig(NamedTuple):
     """Eigendecomposition of a symmetric matrix.
@@ -99,18 +102,17 @@ def sym_eig(A):
     return SymEig(w, V)
 
 
-def psd_sqrt(A, tol=1e-10):
+def psd_sqrt(A):
     """Symmetric PSD square root via eigendecomposition.
 
-    Eigenvalues in [-tol * max(1, lambda_max), 0) are treated as roundoff
-    and clamped to zero, so rank-deficient Gram matrices are fine.
+    Eigenvalues in [-PSD_RTOL * max(1, lambda_max), 0) are treated as
+    roundoff and clamped to zero, so rank-deficient Gram matrices are
+    fine.
 
     Parameters
     ----------
     A : (n, n) array_like
         Symmetric positive semidefinite matrix.
-    tol : float, optional
-        Relative clamp tolerance for negative eigenvalues.
 
     Returns
     -------
@@ -120,10 +122,10 @@ def psd_sqrt(A, tol=1e-10):
     Raises
     ------
     NotPSDError
-        If an eigenvalue falls below -tol * max(1, lambda_max).
+        If an eigenvalue falls below -PSD_RTOL * max(1, lambda_max).
     """
     w, V = sym_eig(A)
-    floor = -tol * max(1.0, w[-1] if w.size else 1.0)
+    floor = -PSD_RTOL * max(1.0, w[-1] if w.size else 1.0)
     if w.size and w[0] < floor:
         raise NotPSDError(
             f"matrix is not PSD: min eigenvalue {w[0]:.3e} < {floor:.3e}"
@@ -175,14 +177,15 @@ class SchemeOperators(NamedTuple):
     """Operators of one time step of a scheme.
 
     step is the covariance update; the mass matrix M, the noise Gram
-    matrix Q_h and the inverse L_inv of the step's system matrix L
-    (M + dt A for backward Euler, the block L for Crank-Nicolson) also
-    drive the path sampler in montecarlo.
+    matrix Q_h and the (n_state, n) map `load` of a noise load to its
+    state increment also drive the path sampler in montecarlo. load is
+    (M + dt A)^{-1} for backward Euler and the velocity columns of the
+    block inverse L^{-1} for Crank-Nicolson.
     """
 
     M: np.ndarray
     Q_h: np.ndarray
-    L_inv: np.ndarray
+    load: np.ndarray
     step: AffineStep
 
 

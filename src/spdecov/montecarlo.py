@@ -37,6 +37,7 @@ from .exceptions import (
     NumericalError,
     TooFewSamplesError,
 )
+from .fem import _is_int
 from .linalg import propagate, psd_sqrt, symmetrize
 from .wave import WaveConfig, extract_position_cov, wave_operators
 
@@ -121,10 +122,6 @@ class McReport:
     consistency_margin: float
     n_samples: int
     seed: int
-
-
-def _is_int(x):
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _chol_with_jitter(Q):
@@ -230,11 +227,11 @@ def _batch_paths(config, ops, keys):
     (n_paths, d) array whose row i does not depend on the other keys. A
     step solves L x_j = g M x_{j-1} + b_j (advdiff, g = 1 + c0 dt) or
     L x_j = R P x_{j-1} + [0; b_j] (wave, the load on the velocity
-    row), so x_j = g T x_{j-1} + L^{-1} b_j with the T of the
+    row), so x_j = g T x_{j-1} + ops.load b_j with the T of the
     covariance step.
     """
     n = ops.M.shape[0]
-    n_state = ops.L_inv.shape[0]
+    n_state = ops.load.shape[0]
     chol = _chol_with_jitter(ops.Q_h)
     K0 = config.K0
     root_K0 = None if K0 is None else psd_sqrt(np.asarray(K0, dtype=float))
@@ -260,9 +257,7 @@ def _batch_paths(config, ops, keys):
     T = ops.step.T
     if isinstance(config, AdvDiffConfig):
         T = (1.0 + config.c0 * config.dt) * T
-    # b_j fills the last n rows: all of them for advdiff, the velocity
-    # block for wave
-    load = np.sqrt(config.dt) * (ops.L_inv[:, -n:] @ chol)
+    load = np.sqrt(config.dt) * (ops.load @ chol)
     for j in range(config.n_steps):
         X = T @ X + load @ xi[j].T
     return X.T
@@ -270,22 +265,22 @@ def _batch_paths(config, ops, keys):
 
 # an overflow surfaces as the NumericalError of the finite check instead
 @np.errstate(over="ignore", invalid="ignore")
-def _jackknife_distances(samples, root_M, K_det):
+def _jackknife_distances(samples, L, K_det):
     """Leave-one-out (trace, HS) distances of the empirical covariance.
 
     Entry i measures the covariance of all paths but path i against
-    K_det. With Y = samples M^{1/2}, the leave-one-out covariance in the
-    M^{1/2} frame is a rank-two update of Y^T Y, so a chunk of paths is
-    one stack of d x d matrices W_i and one stacked eigvalsh. The HS
-    distance is sqrt(sum w^2) because ||M^{1/2} D M^{1/2}||_F^2 =
-    trace((D M)^2).
+    K_det. With M = L L^T and Y = samples L, the leave-one-out covariance
+    in the Cholesky frame L^T (.) L of errnorms is a rank-two update of
+    Y^T Y, so a chunk of paths is one stack of d x d matrices W_i and one
+    stacked eigvalsh. The HS distance is sqrt(sum w^2), which is
+    ||L^T D L||_F = sqrt(trace((D M)^2)).
     """
     n_s, d = samples.shape
-    Y = samples @ root_M
+    Y = samples @ L
     r = Y.sum(axis=0)
     # W_i is exactly symmetric: B, R and both outer products are
-    B = symmetrize(root_M @ (samples.T @ samples) @ root_M)
-    R = symmetrize(root_M @ K_det @ root_M)
+    B = symmetrize(L.T @ (samples.T @ samples) @ L)
+    R = symmetrize(L.T @ K_det @ L)
     chunk = max(1, JACKKNIFE_CHUNK_BYTES // (8 * d * d))
     tr = np.empty(n_s)
     hs = np.empty(n_s)
@@ -348,7 +343,7 @@ def mc_validate(mc):
     trace_d = err_trace_norm(K_emp, mesh, K_det, mesh)
     hs_d = err_hs_norm(K_emp, mesh, K_det, mesh)
 
-    tr_vals, hs_vals = _jackknife_distances(samples, psd_sqrt(M), K_det)
+    tr_vals, hs_vals = _jackknife_distances(samples, np.linalg.cholesky(M), K_det)
     n_s = mc.n_samples
     fac = (n_s - 1.0) / n_s
     se_tr = float(np.sqrt(fac * np.sum((tr_vals - tr_vals.mean()) ** 2)))

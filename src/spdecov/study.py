@@ -19,9 +19,8 @@ import numpy as np
 from .advdiff import AdvDiffConfig, advdiff_run
 from .errnorms import err_hs_norm, err_trace_norm
 from .exceptions import ConfigError, DegenerateFitError
-from .fem import Coefficients, Mesh1D
+from .fem import Coefficients, Mesh1D, _is_int
 from .kernels import Kernel
-from .montecarlo import _is_int
 from .wave import WaveConfig, extract_position_cov, wave_run
 
 __all__ = [
@@ -271,8 +270,11 @@ def fit_rate(hs, errs):
     """Least-squares slope of log(err) against log(h).
 
     Zero errors are excluded with a warning; fewer than two usable
-    pairs raise DegenerateFitError.
+    pairs raise DegenerateFitError, and a non-finite or nonpositive h
+    raises ConfigError.
     """
+    if not all(math.isfinite(h) and h > 0 for h in hs):
+        raise ConfigError(f"mesh widths must be finite and positive, got {hs!r}")
     pairs = _usable_pairs(hs, errs)
     if len(pairs) < 2:
         raise DegenerateFitError(

@@ -8,11 +8,16 @@ P1 elements in space, Dirichlet boundary. States are coefficient pairs
 (u, v) stacked into length-2N vectors, covariances are 2N x 2N block
 coefficient matrices. The one-step propagator is
 
-    T_hat = L^{-1} R P,   L = [[M, -(dt/2) M], [(dt/2) S, M]],
-                          R = [[M,  (dt/2) M], [-(dt/2) S, M]],
+    T_hat = L^{-1} R P,   L = [[M, -a M], [a S, M]],
+                          R = [[M,  a M], [-a S, M]],   a = dt/2,
 
 with the inhomogeneity applied first through the perturbation factor
-P = [[I, 0], [dt M^{-1} G_h, I]]. The noise increment enters
+P = [[I, 0], [dt M^{-1} G_h, I]]. Block elimination inverts only the
+N x N matrix M + a^2 S = B^{-1}: with C = B S,
+
+    L^{-1} R = [[I - 2a^2 C, 2a (I - a^2 C)], [-2a C, I - 2a^2 C]],
+
+and the velocity columns of L^{-1} are [a B; B]. The noise increment enters
 un-propagated, matching the recursion K_j = S_hat K_{j-1} S_hat^* +
 dt P_h B (P_h B)^*:
 
@@ -25,7 +30,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .fem import Mesh1D, assemble_mass, assemble_stiffness
+from .fem import Mesh1D, _is_int, assemble_mass, assemble_stiffness
 from .kernels import Kernel, assemble_Q
 from .linalg import (
     AffineStep,
@@ -64,8 +69,9 @@ class WaveConfig:
     def __post_init__(self):
         if self.mesh.bc != "dirichlet":
             raise ValueError("wave runs require a dirichlet mesh")
-        if not (math.isfinite(self.T) and self.T > 0) or self.n_steps < 1:
-            raise ValueError("need a finite T > 0 and n_steps >= 1")
+        finite_T = math.isfinite(self.T) and self.T > 0
+        if not (finite_T and _is_int(self.n_steps) and self.n_steps >= 1):
+            raise ValueError("need a finite T > 0 and an integer n_steps >= 1")
         if self.dt > 1.0:
             raise ValueError("dt must not exceed 1")
         n = self.mesh.n_dof
@@ -89,16 +95,6 @@ class WaveConfig:
         return self.T / self.n_steps
 
 
-def _noise_increment(Q_h, M, dt):
-    """dt * blockdiag(0, M^{-1} Q_h M^{-T})."""
-    n = M.shape[0]
-    V = np.linalg.solve(M, Q_h)
-    V = np.linalg.solve(M, V.T)
-    out = np.zeros((2 * n, 2 * n))
-    out[n:, n:] = dt * symmetrize(V)
-    return out
-
-
 def extract_position_cov(K):
     """Top-left N x N block: the position-position covariance."""
     K = np.asarray(K)
@@ -119,23 +115,23 @@ def wave_energy(K, M, S):
 def crank_nicolson_step(M, S, Q_h, G_h, dt):
     """The covariance step K <- T_hat K T_hat^T + Q of Crank-Nicolson.
 
-    T_hat = L^{-1} R P and Q = dt blockdiag(0, M^{-1} Q_h M^{-T}); the
-    growth factor is 1. G_h is the Gram matrix of the inhomogeneity, or
-    None for G = 0 (then P = I).
+    T_hat = L^{-1} R P with the blocks eliminated, Q = dt blockdiag(0,
+    M^{-1} Q_h M^{-T}) and the growth factor is 1; load is [a B; B]. G_h
+    is the Gram matrix of the inhomogeneity, or None for G = 0 (P = I).
     """
     n = M.shape[0]
-    half = 0.5 * dt
-    L = np.block([[M, -half * M], [half * S, M]])
-    R = np.block([[M, half * M], [-half * S, M]])
-    P = np.eye(2 * n)
+    a = 0.5 * dt
+    B = checked_inverse(M + a * a * S)
+    C = B @ S
+    eye = np.eye(n)
+    E = eye - 2 * a * a * C
+    T_hat = np.block([[E, 2 * a * (eye - a * a * C)], [-2 * a * C, E]])
     if G_h is not None:
-        P[n:, :n] = dt * np.linalg.solve(M, G_h)
-    L_inv = checked_inverse(L)
-    # a solve, not L_inv @ R P: the product's larger residual doubles
-    # how far the finest Matern sweep errors move with the thread count
-    T_hat = np.linalg.solve(L, R @ P)
-    step = AffineStep(T_hat, _noise_increment(Q_h, M, dt))
-    return SchemeOperators(M, Q_h, L_inv, step)
+        T_hat[:, :n] += T_hat[:, n:] @ (dt * np.linalg.solve(M, G_h))
+    Q = np.zeros((2 * n, 2 * n))
+    Q[n:, n:] = dt * symmetrize(np.linalg.solve(M, np.linalg.solve(M, Q_h).T))
+    step = AffineStep(T_hat, Q)
+    return SchemeOperators(M, Q_h, np.vstack([a * B, B]), step)
 
 
 def wave_operators(config):

@@ -47,14 +47,13 @@ from spdecov import (
     midpoint_rule,
     modal_cov_function,
     nodal_cov_function,
-    psd_sqrt,
     run_single,
-    sym_eig,
     symmetrize,
     wave_cov_closed_form,
     wave_energy,
     wave_run,
 )
+from spdecov.linalg import psd_sqrt, sym_eig
 from spdecov.wave import crank_nicolson_step
 
 

@@ -278,6 +278,16 @@ def test_config_validation():
         AdvDiffConfig(mesh=mesh, coeffs=coeffs, c0=0.0, kernel=WhiteNoise(), T=3.0, n_steps=2)
 
 
+@pytest.mark.parametrize("n_steps", [2.5, 2.0, True])
+def test_config_needs_an_integer_step_count(n_steps):
+    # a float count used to pass and fail later in propagate
+    with pytest.raises(ValueError, match="integer n_steps"):
+        AdvDiffConfig(
+            mesh=Mesh1D(2, "dirichlet"), coeffs=Coefficients.constant(a11=1.0),
+            c0=0.0, kernel=WhiteNoise(), T=1.0, n_steps=n_steps,
+        )
+
+
 def test_config_rejects_non_finite_T():
     # nan passes T <= 0 and dt > 1 alike
     mesh = Mesh1D(2, "dirichlet")

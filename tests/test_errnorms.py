@@ -13,10 +13,10 @@ from spdecov import (
     assemble_mass,
     err_hs_norm,
     err_trace_norm,
-    psd_sqrt,
-    sym_eig,
+    hat_values,
     symmetrize,
 )
+from spdecov.linalg import psd_sqrt, sym_eig
 from spdecov.spectral import midpoint_rule, nodal_cov_function
 
 
@@ -146,6 +146,33 @@ def test_self_prolongation_distance_vanishes(n_cells, ratio, bc, seed):
         )
         d = err(K, coarse, other, fine)
         assert err(other, fine, K, coarse) == pytest.approx(d, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n_cells=st.integers(2, 8),
+    ratio=st.integers(1, 4),
+    bc=st.sampled_from(["dirichlet", "neumann"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cholesky_frame_matches_square_root_frame(n_cells, ratio, bc, seed):
+    # L^T D L is similar to M^{1/2} D M^{1/2}, and ||L^T D L||_F^2 is
+    # trace((D M)^2); both oracles take D on the finer mesh
+    coarse = Mesh1D(n_cells, bc)
+    fine = Mesh1D(n_cells * ratio, bc)
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((coarse.n_dof, coarse.n_dof))
+    C = rng.standard_normal((fine.n_dof, fine.n_dof))
+    K, Kref = B @ B.T, C @ C.T
+    P = hat_values(coarse, fine.dof_nodes)
+    D = P @ K @ P.T - Kref
+    M = assemble_mass(fine)
+    root = psd_sqrt(M)
+    trace = np.abs(sym_eig(symmetrize(root @ D @ root)).eigenvalues).sum()
+    hs = np.sqrt(np.trace(D @ M @ D @ M))
+    for a, b in ((K, coarse), (Kref, fine)), ((Kref, fine), (K, coarse)):
+        assert err_trace_norm(*a, *b) == pytest.approx(trace, rel=1e-12)
+        assert err_hs_norm(*a, *b) == pytest.approx(hs, rel=1e-12)
 
 
 #: (bc, coarse cells, fine cells) of the cross-mesh oracle checks

@@ -44,6 +44,17 @@ def test_mesh_rejects_tiny_or_bad():
         Mesh1D(4, "periodic")
 
 
+@pytest.mark.parametrize("n_cells", [3.0, 2.5, True, "4", None])
+def test_mesh_needs_an_integer_cell_count(n_cells):
+    # a float count used to pass and fail later inside assemble_mass
+    with pytest.raises(ValueError, match="integer n_cells"):
+        Mesh1D(n_cells, "dirichlet")
+
+
+def test_mesh_accepts_numpy_integers():
+    assert Mesh1D(np.int64(4)).n_dof == 3
+
+
 def test_mass_dirichlet_scalar():
     M = assemble_mass(Mesh1D(2, "dirichlet"))
     assert_allclose(M, [[1.0 / 3.0]], rtol=0, atol=1e-16)
@@ -257,6 +268,23 @@ def test_hat_values_partition_of_unity():
     for mesh in (mesh, Mesh1D(5, "dirichlet"), Mesh1D(5, "neumann")):
         Pn = hat_values(mesh, mesh.dof_nodes)
         assert_allclose(Pn, np.eye(mesh.n_dof), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "x", [[-0.01], [1.01], [np.nan], [0.5, np.inf], [-np.inf]]
+)
+def test_hat_values_rejects_points_off_the_interval(x):
+    # -0.01 used to give a row summing to 0.92, and NaN a NaN row
+    with pytest.raises(ValueError, match=r"finite points in \[0, 1\]"):
+        hat_values(Mesh1D(8, "neumann"), x)
+
+
+def test_hat_values_keeps_the_rounding_slack_at_the_ends():
+    mesh = Mesh1D(8, "neumann")
+    eps = np.finfo(float).eps
+    P = hat_values(mesh, [-eps, 1.0 + 2 * eps])
+    assert_allclose(P.sum(axis=1), 1.0, rtol=0, atol=0)
+    assert P[0, 0] == 1.0 and P[1, -1] == 1.0
 
 
 def _prolonged_mass(coarse, fine):

@@ -2,16 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from spdecov import (
-    NonSymmetricError,
-    NotPSDError,
-    SingularError,
-    psd_sqrt,
-    sym_eig,
-    symmetrize,
-)
+from spdecov import NonSymmetricError, NotPSDError, SingularError, symmetrize
 from spdecov.advdiff import backward_euler_step
-from spdecov.linalg import checked_inverse
+from spdecov.linalg import checked_inverse, psd_sqrt, sym_eig
 
 
 def test_sym_eig_diagonal_case():

@@ -20,10 +20,9 @@ from spdecov import (
     assemble_mass,
     empirical_cov,
     mc_validate,
-    psd_sqrt,
-    sym_eig,
     symmetrize,
 )
+from spdecov.linalg import psd_sqrt, sym_eig
 from spdecov import montecarlo
 from spdecov.advdiff import advdiff_operators
 from spdecov.montecarlo import (
@@ -122,7 +121,7 @@ def test_batch_of_five_equals_five_batches_of_one(cfg, operators):
 def _loop_batch_paths(config, ops, seeds):
     """The sampler before re-keying: one Generator(Philox(child)) per path."""
     n = ops.M.shape[0]
-    n_state = ops.L_inv.shape[0]
+    n_state = ops.load.shape[0]
     chol = _chol_with_jitter(ops.Q_h)
     K0 = config.K0
     root_K0 = None if K0 is None else psd_sqrt(np.asarray(K0, dtype=float))
@@ -136,7 +135,7 @@ def _loop_batch_paths(config, ops, seeds):
     T = ops.step.T
     if isinstance(config, AdvDiffConfig):
         T = (1.0 + config.c0 * config.dt) * T
-    load = np.sqrt(config.dt) * (ops.L_inv[:, -n:] @ chol)
+    load = np.sqrt(config.dt) * (ops.load @ chol)
     for j in range(config.n_steps):
         X = T @ X + load @ xi[j].T
     return X.T
@@ -236,9 +235,9 @@ def test_stacked_jackknife_matches_per_path_loop(cfg, monkeypatch):
 
     seen = {}
 
-    def spy(samples, root_M, K_det):
+    def spy(samples, L, K_det):
         seen["args"] = (samples, K_det)
-        seen["out"] = _jackknife_distances(samples, root_M, K_det)
+        seen["out"] = _jackknife_distances(samples, L, K_det)
         return seen["out"]
 
     monkeypatch.setattr(montecarlo, "_jackknife_distances", spy)

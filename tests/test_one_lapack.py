@@ -58,6 +58,22 @@ coupling = equal
 levels = 1:6
 reference = 7
 """,
+    "mc-wave": """
+[equation]
+type = wave
+g = minus_q
+
+[kernel]
+type = bridge
+
+[study]
+t = 1.0
+coupling = equal
+levels = 3
+reference = 3
+n_samples = 200
+seed = 5
+""",
 }
 
 # runs each argv list through main, then reports whether scipy.linalg
@@ -74,7 +90,7 @@ print(json.dumps("scipy.linalg" in sys.modules))
 
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
-    """Sweeps and an mc run, once per OpenBLAS thread count."""
+    """Sweeps and two mc runs, once per OpenBLAS thread count."""
     tmp = tmp_path_factory.mktemp("one_lapack")
     for name, text in INIS.items():
         (tmp / f"{name}.ini").write_text(text)
@@ -87,7 +103,7 @@ def runs(tmp_path_factory):
             [cmd, "--config", str(tmp / f"{name}.ini"),
              "--out", str(tmp / f"{name}-{threads}.csv")]
             for cmd, name in (("sweep", "heat"), ("sweep", "wave"),
-                              ("mc", "mc"))
+                              ("mc", "mc"), ("mc", "mc-wave"))
         ]
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
         proc = subprocess.run(
@@ -101,7 +117,10 @@ def runs(tmp_path_factory):
             eq: read_report((tmp / f"{eq}-{threads}.csv").read_text())
             for eq in ("heat", "wave")
         }
-        mc_csv = (tmp / f"mc-{threads}.csv").read_bytes()
+        mc_csv = {
+            name: (tmp / f"{name}-{threads}.csv").read_bytes()
+            for name in ("mc", "mc-wave")
+        }
         out[threads] = (json.loads(proc.stdout), reports, mc_csv)
     return out
 
@@ -126,4 +145,9 @@ def test_sweep_errors_do_not_depend_on_thread_count(runs, eq):
 def test_mc_report_does_not_depend_on_thread_count(runs):
     # every path draws from its own stream and the sums run in path
     # order, so the report is byte-identical across thread counts
-    assert runs["1"][2] == runs["2"][2]
+    assert runs["1"][2]["mc"] == runs["2"][2]["mc"]
+
+
+def test_wave_mc_report_does_not_depend_on_thread_count(runs):
+    # the same for the Crank-Nicolson sampler and its load map
+    assert runs["1"][2]["mc-wave"] == runs["2"][2]["mc-wave"]

@@ -53,6 +53,15 @@ def test_fit_rate_degenerate():
             fit_rate([0.5, 0.25], [0.1, 0.0])
 
 
+@pytest.mark.parametrize(
+    "hs", [[0.0, -0.5, 0.25], [0.5, 0.25, np.nan], [np.inf, 0.5, 0.25]]
+)
+def test_fit_rate_rejects_bad_mesh_widths(hs):
+    # a nonpositive h used to reach np.log and fail inside LAPACK
+    with pytest.raises(ConfigError, match="mesh widths"):
+        fit_rate(hs, [1.0, 0.5, 0.25])
+
+
 def test_levels_from_exponents():
     assert levels_from_exponents([1, 2, 3], "equal") == (
         (2, 2),

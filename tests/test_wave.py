@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from spdecov import (
     Custom,
+    Exponential,
     Matern,
     Mesh1D,
     WaveConfig,
@@ -33,9 +34,38 @@ def _cn_one_dof(G_h, dt):
 
 
 def test_cn_blocks_one_dof():
-    # L = [[1/3, -1/6], [2, 1/3]] at dt = 1, det L = 4/9
-    L_inv = _cn_one_dof(None, 1.0).L_inv
-    assert_allclose(L_inv, [[0.75, 0.375], [-4.5, 0.75]], atol=1e-15)
+    # L = [[1/3, -1/6], [2, 1/3]] at dt = 1, det L = 4/9, so the
+    # velocity column of L^{-1} is [0.375; 0.75]
+    load = _cn_one_dof(None, 1.0).load
+    assert_allclose(load, [[0.375], [0.75]], atol=1e-15)
+
+
+def _block_reference(M, S, G_h, dt):
+    """T_hat = L^{-1} R P and the load L^{-1}[:, n:] from the 2n x 2n blocks."""
+    n = M.shape[0]
+    half = 0.5 * dt
+    L = np.block([[M, -half * M], [half * S, M]])
+    R = np.block([[M, half * M], [-half * S, M]])
+    P = np.eye(2 * n)
+    if G_h is not None:
+        P[n:, :n] = dt * np.linalg.solve(M, G_h)
+    return np.linalg.solve(L, R @ P), np.linalg.inv(L)[:, n:]
+
+
+@pytest.mark.parametrize("n_cells", [4, 16, 128])
+@pytest.mark.parametrize("perturbed", [False, True], ids=["G0", "minus_q"])
+def test_block_elimination_matches_block_solve(n_cells, perturbed):
+    mesh = Mesh1D(n_cells, "dirichlet")
+    M = assemble_mass(mesh)
+    S = assemble_stiffness(mesh)
+    Q_h = assemble_Q(mesh, Exponential(2.0))
+    G_h = -Q_h if perturbed else None
+    dt = 1.0 / n_cells
+    ops = crank_nicolson_step(M, S, Q_h, G_h, dt)
+    T_ref, load_ref = _block_reference(M, S, G_h, dt)
+    assert ops.load.shape == (2 * mesh.n_dof, mesh.n_dof)
+    assert_allclose(ops.step.T, T_ref, rtol=0, atol=1e-11 * np.abs(T_ref).max())
+    assert_allclose(ops.load, load_ref, rtol=0, atol=1e-11 * np.abs(load_ref).max())
 
 
 def test_cn_propagator_one_dof():
@@ -173,6 +203,16 @@ def test_explicit_g_spec_must_be_finite():
     for bad in (np.full((7, 7), np.nan), np.diag([np.inf] + [0.0] * 6)):
         with pytest.raises(ValueError, match="non-finite"):
             WaveConfig(mesh=mesh, kernel=WhiteNoise(), g_spec=bad, T=1.0, n_steps=4)
+
+
+@pytest.mark.parametrize("n_steps", [2.5, 2.0, True])
+def test_config_needs_an_integer_step_count(n_steps):
+    # a float count used to pass and fail later in propagate
+    with pytest.raises(ValueError, match="integer n_steps"):
+        WaveConfig(
+            mesh=Mesh1D(2, "dirichlet"), kernel=WhiteNoise(), g_spec="zero",
+            T=1.0, n_steps=n_steps,
+        )
 
 
 def test_config_rejects_non_finite_T():
