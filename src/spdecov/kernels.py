@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import kv
+from numpy.polynomial.polynomial import polyval
 
 from .exceptions import NoPointwiseKernelError
 from .fem import assemble_mass
@@ -38,15 +38,139 @@ DUFFY_PANEL_ORDER = 8
 DUFFY_PANELS = 8
 DUFFY_GRADE = 0.1
 
-#: largest Matern smoothness: beyond it K_nu overflows where the kernel
-#: still differs from sigma^2, and the kernel is close to Gaussian anyway
+#: largest Matern smoothness: it bounds the upward recurrence of the
+#: scaled Bessel function and keeps Gamma(nu) far from overflow, and the
+#: kernel is close to Gaussian anyway
 _MATERN_NU_MAX = 30.0
+
+#: smallest Matern smoothness: 2^(nu-1) Gamma(nu), the value of the
+#: scaled Bessel function at 0, grows like 1 / (2 nu) and overflows
+#: below about 3e-309
+_MATERN_NU_MIN = 1e-300
+
+#: Taylor coefficients of 1 / Gamma(1 + x) at x = 0 (Abramowitz and
+#: Stegun 6.1.34); on |x| <= 1/2 the terms left out are below 1e-18
+_RGAMMA_TAYLOR = np.array([
+    1.0, 0.57721566490153286, -0.65587807152025388,
+    -0.042002635034095236, 0.16653861138229149, -0.042197734555544337,
+    -0.0096219715278769736, 0.0072189432466630995, -0.0011651675918590651,
+    -0.00021524167411495097, 0.00012805028238811619, -2.0134854780788239e-5,
+    -1.2504934821426707e-6, 1.1330272319816959e-6, -2.0563384169776071e-7,
+    6.1160951044814158e-9, 5.0020076444692229e-9, -1.1812745704870201e-9,
+    1.0434267116911005e-10, 7.7822634399050713e-12, -3.6968056186422057e-12,
+    5.100370287454476e-13,
+])
+
+_EPS = np.finfo(float).eps
 
 
 def _check_positive(**params):
     for name, value in params.items():
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def _temme(mu, x, even, odd, lim1):
+    """x^mu K_mu(x) and x^(mu+1) K_(mu+1)(x) for 0 < x < 2, |mu| <= 1/2.
+
+    Temme's series (Numerical Recipes, section 6.7, bessik) with every
+    term multiplied by x^mu. even and odd split the reciprocal Gamma
+    function, 1 / Gamma(1 +- mu) = even +- mu odd, and lim1 = 2^mu
+    Gamma(1 + mu) is the x -> 0 limit of the second result.
+    """
+    d = math.log(2.0) - np.log(x)
+    s2 = x ** (2.0 * mu)
+    fact = 1.0 if mu == 0 else math.pi * mu / math.sin(math.pi * mu)
+    # x^mu sinh(mu d) / mu, which is d at mu = 0
+    g = d if mu == 0 else -(2.0**mu) * np.expm1(-2.0 * mu * d) / (2.0 * mu)
+    ff = fact * (even * g - odd * 0.5 * (2.0**mu + 2.0**-mu * s2))
+    p = 0.5 * lim1
+    q = 0.5 * 2.0**-mu / (even - mu * odd) * s2
+    c = np.ones_like(x)
+    t = 0.25 * x * x
+    f0, f1 = ff, np.full_like(x, p)
+    k = 0
+    while True:
+        k += 1
+        ff = (k * ff + p + q) / (k * k - mu * mu)
+        c = c * t / k
+        p = p / (k - mu)
+        q = q / (k + mu)
+        step = c * ff
+        f0 = f0 + step
+        f1 = f1 + c * (p - k * ff)
+        if np.all(np.abs(step) <= _EPS * f0):
+            return f0, 2.0 * f1
+
+
+def _steed(mu, x):
+    """x^mu K_mu(x) and x^(mu+1) K_(mu+1)(x) for x >= 2, |mu| <= 1/2.
+
+    Steed's evaluation of the continued fraction CF2 (Numerical Recipes,
+    section 6.7, bessik). The factor x^(mu - 1/2) exp(-x) is taken in
+    log form, so the results underflow to 0 beyond x of about 745.
+    """
+    a1 = 0.25 - mu * mu
+    b = 2.0 * (1.0 + x)
+    d = 1.0 / b
+    h = delh = d
+    q1, q2 = np.zeros_like(x), np.ones_like(x)
+    q = np.full_like(x, a1)
+    a, c = -a1, a1
+    s = 1.0 + q * delh
+    i = 1
+    while True:
+        i += 1
+        a -= 2 * (i - 1)
+        c = -a * c / i
+        q1, q2 = q2, (q1 - b * q2) / a
+        q = q + c * q2
+        b = b + 2.0
+        d = 1.0 / (b + a * d)
+        delh = (b * d - 1.0) * delh
+        h = h + delh
+        dels = q * delh
+        s = s + dels
+        if np.all(np.abs(dels) <= _EPS * s):
+            break
+    f0 = math.sqrt(0.5 * math.pi) * np.exp((mu - 0.5) * np.log(x) - x) / s
+    return f0, f0 * (mu + x + 0.5 - a1 * h)
+
+
+def _scaled_kv(nu, w):
+    """f_nu(w) = w^nu K_nu(w) for a scalar nu in [1e-300, 30] and w >= 0.
+
+    K_nu is the modified Bessel function of the second kind. The scaled
+    form is finite everywhere: f_nu(0) = 2^(nu-1) Gamma(nu), and it
+    underflows to 0 far away. With nu = mu + n, n the nearest integer,
+    Temme's series (w < 2) or Steed's CF2 (w >= 2) gives f_mu and
+    f_(mu+1) (Temme 1975, J. Comput. Phys. 19:324), and the upward
+    recurrence f_(m+1) = 2 m f_m + w^2 f_(m-1), which is K_(m+1) =
+    (2m / w) K_m + K_(m-1) times w^(m+1), reaches nu. Every term of the
+    recurrence is positive, so it loses no accuracy at any w.
+    """
+    n = int(nu + 0.5)
+    mu = nu - n
+    even = polyval(mu * mu, _RGAMMA_TAYLOR[0::2])
+    odd = polyval(mu * mu, _RGAMMA_TAYLOR[1::2])
+    # the w -> 0 limits: f_(mu+1) -> 2^mu Gamma(1 + mu), f_mu -> 2^(mu-1)
+    # Gamma(mu) for mu > 0; for mu <= 0 f_mu diverges, but then n >= 1
+    # and it enters only as w^2 f_mu -> 0
+    lim1 = 2.0**mu / (even + mu * odd)
+    w = np.asarray(w, dtype=float)
+    f0 = np.full(w.shape, 0.5 * lim1 / mu if n == 0 else 0.0)
+    f1 = np.full(w.shape, lim1)
+    # for mu < 0, w^(2 mu) overflows at subnormal w, where f_nu with
+    # nu > 1/2 equals its w = 0 value to rounding
+    near = (w > (np.finfo(float).tiny if mu < 0 else 0.0)) & (w < 2.0)
+    f0[near], f1[near] = _temme(mu, w[near], even, odd, lim1)
+    # f_nu underflows before w = 1e3 (nu <= 30); the cap keeps the
+    # continued fraction finite
+    far = w >= 2.0
+    f0[far], f1[far] = _steed(mu, np.minimum(w[far], 1e3))
+    for m in mu + np.arange(1, n):
+        f0, f1 = f1, 2.0 * m * f1 + w * (w * f0)
+    return f1 if n else f0
 
 
 class Kernel:
@@ -91,13 +215,14 @@ class Exponential(_Stationary):
 class Matern(_Stationary):
     """Matern kernel in distance z = |x - y|:
 
-        q(z) = sigma^2 2^(1-nu) / Gamma(nu) * (sqrt(2 nu) z / rho)^nu
-               * K_nu(sqrt(2 nu) z / rho),
+        q(z) = sigma^2 2^(1-nu) / Gamma(nu) * w^nu K_nu(w),
+        w = sqrt(2 nu) z / rho,
 
-    with the z -> 0 limit sigma^2 taken explicitly (the product is a
-    0 * inf form there). Where a factor overflows, K_nu near z = 0 or
-    the power far from it, the product takes its limit there, sigma^2
-    or 0; up to nu = 30 that limit is exact to rounding.
+    with K_nu the modified Bessel function of the second kind. The
+    scaled Bessel function f_nu(w) = w^nu K_nu(w) is finite at w = 0,
+    where it is 2^(nu-1) Gamma(nu), so q is evaluated as sigma^2
+    f_nu(w) / f_nu(0): exactly sigma^2 at z = 0, and 0 where f_nu
+    underflows far away. nu lies in [1e-300, 30].
     """
 
     sigma: float
@@ -111,20 +236,15 @@ class Matern(_Stationary):
                 f"nu must not exceed {_MATERN_NU_MAX:g}, got {self.nu!r}: "
                 "K_nu overflows there (a Gaussian kernel is the nu -> inf limit)"
             )
+        if self.nu < _MATERN_NU_MIN:
+            raise ValueError(
+                f"nu must be at least {_MATERN_NU_MIN:g}, got {self.nu!r}: "
+                "Gamma(nu) overflows as nu -> 0"
+            )
 
     def profile(self, z):
         w = math.sqrt(2.0 * self.nu) / self.rho * z
-        safe = np.where(w > 0, w, 1.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            val = (
-                self.sigma**2
-                * 2.0 ** (1.0 - self.nu)
-                / math.gamma(self.nu)
-                * safe**self.nu
-                * kv(self.nu, safe)
-            )
-        val = np.where(np.isfinite(val), val, np.where(w < 1.0, self.sigma**2, 0.0))
-        return np.where(w > 0, val, self.sigma**2)
+        return self.sigma**2 * (_scaled_kv(self.nu, w) / _scaled_kv(self.nu, 0.0))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.polynomial import polyval
 from numpy.testing import assert_allclose
+from scipy.special import kv
 
 from spdecov import (
     BrownianBridge,
@@ -17,6 +21,7 @@ from spdecov import (
     assemble_stiffness,
     hat_values,
 )
+from spdecov.kernels import _scaled_kv
 
 
 def test_brownian_bridge_midpoint():
@@ -205,6 +210,10 @@ def test_kernel_parameter_validation():
     with pytest.raises(ValueError, match="nu must not exceed"):
         Matern(sigma=1.0, nu=200.0, rho=1.0)
     Matern(sigma=1.0, nu=30.0, rho=1.0)
+    # so does Gamma(nu) ~ 1 / nu for subnormal nu
+    with pytest.raises(ValueError, match="nu must be at least"):
+        Matern(sigma=1.0, nu=1e-310, rho=1.0)
+    Matern(sigma=1.0, nu=1e-300, rho=1.0)
 
 
 def test_matern_large_nu_takes_its_limits():
@@ -219,6 +228,72 @@ def test_matern_large_nu_takes_its_limits():
     assert np.isfinite(Q).all()
     ev = np.linalg.eigvalsh(Q)
     assert ev.min() >= -1e-12 * ev.max()
+
+
+def _scipy_scaled_kv(nu, w):
+    """w^nu K_nu(w) from scipy, and where it is a finite normal positive double."""
+    with np.errstate(all="ignore"):
+        want = w**nu * kv(nu, w)
+    return want, np.isfinite(want) & (want >= np.finfo(float).tiny)
+
+
+KV_GRID = np.logspace(-10, np.log10(700.0), 600)
+
+
+@pytest.mark.parametrize("nu", [0.01, 0.5, 1.3, 2.5, 10.0, 30.0])
+def test_scaled_kv_matches_scipy_on_a_grid(nu):
+    want, ok = _scipy_scaled_kv(nu, KV_GRID)
+    got = _scaled_kv(nu, KV_GRID)
+    assert ok.sum() >= 500
+    assert_allclose(got[ok], want[ok], rtol=5e-13, atol=0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    nu=st.floats(1e-300, 30.0),
+    w=st.lists(st.floats(1e-10, 700.0), min_size=1, max_size=16),
+)
+def test_scaled_kv_matches_scipy(nu, w):
+    w = np.array(w)
+    want, ok = _scipy_scaled_kv(nu, w)
+    got = _scaled_kv(nu, w)
+    assert_allclose(got[ok], want[ok], rtol=5e-13, atol=0)
+
+
+@pytest.mark.parametrize(
+    "nu, poly",
+    [(0.5, [1.0]), (1.5, [1.0, 1.0]), (2.5, [3.0, 3.0, 1.0])],
+)
+def test_scaled_kv_half_integer_closed_forms(nu, poly):
+    # w^nu K_nu(w) = sqrt(pi/2) e^-w p(w) with p a polynomial
+    w = np.concatenate(([0.0, 1e-300], KV_GRID))
+    want = math.sqrt(math.pi / 2) * np.exp(-w) * polyval(w, poly)
+    assert_allclose(_scaled_kv(nu, w), want, rtol=5e-13, atol=0)
+
+
+@pytest.mark.parametrize("nu", [1.01, 1.3, 2.5, 7.75, 29.0])
+def test_scaled_kv_recurrence(nu):
+    # K_(nu+1) = (2 nu / w) K_nu + K_(nu-1), times w^(nu+1)
+    w = KV_GRID
+    lhs = _scaled_kv(nu + 1.0, w)
+    rhs = 2.0 * nu * _scaled_kv(nu, w) + w * w * _scaled_kv(nu - 1.0, w)
+    ok = lhs >= np.finfo(float).tiny
+    assert_allclose(lhs[ok], rhs[ok], rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("nu", [0.01, 0.5, 1.3, 29.5, 30.0])
+def test_scaled_kv_limits(nu):
+    # w^nu K_nu(w) -> 2^(nu-1) Gamma(nu) as w -> 0. For nu < 1 the next
+    # term is 2^(-nu-1) Gamma(-nu) w^(2 nu); at nu = 0.01 and w = 1e-300
+    # it is still 1e-6 relative, below 1e-300 for the other nu.
+    w = np.array([0.0, 5e-324, 1e-300])
+    want = 2.0 ** (nu - 1.0) * math.gamma(nu) * np.ones(3)
+    if nu < 1:
+        want += 2.0 ** (-nu - 1.0) * math.gamma(-nu) * w ** (2.0 * nu)
+    assert_allclose(_scaled_kv(nu, w), want, rtol=1e-14, atol=0)
+    # far away it underflows to 0, with no overflow on the way
+    far = _scaled_kv(nu, np.array([750.0, 1e3, 1e300, np.finfo(float).max]))
+    assert np.array_equal(far, np.zeros(4))
 
 
 def _skew(x, y):

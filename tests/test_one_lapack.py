@@ -2,11 +2,11 @@
 
 The numpy and scipy wheels each bundle their own OpenBLAS. A scipy.linalg
 call starts the second library's thread pool, which then competes with
-numpy's idle workers for the cores. The package therefore needs scipy
-only for scipy.special.kv, and these tests run the command line in
-fresh interpreters to check that scipy.linalg never loads and that the
-sweep errors and the Monte Carlo report do not depend on the OpenBLAS
-thread count.
+numpy's idle workers for the cores. The package imports no scipy at all
+(importing scipy.special alone took most of a command's start-up), and
+these tests run the command line in fresh interpreters to check that no
+scipy module loads and that the sweep errors and the Monte Carlo report
+do not depend on the OpenBLAS thread count.
 """
 
 import json
@@ -77,14 +77,15 @@ seed = 5
 }
 
 # runs each argv list through main, then reports whether scipy.linalg
-# was ever imported
+# was ever imported, and every scipy module that was
 CHILD = """
 import json, sys
 from spdecov.cli import main
 for argv in json.loads(sys.argv[1]):
     if main(argv) != 0:
         sys.exit(f"spde-cov {' '.join(argv)} failed")
-print(json.dumps("scipy.linalg" in sys.modules))
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps(["scipy.linalg" in sys.modules, scipy]))
 """
 
 
@@ -121,13 +122,19 @@ def runs(tmp_path_factory):
             name: (tmp / f"{name}-{threads}.csv").read_bytes()
             for name in ("mc", "mc-wave")
         }
-        out[threads] = (json.loads(proc.stdout), reports, mc_csv)
+        linalg_loaded, scipy_loaded = json.loads(proc.stdout)
+        out[threads] = (linalg_loaded, reports, mc_csv, scipy_loaded)
     return out
 
 
 def test_scipy_linalg_never_loads(runs):
-    for threads, (linalg_loaded, _, _) in runs.items():
+    for threads, (linalg_loaded, *_) in runs.items():
         assert not linalg_loaded, f"scipy.linalg loaded at {threads} threads"
+
+
+def test_scipy_never_loads(runs):
+    for threads, (*_, scipy_loaded) in runs.items():
+        assert scipy_loaded == [], f"{scipy_loaded} loaded at {threads} threads"
 
 
 @pytest.mark.parametrize("eq", ["heat", "wave"])
