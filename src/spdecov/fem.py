@@ -26,8 +26,11 @@ __all__ = [
 
 #: Gauss-Legendre points per cell for variable-coefficient assembly.
 #: 12 points keep trigonometric coefficients at machine precision even
-#: on two-cell meshes; assembly is one-time so the cost is irrelevant.
+#: on two-cell meshes.
 FORM_QUAD_ORDER = 12
+
+# the rule on [-1, 1], computed once: leggauss solves an eigenproblem
+_FORM_X, _FORM_W = np.polynomial.legendre.leggauss(FORM_QUAD_ORDER)
 
 #: grid resolution for coefficient sup/inf sampling
 C0_GRID_POINTS = 1001
@@ -138,13 +141,12 @@ def assemble_stiffness(mesh):
     return _assemble(mesh, (1.0 / mesh.h) * np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
 
-def _cell_quadrature(mesh, order):
+def _cell_quadrature(mesh):
     """Gauss-Legendre points/weights on every cell, flattened."""
-    xg, wg = np.polynomial.legendre.leggauss(order)
     h = mesh.h
     left = np.arange(mesh.n_cells) * h
-    pts = left[:, None] + 0.5 * h * (xg[None, :] + 1.0)
-    wts = np.broadcast_to(0.5 * h * wg, pts.shape)
+    pts = left[:, None] + 0.5 * h * (_FORM_X[None, :] + 1.0)
+    wts = np.broadcast_to(0.5 * h * _FORM_W, pts.shape)
     return pts, wts
 
 
@@ -171,7 +173,7 @@ def assemble_form(mesh, coeffs, c0=0.0):
         If a11 < lambda0 at any quadrature point.
     """
     h = mesh.h
-    pts, wts = _cell_quadrature(mesh, FORM_QUAD_ORDER)
+    pts, wts = _cell_quadrature(mesh)
 
     a11_v = np.asarray(coeffs.a11(pts), dtype=float)
     a1_v = np.asarray(coeffs.a1(pts), dtype=float)

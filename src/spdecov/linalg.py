@@ -6,6 +6,11 @@ thousand rows (1025 DoF at h = 2^-10, twice that for a wave block) and
 are inherently dense, so no sparse paths are provided.
 """
 
+import contextvars
+import ctypes
+import functools
+import os
+from contextlib import contextmanager
 from typing import NamedTuple
 
 import numpy as np
@@ -36,6 +41,20 @@ COND_MAX = 1e14
 
 #: relative clamp of psd_sqrt for roundoff-negative eigenvalues
 PSD_RTOL = 1e-10
+
+#: largest matrix, in rows, of a run that _serial_blas keeps on one thread
+SERIAL_BLAS_MAX_ROWS = 256
+
+# thread-count symbols of the numpy wheel's OpenBLAS, of scipy's wheel
+# and of a plain build, in the order they are looked for
+_OPENBLAS_SYMBOLS = (
+    "scipy_openblas_{}_num_threads64_",
+    "scipy_openblas_{}_num_threads",
+    "openblas_{}_num_threads",
+)
+
+# set inside a _serial_blas scope: nested runs keep the outer decision
+_BLAS_DECIDED = contextvars.ContextVar("_BLAS_DECIDED", default=False)
 
 
 class SymEig(NamedTuple):
@@ -213,3 +232,56 @@ def propagate(step, n_steps, K0=None):
         Q = g * symmetrize(T @ Q @ T.T) + Q
         T = T @ T
         g = g * g
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas():
+    """(get, set) thread-count functions of the loaded OpenBLAS, or None.
+
+    The library is found among the process's mappings and opened with
+    RTLD_NOLOAD, so no second copy is ever loaded. None where there is
+    no /proc/self/maps or no OpenBLAS (macOS, Windows, MKL builds).
+    """
+    try:
+        with open(
+            "/proc/self/maps", encoding="utf-8", errors="surrogateescape"
+        ) as fh:
+            paths = {ln.split(maxsplit=5)[5].strip() for ln in fh if "openblas" in ln}
+        libs = [ctypes.CDLL(p, os.RTLD_NOLOAD | os.RTLD_LAZY) for p in sorted(paths)]
+    except OSError:
+        return None
+    for template in _OPENBLAS_SYMBOLS:
+        get_name, set_name = template.format("get"), template.format("set")
+        for lib in libs:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextmanager
+def _serial_blas(rows):
+    """Run the body on one BLAS thread if its largest matrix is small.
+
+    Up to SERIAL_BLAS_MAX_ROWS rows, a second OpenBLAS thread costs more
+    to wake than it saves, and one thread makes the results independent
+    of the caller's count, which is restored on exit. A scope opened
+    inside another keeps the outer one's decision.
+    """
+    lib = _openblas()
+    if lib is None or _BLAS_DECIDED.get():
+        yield
+        return
+    get, set_ = lib
+    saved = get() if rows <= SERIAL_BLAS_MAX_ROWS else None
+    token = _BLAS_DECIDED.set(True)
+    try:
+        if saved is not None:
+            set_(1)
+        yield
+    finally:
+        _BLAS_DECIDED.reset(token)
+        if saved is not None:
+            set_(saved)

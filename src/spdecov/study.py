@@ -21,6 +21,7 @@ from .errnorms import err_hs_norm, err_trace_norm
 from .exceptions import ConfigError, DegenerateFitError
 from .fem import Coefficients, Mesh1D, _is_int
 from .kernels import Kernel
+from .linalg import _serial_blas
 from .wave import WaveConfig, extract_position_cov, wave_run
 
 __all__ = [
@@ -169,14 +170,28 @@ def _scheme_config(study, pair, T=None):
     )
 
 
+def _state_rows(study, pair):
+    """Rows of the state covariance at pair: n_dof, or 2 n_dof for wave."""
+    if study.equation == "advdiff":
+        return Mesh1D(pair[0], study.bc).n_dof
+    return 2 * Mesh1D(pair[0], "dirichlet").n_dof
+
+
 def run_single(study, pair=None, t_stop=None):
     """One covariance computation at a single discretization.
 
     pair defaults to the study's reference. t_stop, when given, must be
     a multiple of dt; the run then stops there (snapshot support).
     Returns (mesh, K, t_end) with K the position block for wave runs.
+    Runs with at most linalg.SERIAL_BLAS_MAX_ROWS state rows use one
+    BLAS thread.
     """
     pair = study.reference if pair is None else pair
+    with _serial_blas(_state_rows(study, pair)):
+        return _run_single(study, pair, t_stop)
+
+
+def _run_single(study, pair, t_stop):
     n_cells, n_steps = pair
     T, j = study.T, n_steps
     if t_stop is not None:
@@ -205,8 +220,14 @@ def run_sweep(study):
 
     Levels run one after another in level order. Zero errors are
     excluded from the fit with a warning, and a fit with fewer than two
-    usable points leaves the slope nan.
+    usable points leaves the slope nan. The reference's state rows set
+    the BLAS thread policy of the whole sweep, as in run_single.
     """
+    with _serial_blas(_state_rows(study, study.reference)):
+        return _run_sweep(study)
+
+
+def _run_sweep(study):
     mesh_ref, K_ref, _ = run_single(study)
 
     def one_level(idx, pair):
