@@ -16,7 +16,7 @@ settle toward their asymptotic values.
 import numpy as np
 
 from spdecov import (
-    Coefficients, Exponential, StudyConfig, WhiteNoise,
+    AdvDiffConfig, Coefficients, Exponential, Mesh1D, StudyConfig, WhiteNoise,
     emit, levels_from_exponents, run_sweep,
 )
 
@@ -34,15 +34,18 @@ def heat_coeffs():
 
 
 def run(kernel, label):
-    study = StudyConfig(
-        equation="advdiff",
-        kernel=kernel,
-        levels=levels_from_exponents(range(1, MAX_LEVEL + 1), "sqrt"),
-        reference=levels_from_exponents([REF_LEVEL], "sqrt")[0],
-        T=1.0,
+    n_cells, n_steps = levels_from_exponents([REF_LEVEL], "sqrt")[0]
+    reference = AdvDiffConfig(
+        mesh=Mesh1D(n_cells, "neumann"),
         coeffs=heat_coeffs(),
         c0=0.125,
-        bc="neumann",
+        kernel=kernel,
+        T=1.0,
+        n_steps=n_steps,
+    )
+    study = StudyConfig(
+        scheme=reference,
+        levels=levels_from_exponents(range(1, MAX_LEVEL + 1), "sqrt"),
     )
     report = run_sweep(study)
     print(f"--- {label} ---")

@@ -16,7 +16,8 @@ The same data is available from the command line via
 import numpy as np
 
 from spdecov import (
-    Coefficients, Exponential, StudyConfig, hat_values, run_single,
+    AdvDiffConfig, Coefficients, Exponential, Mesh1D, StudyConfig, hat_values,
+    run_single,
 )
 
 SNAPSHOT_T = 0.1
@@ -34,16 +35,16 @@ def heat_coeffs():
 
 if __name__ == "__main__":
     # dt = 1e-3 divides the snapshot time exactly
-    study = StudyConfig(
-        equation="advdiff",
-        kernel=Exponential(2.0),
-        levels=((32, 1000),),
-        reference=(32, 1000),
-        T=1.0,
+    reference = AdvDiffConfig(
+        mesh=Mesh1D(32, "neumann"),
         coeffs=heat_coeffs(),
         c0=0.125,
-        bc="neumann",
-        snapshot_t=SNAPSHOT_T,
+        kernel=Exponential(2.0),
+        T=1.0,
+        n_steps=1000,
+    )
+    study = StudyConfig(
+        scheme=reference, levels=((32, 1000),), snapshot_t=SNAPSHOT_T
     )
     mesh, K, t_end = run_single(study, t_stop=SNAPSHOT_T)
     x = np.linspace(0.0, 1.0, GRID)

@@ -20,19 +20,22 @@ not by stability.
 """
 
 from spdecov import (
-    BrownianBridge, Matern, StudyConfig,
+    BrownianBridge, Matern, Mesh1D, StudyConfig, WaveConfig,
     emit, levels_from_exponents, run_sweep,
 )
 
 
 def run(kernel, coupling, exponents, ref, label):
-    study = StudyConfig(
-        equation="wave",
+    n_cells, n_steps = levels_from_exponents([ref], coupling)[0]
+    reference = WaveConfig(
+        mesh=Mesh1D(n_cells, "dirichlet"),
         kernel=kernel,
-        levels=levels_from_exponents(exponents, coupling),
-        reference=levels_from_exponents([ref], coupling)[0],
-        T=1.0,
         g_spec="minus_q",
+        T=1.0,
+        n_steps=n_steps,
+    )
+    study = StudyConfig(
+        scheme=reference, levels=levels_from_exponents(exponents, coupling)
     )
     report = run_sweep(study)
     print(f"--- {label} ---")

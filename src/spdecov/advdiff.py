@@ -12,17 +12,17 @@ exactly the covariance of the backward Euler path scheme for the
 forward equation.
 """
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .fem import Coefficients, Mesh1D, _is_int, assemble_form, assemble_mass
+from .fem import Coefficients, Mesh1D, assemble_form, assemble_mass
 from .kernels import Kernel, assemble_Q
 from .linalg import (
     AffineStep,
     SchemeOperators,
+    _check_run,
     checked_inverse,
     propagate,
     symmetrize,
@@ -56,22 +56,20 @@ class AdvDiffConfig:
     K0: Optional[np.ndarray] = field(default=None)
 
     def __post_init__(self):
-        if not (math.isfinite(self.T) and self.T > 0):
-            raise ValueError(f"T must be finite and positive, got {self.T!r}")
-        if not _is_int(self.n_steps) or self.n_steps < 1:
-            raise ValueError(f"need an integer n_steps >= 1, got {self.n_steps!r}")
-        if self.dt > 1.0:
-            raise ValueError("dt must not exceed 1")
-        if self.K0 is not None:
-            n = self.mesh.n_dof
-            if np.shape(self.K0) != (n, n):
-                raise ValueError(
-                    f"K0 shape {np.shape(self.K0)} does not fit {n} DoF"
-                )
+        if not isinstance(self.coeffs, Coefficients):
+            raise ValueError(f"coeffs must be Coefficients, got {self.coeffs!r}")
+        if not isinstance(self.kernel, Kernel):
+            raise ValueError(f"kernel must be a Kernel, got {self.kernel!r}")
+        _check_run(self)
 
     @property
     def dt(self):
         return self.T / self.n_steps
+
+    @property
+    def n_state(self):
+        """Rows of the state covariance: one per degree of freedom."""
+        return self.mesh.n_dof
 
 
 def backward_euler_step(M, A, Q_h, dt, c0):

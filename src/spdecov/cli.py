@@ -20,6 +20,7 @@ from dataclasses import astuple, fields
 
 import numpy as np
 
+from .advdiff import AdvDiffConfig
 from .config import load_mc, load_study
 from .exceptions import ConfigError, NumericalError
 from .kernels import BrownianBridge, WhiteNoise
@@ -78,9 +79,10 @@ def _build_parser():
 
 def _run_equation(args, equation):
     study = load_study(args.config)
-    if study.equation != equation:
+    declared = "advdiff" if isinstance(study.scheme, AdvDiffConfig) else "wave"
+    if declared != equation:
         raise ConfigError(
-            f"config declares equation type {study.equation!r}, "
+            f"config declares equation type {declared!r}, "
             f"but the {equation} subcommand was invoked"
         )
     mesh, K, t = run_single(study, t_stop=study.snapshot_t)
@@ -112,23 +114,23 @@ def _run_mc(args):
 
 
 def _run_oracle(args):
-    study = load_study(args.config)
+    scheme = load_study(args.config).scheme
     n_modes = args.modes
     if n_modes < 1:
         raise ConfigError("--modes must be positive")
     lam = eigenvalues(n_modes)
-    if isinstance(study.kernel, WhiteNoise):
+    if isinstance(scheme.kernel, WhiteNoise):
         q = np.ones(n_modes)
-    elif isinstance(study.kernel, BrownianBridge):
+    elif isinstance(scheme.kernel, BrownianBridge):
         q = 1.0 / lam
     else:
         raise ConfigError(
             "closed-form oracle needs a white or brownian_bridge kernel"
         )
-    if study.equation == "advdiff":
-        var = heat_cov_closed_form(n_modes, study.T, q_diag=q)
+    if isinstance(scheme, AdvDiffConfig):
+        var = heat_cov_closed_form(n_modes, scheme.T, q_diag=q)
     else:
-        var = wave_cov_closed_form(n_modes, study.T, q_diag=q)
+        var = wave_cov_closed_form(n_modes, scheme.T, q_diag=q)
     rows = zip(range(1, n_modes + 1), lam, var)
     return write_table(args.format, ("k", "lambda", "variance"), rows)
 

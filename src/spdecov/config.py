@@ -12,14 +12,17 @@ configs stay plain text:
 """
 
 import configparser
+from dataclasses import dataclass
 
 import numpy as np
 
+from .advdiff import AdvDiffConfig
 from .exceptions import ConfigError
-from .fem import Coefficients, compute_c0
+from .fem import Coefficients, Mesh1D, compute_c0
 from .kernels import BrownianBridge, Exponential, Matern, WhiteNoise
 from .montecarlo import McConfig
-from .study import StudyConfig, levels_from_exponents, _scheme_config
+from .study import StudyConfig, levels_from_exponents
+from .wave import WaveConfig
 
 __all__ = [
     "coefficient_from_name",
@@ -30,38 +33,43 @@ __all__ = [
 ]
 
 
-def coefficient_from_name(name):
-    """Resolve a catalog name to a vectorized coefficient function."""
+@dataclass(frozen=True)
+class _Constant:
+    """The coefficient x -> value; configs read from equal files compare equal."""
+
+    value: float
+
+    def __call__(self, x):
+        return np.full_like(np.asarray(x, dtype=float), self.value)
+
+
+# name -> (vectorized coefficient function, its infimum on [0, 1])
+_CATALOG = {
+    "zero": (_Constant(0.0), 0.0),
+    "one": (_Constant(1.0), 1.0),
+    "sin2pix": (lambda x: np.sin(2.0 * np.pi * np.asarray(x, dtype=float)), -1.0),
+}
+
+
+def _catalog_entry(name):
+    """(function, infimum on [0, 1]) of a catalog name; const:V is V."""
     name = name.strip()
-    if name == "zero":
-        return lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    if name == "one":
-        return lambda x: np.ones_like(np.asarray(x, dtype=float))
-    if name == "sin2pix":
-        return lambda x: np.sin(2.0 * np.pi * np.asarray(x, dtype=float))
+    if name in _CATALOG:
+        return _CATALOG[name]
     if name.startswith("const:"):
         try:
             val = float(name.split(":", 1)[1])
         except ValueError as exc:
             raise ConfigError(f"bad constant coefficient {name!r}") from exc
-        return lambda x: np.full_like(np.asarray(x, dtype=float), val)
+        return _Constant(val), val
     raise ConfigError(
         f"unknown coefficient {name!r}; catalog: zero, one, const:V, sin2pix"
     )
 
 
-def _coeff_lower_bound(name):
-    """inf over [0,1] for catalog entries, used for lambda0 defaults."""
-    name = name.strip()
-    if name == "zero":
-        return 0.0
-    if name == "one":
-        return 1.0
-    if name == "sin2pix":
-        return -1.0
-    if name.startswith("const:"):
-        return float(name.split(":", 1)[1])
-    raise ConfigError(f"unknown coefficient {name!r}")
+def coefficient_from_name(name):
+    """Resolve a catalog name to a vectorized coefficient function."""
+    return _catalog_entry(name)[0]
 
 
 def read_config(path):
@@ -134,20 +142,18 @@ def _parse_exponents(raw):
 
 
 def _build_coeffs(eq):
-    a11_name = eq.get("a11", "one")
-    a1_name = eq.get("a1", "zero")
-    a0_name = eq.get("a0", "zero")
+    a11, a11_inf = _catalog_entry(eq.get("a11", "one"))
     lambda0 = _getfloat(eq, "lambda0")
     if lambda0 is None:
-        lambda0 = _coeff_lower_bound(a11_name)
+        lambda0 = a11_inf
         if lambda0 <= 0.0:
             raise ConfigError(
                 "lambda0 must be given when a11 has no positive lower bound"
             )
     return Coefficients(
-        a11=coefficient_from_name(a11_name),
-        a1=coefficient_from_name(a1_name),
-        a0=coefficient_from_name(a0_name),
+        a11=a11,
+        a1=coefficient_from_name(eq.get("a1", "zero")),
+        a0=coefficient_from_name(eq.get("a0", "zero")),
         lambda0=lambda0,
     )
 
@@ -170,7 +176,11 @@ def _resolve_c0(eq, coeffs):
 
 
 def load_study(path):
-    """Build a StudyConfig from an INI file."""
+    """Build a StudyConfig from an INI file.
+
+    The reference exponent becomes the study's AdvDiffConfig or
+    WaveConfig; every problem, a config's ValueError too, is a ConfigError.
+    """
     parser = read_config(path)
     for name in ("equation", "kernel", "study"):
         if name not in parser:
@@ -190,45 +200,46 @@ def load_study(path):
     if ref_exp is None:
         raise ConfigError("study needs a reference exponent")
     levels = levels_from_exponents(exponents, coupling, T)
-    reference = levels_from_exponents([ref_exp], coupling, T)[0]
+    n_cells, n_steps = levels_from_exponents([ref_exp], coupling, T)[0]
 
     norms = tuple(
         tok.strip()
         for tok in st.get("norms", "L1,L2").split(",")
         if tok.strip()
     )
-
-    kwargs = dict(
-        equation=equation,
-        kernel=kernel_from_section(kern),
-        levels=levels,
-        reference=reference,
-        T=T,
-        norms=norms,
-        seed=_getint(st, "seed"),
-        n_samples=_getint(st, "n_samples"),
-        snapshot_t=_getfloat(st, "snapshot_t"),
-    )
-    if equation == "advdiff":
-        coeffs = _build_coeffs(eq)
-        kwargs.update(
-            coeffs=coeffs,
-            c0=_resolve_c0(eq, coeffs),
-            bc=eq.get("bc", "dirichlet").strip().lower(),
-        )
-    else:
-        g = eq.get("g", "minus_q").strip().lower()
-        if g not in ("minus_q", "zero"):
-            raise ConfigError(f"g must be minus_q or zero, got {g!r}")
-        kwargs.update(g_spec=g)
+    kernel = kernel_from_section(kern)
     try:
-        return StudyConfig(**kwargs)
+        if equation == "advdiff":
+            coeffs = _build_coeffs(eq)
+            scheme = AdvDiffConfig(
+                mesh=Mesh1D(n_cells, eq.get("bc", "dirichlet").strip().lower()),
+                coeffs=coeffs,
+                c0=_resolve_c0(eq, coeffs),
+                kernel=kernel,
+                T=T,
+                n_steps=n_steps,
+            )
+        else:
+            g = eq.get("g", "minus_q").strip().lower()
+            if g not in ("minus_q", "zero"):
+                raise ConfigError(f"g must be minus_q or zero, got {g!r}")
+            scheme = WaveConfig(
+                mesh=Mesh1D(n_cells), kernel=kernel, g_spec=g, T=T, n_steps=n_steps
+            )
+        return StudyConfig(
+            scheme=scheme,
+            levels=levels,
+            norms=norms,
+            seed=_getint(st, "seed"),
+            n_samples=_getint(st, "n_samples"),
+            snapshot_t=_getfloat(st, "snapshot_t"),
+        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def load_mc(path, n_samples=None, seed=None):
-    """Build an McConfig at the study's reference discretization.
+    """Build an McConfig over the study's reference scheme.
 
     n_samples/seed arguments override the [study] section values.
     """
@@ -239,5 +250,4 @@ def load_mc(path, n_samples=None, seed=None):
     sd = seed if seed is not None else study.seed
     if sd is None:
         raise ConfigError("monte carlo runs need a seed")
-    scheme = _scheme_config(study, study.reference)
-    return McConfig(scheme=scheme, n_samples=ns, seed=sd)
+    return McConfig(scheme=study.scheme, n_samples=ns, seed=sd)

@@ -9,6 +9,7 @@ are inherently dense, so no sparse paths are provided.
 import contextvars
 import ctypes
 import functools
+import math
 import os
 from contextlib import contextmanager
 from typing import NamedTuple
@@ -21,6 +22,7 @@ from .exceptions import (
     NotPSDError,
     SingularError,
 )
+from .fem import _is_int
 
 __all__ = [
     "SymEig",
@@ -232,6 +234,24 @@ def propagate(step, n_steps, K0=None):
         Q = g * symmetrize(T @ Q @ T.T) + Q
         T = T @ T
         g = g * g
+
+
+def _check_run(config):
+    """Refuse a scheme config's T, n_steps, dt > 1 or K0 of the wrong shape."""
+    T, n_steps = config.T, config.n_steps
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError(
+            f"need a finite T > 0: T must be finite and positive, got {T!r}"
+        )
+    if not _is_int(n_steps) or n_steps < 1:
+        raise ValueError(f"need an integer n_steps >= 1, got {n_steps!r}")
+    if config.dt > 1.0:
+        raise ValueError("dt must not exceed 1")
+    n = config.n_state
+    if config.K0 is not None and np.shape(config.K0) != (n, n):
+        raise ValueError(
+            f"K0 shape {np.shape(config.K0)} does not fit {n} state rows"
+        )
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,17 +1,17 @@
 """Refinement sweeps against a fine reference, rate fitting, reports.
 
-A study fixes an equation, a noise kernel, and a list of (n_cells,
-n_steps) levels plus one reference pair. run_sweep computes the
-reference covariance once, each level's covariance, and the trace-class
-and Hilbert-Schmidt distances between them (wave studies measure the
-position block), then fits log-log slopes in h.
+A study is one reference run, an AdvDiffConfig or a WaveConfig, plus a
+list of coarser (n_cells, n_steps) levels of the same scheme. run_sweep
+computes the reference covariance once, each level's covariance, and the
+trace-class and Hilbert-Schmidt distances between them (wave studies
+measure the position block), then fits log-log slopes in h.
 """
 
 import json
 import math
 import time
 import warnings
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, replace
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -19,8 +19,7 @@ import numpy as np
 from .advdiff import AdvDiffConfig, advdiff_run
 from .errnorms import err_hs_norm, err_trace_norm
 from .exceptions import ConfigError, DegenerateFitError
-from .fem import Coefficients, Mesh1D, _is_int
-from .kernels import Kernel
+from .fem import Mesh1D, _is_int
 from .linalg import _serial_blas
 from .wave import WaveConfig, extract_position_cov, wave_run
 
@@ -45,39 +44,36 @@ FORMATS = ("csv", "jsonl", "gnuplot")
 class StudyConfig:
     """Declarative description of one refinement study.
 
-    levels and reference are (n_cells, n_steps) pairs; h = 1/n_cells
-    and dt = T/n_steps, so coupling rules like h = sqrt(dt) are already
-    baked in by the caller (see levels_from_exponents). Advdiff studies
-    need coeffs/c0/bc, wave studies g_spec; the unused side is ignored.
+    scheme is the reference run, an AdvDiffConfig or a WaveConfig with
+    K0 = None. levels are (n_cells, n_steps) pairs of the same scheme on
+    coarser meshes, with h = 1/n_cells and dt = scheme.T / n_steps, so
+    coupling rules like h = sqrt(dt) are already baked in by the caller
+    (see levels_from_exponents).
     """
 
-    equation: str
-    kernel: Kernel
+    scheme: Union[AdvDiffConfig, WaveConfig]
     levels: Tuple[Tuple[int, int], ...]
-    reference: Tuple[int, int]
-    T: float = 1.0
-    coeffs: Optional[Coefficients] = None
-    c0: float = 0.0
-    bc: str = "neumann"
-    g_spec: Union[str, np.ndarray] = "minus_q"
     norms: Tuple[str, ...] = ("L1", "L2")
     seed: Optional[int] = None
     n_samples: Optional[int] = None
     snapshot_t: Optional[float] = None
 
     def __post_init__(self):
-        if self.equation not in ("advdiff", "wave"):
-            raise ConfigError(f"unknown equation {self.equation!r}")
-        if self.equation == "advdiff" and self.coeffs is None:
-            raise ConfigError("advdiff studies need coefficients")
-        _check_horizon(self.T)
-        if self.snapshot_t is not None and not 0.0 <= self.snapshot_t <= self.T:
+        if not isinstance(self.scheme, (AdvDiffConfig, WaveConfig)):
             raise ConfigError(
-                f"snapshot_t={self.snapshot_t!r} lies outside [0, T={self.T!r}]"
+                "a study runs an AdvDiffConfig or a WaveConfig, got "
+                f"{type(self.scheme).__name__}"
+            )
+        if self.scheme.K0 is not None:
+            raise ConfigError("a study's reference run must start from K0 = None")
+        T = self.scheme.T
+        if self.snapshot_t is not None and not 0.0 <= self.snapshot_t <= T:
+            raise ConfigError(
+                f"snapshot_t={self.snapshot_t!r} lies outside [0, T={T!r}]"
             )
         if not self.levels:
             raise ConfigError("study has no levels")
-        for c, s in (*self.levels, self.reference):
+        for c, s in self.levels:
             if not (_is_int(c) and c >= 2 and _is_int(s) and s >= 1):
                 raise ConfigError(
                     f"level ({c!r}, {s!r}) needs an integer n_cells >= 2 "
@@ -100,6 +96,11 @@ class StudyConfig:
                     f"a {c}-cell level does not nest in the {rc}-cell reference"
                 )
 
+    @property
+    def reference(self):
+        """(n_cells, n_steps) of the reference run."""
+        return self.scheme.mesh.n_cells, self.scheme.n_steps
+
 
 @dataclass(frozen=True)
 class LevelResult:
@@ -120,18 +121,14 @@ class RateReport:
     slope_L2: float = float("nan")
 
 
-def _check_horizon(T):
-    if not (math.isfinite(T) and T > 0.0):
-        raise ConfigError(f"T must be finite and positive, got {T!r}")
-
-
 def levels_from_exponents(exponents, coupling, T=1.0):
     """(n_cells, n_steps) pairs for h = 2^-j levels.
 
     coupling 'equal' means h = dt, 'sqrt' means h = sqrt(dt); step
     counts are rounded to keep dt = T/n_steps exact.
     """
-    _check_horizon(T)
+    if not (math.isfinite(T) and T > 0.0):
+        raise ConfigError(f"T must be finite and positive, got {T!r}")
     pairs = []
     for j in exponents:
         n_cells = 2**j
@@ -147,36 +144,6 @@ def levels_from_exponents(exponents, coupling, T=1.0):
     return tuple(pairs)
 
 
-def _scheme_config(study, pair, T=None):
-    n_cells, n_steps = pair
-    T = study.T if T is None else T
-    if study.equation == "advdiff":
-        mesh = Mesh1D(n_cells, study.bc)
-        return AdvDiffConfig(
-            mesh=mesh,
-            coeffs=study.coeffs,
-            c0=study.c0,
-            kernel=study.kernel,
-            T=T,
-            n_steps=n_steps,
-        )
-    mesh = Mesh1D(n_cells, "dirichlet")
-    return WaveConfig(
-        mesh=mesh,
-        kernel=study.kernel,
-        g_spec=study.g_spec,
-        T=T,
-        n_steps=n_steps,
-    )
-
-
-def _state_rows(study, pair):
-    """Rows of the state covariance at pair: n_dof, or 2 n_dof for wave."""
-    if study.equation == "advdiff":
-        return Mesh1D(pair[0], study.bc).n_dof
-    return 2 * Mesh1D(pair[0], "dirichlet").n_dof
-
-
 def run_single(study, pair=None, t_stop=None):
     """One covariance computation at a single discretization.
 
@@ -186,33 +153,26 @@ def run_single(study, pair=None, t_stop=None):
     Runs with at most linalg.SERIAL_BLAS_MAX_ROWS state rows use one
     BLAS thread.
     """
-    pair = study.reference if pair is None else pair
-    with _serial_blas(_state_rows(study, pair)):
-        return _run_single(study, pair, t_stop)
-
-
-def _run_single(study, pair, t_stop):
-    n_cells, n_steps = pair
-    T, j = study.T, n_steps
+    cfg = study.scheme
+    if pair is not None:
+        n_cells, n_steps = pair
+        cfg = replace(cfg, mesh=Mesh1D(n_cells, cfg.mesh.bc), n_steps=n_steps)
     if t_stop is not None:
-        dt = study.T / n_steps
-        j = round(t_stop / dt)
-        if abs(j * dt - t_stop) > 1e-9 * max(1.0, study.T):
+        j = round(t_stop / cfg.dt)
+        if abs(j * cfg.dt - t_stop) > 1e-9 * max(1.0, cfg.T):
             raise ConfigError(
-                f"snapshot_t={t_stop} is not a multiple of dt={dt}"
+                f"snapshot_t={t_stop} is not a multiple of dt={cfg.dt}"
             )
-        if j > n_steps:
+        if j > cfg.n_steps:
             raise ConfigError("snapshot_t lies beyond the horizon T")
         if j == 0:
-            mesh = Mesh1D(
-                n_cells, study.bc if study.equation == "advdiff" else "dirichlet"
-            )
-            return mesh, np.zeros((mesh.n_dof, mesh.n_dof)), 0.0
-        T = j * dt
-    cfg = _scheme_config(study, (n_cells, j), T=T)
-    if study.equation == "advdiff":
-        return cfg.mesh, advdiff_run(cfg), T
-    return cfg.mesh, extract_position_cov(wave_run(cfg)), T
+            n = cfg.mesh.n_dof
+            return cfg.mesh, np.zeros((n, n)), 0.0
+        cfg = replace(cfg, T=j * cfg.dt, n_steps=j)
+    with _serial_blas(cfg.n_state):
+        if isinstance(cfg, AdvDiffConfig):
+            return cfg.mesh, advdiff_run(cfg), cfg.T
+        return cfg.mesh, extract_position_cov(wave_run(cfg)), cfg.T
 
 
 def run_sweep(study):
@@ -223,7 +183,7 @@ def run_sweep(study):
     usable points leaves the slope nan. The reference's state rows set
     the BLAS thread policy of the whole sweep, as in run_single.
     """
-    with _serial_blas(_state_rows(study, study.reference)):
+    with _serial_blas(study.scheme.n_state):
         return _run_sweep(study)
 
 
@@ -247,7 +207,7 @@ def _run_sweep(study):
         return LevelResult(
             level=idx,
             h=mesh.h,
-            dt=study.T / pair[1],
+            dt=study.scheme.T / pair[1],
             err_L1=e1,
             err_L2=e2,
             wall_time_s=wall,

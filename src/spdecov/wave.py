@@ -24,17 +24,17 @@ dt P_h B (P_h B)^*:
     K_j = T_hat K_{j-1} T_hat^T + dt blockdiag(0, M^{-1} Q_h M^{-T}).
 """
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
 
-from .fem import Mesh1D, _is_int, assemble_mass, assemble_stiffness
+from .fem import Mesh1D, assemble_mass, assemble_stiffness
 from .kernels import Kernel, assemble_Q
 from .linalg import (
     AffineStep,
     SchemeOperators,
+    _check_run,
     checked_inverse,
     propagate,
     symmetrize,
@@ -69,11 +69,9 @@ class WaveConfig:
     def __post_init__(self):
         if self.mesh.bc != "dirichlet":
             raise ValueError("wave runs require a dirichlet mesh")
-        finite_T = math.isfinite(self.T) and self.T > 0
-        if not (finite_T and _is_int(self.n_steps) and self.n_steps >= 1):
-            raise ValueError("need a finite T > 0 and an integer n_steps >= 1")
-        if self.dt > 1.0:
-            raise ValueError("dt must not exceed 1")
+        if not isinstance(self.kernel, Kernel):
+            raise ValueError(f"kernel must be a Kernel, got {self.kernel!r}")
+        _check_run(self)
         n = self.mesh.n_dof
         if isinstance(self.g_spec, str):
             if self.g_spec not in ("minus_q", "zero"):
@@ -84,15 +82,15 @@ class WaveConfig:
             )
         elif not np.isfinite(np.asarray(self.g_spec, dtype=float)).all():
             raise ValueError("g_spec has non-finite entries")
-        n2 = 2 * n
-        if self.K0 is not None and np.shape(self.K0) != (n2, n2):
-            raise ValueError(
-                f"K0 shape {np.shape(self.K0)} does not fit block size {n2}"
-            )
 
     @property
     def dt(self):
         return self.T / self.n_steps
+
+    @property
+    def n_state(self):
+        """Rows of the state covariance: position and velocity blocks."""
+        return 2 * self.mesh.n_dof
 
 
 def extract_position_cov(K):

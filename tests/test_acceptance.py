@@ -136,60 +136,51 @@ def _run_study(study):
     )
 
 
-@pytest.fixture(scope="session")
-def sweep_heat_white():
-    return _run_study(
-        StudyConfig(
-            equation="advdiff",
-            kernel=WhiteNoise(),
-            levels=levels_from_exponents(range(1, 7), "sqrt"),
-            reference=levels_from_exponents([7], "sqrt")[0],
+def _heat_study(kernel):
+    n_cells, n_steps = levels_from_exponents([7], "sqrt")[0]
+    return StudyConfig(
+        scheme=AdvDiffConfig(
+            mesh=Mesh1D(n_cells, "neumann"),
             coeffs=_heat_coeffs(),
             c0=0.125,
-            bc="neumann",
-        )
+            kernel=kernel,
+            T=1.0,
+            n_steps=n_steps,
+        ),
+        levels=levels_from_exponents(range(1, 7), "sqrt"),
     )
+
+
+def _wave_study(kernel, coupling, ref_exp):
+    n_cells, n_steps = levels_from_exponents([ref_exp], coupling)[0]
+    return StudyConfig(
+        scheme=WaveConfig(
+            mesh=Mesh1D(n_cells), kernel=kernel, g_spec="minus_q", n_steps=n_steps
+        ),
+        levels=levels_from_exponents(range(1, ref_exp), coupling),
+    )
+
+
+@pytest.fixture(scope="session")
+def sweep_heat_white():
+    return _run_study(_heat_study(WhiteNoise()))
 
 
 @pytest.fixture(scope="session")
 def sweep_heat_exponential():
-    return _run_study(
-        StudyConfig(
-            equation="advdiff",
-            kernel=Exponential(2.0),
-            levels=levels_from_exponents(range(1, 7), "sqrt"),
-            reference=levels_from_exponents([7], "sqrt")[0],
-            coeffs=_heat_coeffs(),
-            c0=0.125,
-            bc="neumann",
-        )
-    )
+    return _run_study(_heat_study(Exponential(2.0)))
 
 
 @pytest.fixture(scope="session")
 def sweep_wave_matern():
     return _run_study(
-        StudyConfig(
-            equation="wave",
-            kernel=Matern(sigma=10.0, nu=0.01, rho=0.1),
-            levels=levels_from_exponents(range(1, 10), "equal"),
-            reference=levels_from_exponents([10], "equal")[0],
-            g_spec="minus_q",
-        )
+        _wave_study(Matern(sigma=10.0, nu=0.01, rho=0.1), "equal", 10)
     )
 
 
 @pytest.fixture(scope="session")
 def sweep_wave_bridge():
-    return _run_study(
-        StudyConfig(
-            equation="wave",
-            kernel=BrownianBridge(),
-            levels=levels_from_exponents(range(1, 5), "sqrt"),
-            reference=levels_from_exponents([5], "sqrt")[0],
-            g_spec="minus_q",
-        )
-    )
+    return _run_study(_wave_study(BrownianBridge(), "sqrt", 5))
 
 
 def test_white_noise_heat_rates(sweep_heat_white):
@@ -412,7 +403,7 @@ def test_invariant_suite(
             assert abs(s.slope_L2 - s.slope_L2_dropped) <= 0.15
 
         for s in wave_sweeps:
-            T = s.study.T
+            T = s.study.scheme.T
             for row in s.rows:
                 _check_cn_determinant(row.mesh, T / row.pair[1])
             _check_cn_determinant(s.mesh_ref, T / s.study.reference[1])

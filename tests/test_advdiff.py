@@ -288,14 +288,33 @@ def test_config_needs_an_integer_step_count(n_steps):
         )
 
 
+def test_config_rejects_non_coefficients():
+    # None used to pass and fail later with AttributeError in assemble_form
+    with pytest.raises(ValueError, match="coeffs must be Coefficients"):
+        AdvDiffConfig(
+            mesh=Mesh1D(2, "dirichlet"), coeffs=None, c0=0.0, kernel=WhiteNoise(),
+            T=1.0, n_steps=1,
+        )
+
+
+def test_config_rejects_a_non_kernel():
+    # None used to pass and fail later with AttributeError in assemble_Q
+    with pytest.raises(ValueError, match="kernel must be a Kernel"):
+        AdvDiffConfig(
+            mesh=Mesh1D(2, "dirichlet"), coeffs=Coefficients.constant(a11=1.0),
+            c0=0.0, kernel=None, T=1.0, n_steps=1,
+        )
+
+
 def test_config_rejects_non_finite_T():
     # nan passes T <= 0 and dt > 1 alike
     mesh = Mesh1D(2, "dirichlet")
     coeffs = Coefficients.constant(a11=1.0)
-    with pytest.raises(ValueError, match="T must be finite"):
-        AdvDiffConfig(
-            mesh=mesh, coeffs=coeffs, c0=0.0, kernel=WhiteNoise(), T=np.nan, n_steps=1
-        )
+    for T in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="T must be finite and positive"):
+            AdvDiffConfig(
+                mesh=mesh, coeffs=coeffs, c0=0.0, kernel=WhiteNoise(), T=T, n_steps=1
+            )
 
 
 def test_dt_property():

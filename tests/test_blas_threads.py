@@ -13,11 +13,14 @@ finds none.
 import pytest
 
 from spdecov import (
+    AdvDiffConfig,
     Coefficients,
     Exponential,
     Matern,
+    Mesh1D,
     SingularError,
     StudyConfig,
+    WaveConfig,
     WhiteNoise,
     levels_from_exponents,
     run_single,
@@ -32,22 +35,23 @@ CALLER_THREADS = 3
 def _advdiff():
     # reference 32 Dirichlet cells: 31 state rows
     return StudyConfig(
-        equation="advdiff",
-        kernel=WhiteNoise(),
+        scheme=AdvDiffConfig(
+            mesh=Mesh1D(32, "dirichlet"),
+            coeffs=Coefficients.constant(a11=1.0),
+            c0=0.0,
+            kernel=WhiteNoise(),
+            T=1.0,
+            n_steps=1024,
+        ),
         levels=levels_from_exponents([2, 3], "sqrt"),
-        reference=levels_from_exponents([5], "sqrt")[0],
-        coeffs=Coefficients.constant(a11=1.0),
-        bc="dirichlet",
     )
 
 
 def _wave():
     # reference 16 cells: 15 degrees of freedom, 30 state rows
     return StudyConfig(
-        equation="wave",
-        kernel=Exponential(2.0),
+        scheme=WaveConfig(mesh=Mesh1D(16), kernel=Exponential(2.0), n_steps=16),
         levels=levels_from_exponents([2, 3], "equal"),
-        reference=levels_from_exponents([4], "equal")[0],
     )
 
 
@@ -179,10 +183,10 @@ def test_sweep_above_the_bound_agrees_across_thread_counts(real_blas, monkeypatc
     # is not bit-identical between 1 and 2 threads, but agrees to 1e-9
     monkeypatch.setattr(linalg, "SERIAL_BLAS_MAX_ROWS", 0)
     st = StudyConfig(
-        equation="wave",
-        kernel=Matern(sigma=10.0, nu=0.01, rho=0.1),
+        scheme=WaveConfig(
+            mesh=Mesh1D(128), kernel=Matern(sigma=10.0, nu=0.01, rho=0.1), n_steps=128
+        ),
         levels=levels_from_exponents(range(1, 7), "equal"),
-        reference=levels_from_exponents([7], "equal")[0],
     )
     rows = []
     for threads in (1, 2):

@@ -6,11 +6,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from spdecov import (
+    AdvDiffConfig,
     BrownianBridge,
     ConfigError,
     Exponential,
     Matern,
     NumericalError,
+    WaveConfig,
     WhiteNoise,
     coefficient_from_name,
     heat_cov_closed_form,
@@ -99,10 +101,10 @@ def test_kernel_from_section():
 
 def test_load_study_heat(tmp_path):
     st = load_study(_write(tmp_path, HEAT_INI))
-    assert st.equation == "advdiff"
-    assert st.bc == "dirichlet"
-    assert st.c0 == 0.0
-    assert isinstance(st.kernel, WhiteNoise)
+    assert isinstance(st.scheme, AdvDiffConfig)
+    assert st.scheme.mesh.bc == "dirichlet"
+    assert st.scheme.c0 == 0.0
+    assert isinstance(st.scheme.kernel, WhiteNoise)
     assert st.levels == ((4, 16), (8, 64))
     assert st.reference == (16, 256)
     assert st.norms == ("L1", "L2")
@@ -110,9 +112,10 @@ def test_load_study_heat(tmp_path):
 
 def test_load_study_wave(tmp_path):
     st = load_study(_write(tmp_path, WAVE_INI))
-    assert st.equation == "wave"
-    assert st.g_spec == "minus_q"
-    assert isinstance(st.kernel, BrownianBridge)
+    assert isinstance(st.scheme, WaveConfig)
+    assert st.scheme.g_spec == "minus_q"
+    assert isinstance(st.scheme.kernel, BrownianBridge)
+    assert st.reference == (16, 16)
     assert st.levels == ((4, 4), (8, 8))
     assert st.snapshot_t == 0.5
 
@@ -135,7 +138,7 @@ levels = 2:3
 reference = 4
 """
     st = load_study(_write(tmp_path, ini))
-    assert st.c0 == pytest.approx(0.125, rel=1e-12)
+    assert st.scheme.c0 == pytest.approx(0.125, rel=1e-12)
 
 
 def test_load_study_levels_list_equals_range(tmp_path):
@@ -182,6 +185,21 @@ def test_load_study_errors(tmp_path):
         bad_kernel = HEAT_INI.replace("type = white", kernel)
         with pytest.raises(ConfigError, match=problem):
             load_study(_write(tmp_path, bad_kernel, "k.ini"))
+
+
+def test_bad_constant_coefficient_is_a_config_error(tmp_path):
+    # without lambda0 the name is parsed for its lower bound too, which
+    # once let a bare ValueError out
+    bad = HEAT_INI.replace("a11 = one", "a11 = const:abc")
+    with pytest.raises(ConfigError, match="bad constant coefficient"):
+        load_study(_write(tmp_path, bad))
+
+
+def test_load_mc_runs_the_study_reference(tmp_path):
+    heat = HEAT_INI.replace("a11 = one", "a11 = const:2\na1 = sin2pix")
+    for ini in (heat, WAVE_INI):
+        path = _write(tmp_path, ini + "n_samples = 10\nseed = 3\n")
+        assert load_mc(path).scheme == load_study(path).scheme
 
 
 def test_load_mc_overrides(tmp_path):

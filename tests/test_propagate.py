@@ -10,6 +10,7 @@ from spdecov import (
     advdiff_run,
     wave_run,
 )
+from spdecov.linalg import AffineStep, propagate
 from stepping import stepped_run
 
 _ADVECTION = Coefficients(
@@ -58,3 +59,27 @@ def test_doubling_matches_stepping(scheme, n_steps, with_K0, c0, seed):
     assert np.array_equal(K, K.T)
     gap = np.abs(K - K_step).max()
     assert gap <= 1e-10 * np.abs(K_step).max(), (n_steps, gap)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 8),
+    q_rank=st.integers(0, 8),
+    k_rank=st.integers(0, 8),
+    n_steps=st.integers(1, 300),
+    g=st.floats(0.01, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_propagate_keeps_psd_data_psd(n, q_rank, k_rank, n_steps, g, seed):
+    # K <- g T K T^T + Q maps PSD K to PSD K for PSD Q and g > 0, and the
+    # symmetrized updates make every K exactly symmetric
+    rng = np.random.default_rng(seed)
+    T = rng.standard_normal((n, n))
+    # g T T^T at most 1, so that 300 steps stay far from overflow
+    T *= rng.uniform(0.1, 1.0) / (np.sqrt(g) * np.linalg.norm(T, 2))
+    B = rng.standard_normal((n, min(q_rank, n)))
+    C = rng.standard_normal((n, min(k_rank, n)))
+    K = propagate(AffineStep(T, B @ B.T, g), n_steps, C @ C.T)
+    assert np.array_equal(K, K.T)
+    w = np.linalg.eigvalsh(K)
+    assert w.min() >= -1e-12 * np.abs(w).max(), (w.min(), w.max())

@@ -1,22 +1,30 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from spdecov import (
+    AdvDiffConfig,
     Coefficients,
     ConfigError,
     DegenerateFitError,
     Exponential,
     LevelResult,
+    Mesh1D,
     RateReport,
     StudyConfig,
+    WaveConfig,
     WhiteNoise,
+    advdiff_run,
     emit,
+    extract_position_cov,
     fit_rate,
     levels_from_exponents,
     read_report,
     run_single,
     run_sweep,
+    wave_run,
 )
 from spdecov.study import FORMATS, write_table
 
@@ -76,25 +84,31 @@ def test_levels_from_exponents():
         levels_from_exponents([1], "equal", T=0.1)
 
 
-def _study(**kw):
-    base = dict(
-        equation="advdiff",
-        kernel=WhiteNoise(),
-        levels=levels_from_exponents([2, 3, 4], "sqrt"),
-        reference=levels_from_exponents([5], "sqrt")[0],
+def _heat(n_cells, n_steps, T=1.0):
+    return AdvDiffConfig(
+        mesh=Mesh1D(n_cells, "dirichlet"),
         coeffs=Coefficients.constant(a11=1.0),
         c0=0.0,
-        bc="dirichlet",
+        kernel=WhiteNoise(),
+        T=T,
+        n_steps=n_steps,
+    )
+
+
+def _study(reference=levels_from_exponents([5], "sqrt")[0], T=1.0, **kw):
+    base = dict(
+        scheme=_heat(*reference, T=T),
+        levels=levels_from_exponents([2, 3, 4], "sqrt"),
     )
     base.update(kw)
     return StudyConfig(**base)
 
 
 def test_study_validation():
-    with pytest.raises(ConfigError):
-        _study(equation="elasticity")
-    with pytest.raises(ConfigError):
-        _study(equation="advdiff", coeffs=None)
+    # the checks of the reference run moved to its scheme config:
+    # coefficients to test_advdiff.py::test_config_rejects_non_coefficients,
+    # a finite positive T to test_advdiff.py::test_config_rejects_non_finite_T,
+    # and the equation to test_study_refuses_k0_and_non_schemes below
     with pytest.raises(ConfigError):
         _study(levels=())
     with pytest.raises(ConfigError):
@@ -106,27 +120,37 @@ def test_study_validation():
     with pytest.raises(ConfigError, match="does not nest"):
         _study(levels=((3, 9),), reference=(8, 64))
 
-    nan, inf = float("nan"), float("inf")
-    for T in (nan, inf, 0.0, -1.0):
-        with pytest.raises(ConfigError, match="T must be finite and positive"):
-            _study(T=T)
+    nan = float("nan")
     for snapshot_t in (-0.5, 1.5, nan):
         with pytest.raises(ConfigError, match="outside"):
             _study(snapshot_t=snapshot_t)
 
 
+def test_study_refuses_k0_and_non_schemes():
+    assert [f.name for f in fields(StudyConfig)] == [
+        "scheme", "levels", "norms", "seed", "n_samples", "snapshot_t",
+    ]
+    with pytest.raises(ConfigError, match="AdvDiffConfig or a WaveConfig"):
+        _study(scheme="advdiff")
+    n = _heat(32, 1024).n_state
+    with pytest.raises(ConfigError, match="K0"):
+        _study(scheme=replace(_heat(32, 1024), K0=np.eye(n)))
+
+
 def test_study_rejects_levels_below_two_cells():
     # refused up front, before the reference covariance is computed
-    for levels, reference in (
-        (((1, 1), (4, 16)), (32, 1024)),
-        (((4, 16),), (1, 1024)),
-        (((4, 0),), (32, 1024)),
-        (((4, 16),), (32, 0)),
-        (((4.0, 16),), (32, 1024)),
-        (((4, 16.5),), (32, 1024)),
+    for levels in (
+        ((1, 1), (4, 16)),
+        ((4, 0),),
+        ((4.0, 16),),
+        ((4, 16.5),),
     ):
         with pytest.raises(ConfigError, match="n_cells >= 2"):
-            _study(levels=levels, reference=reference)
+            _study(levels=levels)
+    # a bad reference is refused by its mesh or its scheme config
+    for reference, problem in (((1, 1024), "n_cells >= 2"), ((32, 0), "n_steps >= 1")):
+        with pytest.raises(ValueError, match=problem):
+            _study(levels=((4, 16),), reference=reference)
 
 
 def test_reference_equal_to_level_is_allowed():
@@ -155,7 +179,7 @@ def test_snapshot_prefix_consistency():
     # stopping at t and running to horizon t must agree exactly
     st = _study()
     _, K_half, _ = run_single(st, pair=(4, 16), t_stop=0.5)
-    st_half = _study(T=0.5, levels=((4, 8),), reference=(4, 8))
+    st_half = _study(reference=(4, 8), T=0.5, levels=((4, 8),))
     _, K_direct, _ = run_single(st_half, pair=(4, 8))
     assert_allclose(K_half, K_direct, atol=1e-15)
 
@@ -178,17 +202,33 @@ def test_norm_selection():
     assert all(np.isnan(r.err_L1) for r in report.rows)
 
 
-def test_wave_study_runs():
-    st = StudyConfig(
-        equation="wave",
-        kernel=Exponential(2.0),
+def _wave_study():
+    return StudyConfig(
+        scheme=WaveConfig(mesh=Mesh1D(16), kernel=Exponential(2.0), n_steps=16),
         levels=levels_from_exponents([2, 3], "equal"),
-        reference=levels_from_exponents([4], "equal")[0],
-        g_spec="minus_q",
     )
-    report = run_sweep(st)
+
+
+def test_wave_study_runs():
+    report = run_sweep(_wave_study())
     assert len(report.rows) == 2
     assert report.rows[0].err_L1 > report.rows[1].err_L1 > 0.0
+
+
+def test_run_single_is_the_reference_run():
+    # the reference is the scheme config itself: no field is rebuilt
+    heat = _study(reference=(16, 256), levels=((4, 16),))
+    mesh, K, t = run_single(heat)
+    assert mesh == heat.scheme.mesh and t == heat.scheme.T
+    assert np.array_equal(K, advdiff_run(heat.scheme))
+    wave = _wave_study()
+    mesh, K, t = run_single(wave)
+    assert mesh == wave.scheme.mesh and t == wave.scheme.T
+    assert np.array_equal(K, extract_position_cov(wave_run(wave.scheme)))
+    # a level replaces only the mesh and the step count
+    _, K_level, _ = run_single(wave, (4, 4))
+    level = replace(wave.scheme, mesh=Mesh1D(4), n_steps=4)
+    assert np.array_equal(K_level, extract_position_cov(wave_run(level)))
 
 
 def test_emit_csv_roundtrip():

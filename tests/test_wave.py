@@ -215,6 +215,12 @@ def test_config_needs_an_integer_step_count(n_steps):
         )
 
 
+def test_config_rejects_a_non_kernel():
+    # None used to pass and fail later with AttributeError in assemble_Q
+    with pytest.raises(ValueError, match="kernel must be a Kernel"):
+        WaveConfig(mesh=Mesh1D(2, "dirichlet"), kernel=None, T=1.0, n_steps=1)
+
+
 def test_config_rejects_non_finite_T():
     with pytest.raises(ValueError, match="finite T"):
         WaveConfig(
