@@ -190,6 +190,10 @@ def load_study(path):
     equation = eq.get("type", "").strip().lower()
     if equation not in ("advdiff", "wave"):
         raise ConfigError(f"equation type must be advdiff or wave, got {equation!r}")
+    foreign = {"advdiff": ("g",), "wave": ("bc", "a11", "a1", "a0", "lambda0", "c0")}
+    for key in foreign[equation]:
+        if key in eq:
+            raise ConfigError(f"{equation} equations take no key {key!r}")
 
     T = _getfloat(st, "t", 1.0)
     coupling = st.get("coupling", "equal").strip().lower()
@@ -202,11 +206,7 @@ def load_study(path):
     levels = levels_from_exponents(exponents, coupling, T)
     n_cells, n_steps = levels_from_exponents([ref_exp], coupling, T)[0]
 
-    norms = tuple(
-        tok.strip()
-        for tok in st.get("norms", "L1,L2").split(",")
-        if tok.strip()
-    )
+    norms = tuple(t.strip() for t in st.get("norms", "L1,L2").split(",") if t.strip())
     kernel = kernel_from_section(kern)
     try:
         if equation == "advdiff":

@@ -5,7 +5,9 @@ the mass matrix) or a pointwise kernel q(x, y): exponential, Matern,
 Brownian bridge, or a user-supplied callable. Exponential and Matern
 are stationary: they depend on the distance |x - y| alone, through
 their `profile`. assemble_Q produces Q_h[i, j] = <Q phi_i, phi_j> by
-Gauss-Legendre quadrature over cell pairs.
+Gauss-Legendre quadrature over cell pairs. Each graded block on and
+next to the diagonal is integrated once, from the kernel's symmetric
+part, so the Gram of a Custom kernel q is that of (q(x, y) + q(y, x)) / 2.
 """
 
 import math
@@ -177,9 +179,11 @@ class Kernel:
     """Base class for kernel specs."""
 
     def pointwise(self, x, y):
-        raise NoPointwiseKernelError(
-            f"{type(self).__name__} has no pointwise kernel"
-        )
+        raise NoPointwiseKernelError(f"{type(self).__name__} has no pointwise kernel")
+
+    def _symmetric_part(self, x, y):
+        """(q(x, y) + q(y, x)) / 2, which is q for every built-in kernel."""
+        return self.pointwise(x, y)
 
 
 class _Stationary(Kernel):
@@ -241,10 +245,11 @@ class Matern(_Stationary):
                 f"nu must be at least {_MATERN_NU_MIN:g}, got {self.nu!r}: "
                 "Gamma(nu) overflows as nu -> 0"
             )
+        object.__setattr__(self, "_f0", _scaled_kv(self.nu, 0.0))  # f_nu(0)
 
     def profile(self, z):
         w = math.sqrt(2.0 * self.nu) / self.rho * z
-        return self.sigma**2 * (_scaled_kv(self.nu, w) / _scaled_kv(self.nu, 0.0))
+        return self.sigma**2 * (_scaled_kv(self.nu, w) / self._f0)
 
 
 @dataclass(frozen=True)
@@ -265,6 +270,9 @@ class Custom(Kernel):
         # expand degenerate outputs (e.g. constants) to the full shape
         shape = np.broadcast_shapes(np.shape(x), np.shape(y))
         return np.broadcast_to(np.asarray(self.q(x, y), dtype=float), shape)
+
+    def _symmetric_part(self, x, y):
+        return 0.5 * (self.pointwise(x, y) + self.pointwise(y, x))
 
 
 def _graded_gauss(order, panels, grade):
@@ -296,15 +304,17 @@ def _hats(u):
 
 def _contract(qw, bx, by):
     """(2, 2, m) blocks sum_pq qw[m, p, q] bx[i, p, q] by[j, p, q]."""
-    return np.einsum("mpq,ipq,jpq->ijm", qw, bx, by, optimize=True)
+    b = (bx[:, None] * by[None]).reshape(4, -1)
+    return (b @ qw.reshape(-1, b.shape[1]).T).reshape(2, 2, -1)
 
 
-def _near_diagonal_blocks(spec, corners, h):
-    """Graded blocks of the cells at left corners `corners`.
+def _near_diagonal_blocks(spec, same, adjacent, h):
+    """Graded blocks of the cells `same` and the pairs (c + 1, c), c in `adjacent`.
 
-    Returns (same, right, left): the same-cell blocks of every cell,
-    shaped (2, 2, m), and the blocks of the adjacent pairs (c, c + 1)
-    and (c + 1, c), shaped (2, 2, m - 1).
+    Cells are given by index; the blocks come shaped (2, 2, len(same))
+    and (2, 2, len(adjacent)). Each is integrated once, from the
+    kernel's symmetric part, so the block of (c, c + 1) is the (i, j)
+    transpose of that of (c + 1, c).
 
     Same-cell pairs are split along the diagonal y = x. On the triangle
     y <= x the substitution x = xl + h u, y = xl + h u v (Jacobian
@@ -312,30 +322,22 @@ def _near_diagonal_blocks(spec, corners, h):
     kernels with a kink or cusp on the diagonal are integrated from
     smooth data. u is graded toward 0 and v toward 1, where the residual
     edge cusps of nearly-white Matern kernels sit. The mirrored triangle
-    is integrated explicitly rather than by symmetry so Custom kernels
-    need not be symmetric.
+    adds the transpose of this one's block.
 
     Adjacent pairs share one node, where nearly-white Matern kernels
     cusp at |x - y| = 0; both axes are graded toward that corner, since
     a plain tensor rule stalls there.
     """
-    g = _GRADED_U
     W = np.outer(_GRADED_W, _GRADED_W) * h * h
-    c = np.asarray(corners, dtype=float)[:, None, None]
-
-    U, V = np.meshgrid(g, 1.0 - g, indexing="ij")
-    x, y = c + h * U, c + h * U * V
-    bx, by = _hats(U), _hats(U * V)
-    same = _contract(spec.pointwise(x, y) * (W * U), bx, by) + _contract(
-        spec.pointwise(y, x) * (W * U), by, bx
-    )
-    # (c + 1, c): the shared node is the left end of the first cell
-    left = _contract(spec.pointwise(c[1:] + h * U, c[:-1] + h * V) * W, bx, _hats(V))
-    # (c, c + 1): the shared node is the right end of the first cell
-    right = _contract(
-        spec.pointwise(c[:-1] + h * V, c[1:] + h * U) * W, _hats(V), bx
-    )
-    return same, right, left
+    U, V = np.meshgrid(_GRADED_U, 1.0 - _GRADED_U, indexing="ij")
+    bx = _hats(U)
+    c = h * np.asarray(same, dtype=float)[:, None, None]
+    qw = spec._symmetric_part(c + h * U, c + h * U * V) * (W * U)
+    a = _contract(qw, bx, _hats(U * V))
+    # the shared node is the left end of cell c + 1 and the right end of c
+    c = np.asarray(adjacent, dtype=float)[:, None, None]
+    qw = spec._symmetric_part((c + 1.0) * h + h * U, c * h + h * V) * W
+    return a + a.swapaxes(0, 1), _contract(qw, bx, _hats(V))
 
 
 def _scatter(blocks, mesh):
@@ -346,10 +348,8 @@ def _scatter(blocks, mesh):
     """
     n = mesh.n_cells
     Q = np.zeros((n + 1, n + 1))
-    Q[:-1, :-1] += blocks[0, 0]
-    Q[:-1, 1:] += blocks[0, 1]
-    Q[1:, :-1] += blocks[1, 0]
-    Q[1:, 1:] += blocks[1, 1]
+    for i, j in np.ndindex(2, 2):
+        Q[i : n + i, j : n + j] += blocks[i, j]
     return Q[mesh.dofs, mesh.dofs]
 
 
@@ -360,10 +360,12 @@ def assemble_Q(mesh, spec):
     integrated with a 6x6 tensor Gauss-Legendre rule per cell pair;
     pairs within one cell of the diagonal, where kernels may kink or
     cusp at |x - y| = 0, use graded rules instead (a triangle split on
-    same-cell pairs, corner grading on adjacent ones). For stationary
-    kernels the block of cell pair (a, b) depends on the offset a - b
-    alone, so the 2 n_cells - 1 distinct blocks are integrated once:
-    O(n_cells) kernel evaluations instead of O(n_cells^2).
+    same-cell pairs, corner grading on adjacent ones), each integrated
+    once from the kernel's symmetric part: a Custom kernel's Gram is
+    that of its symmetric part. For stationary kernels the block of cell
+    pair (a, b) depends on the offset d = a - b alone, and that of -d is
+    the transpose of that of d, so the n_cells blocks with d >= 0 are
+    integrated once: O(n_cells) kernel evaluations, not O(n_cells^2).
     """
     if isinstance(spec, WhiteNoise):
         return assemble_mass(mesh)
@@ -372,15 +374,13 @@ def assemble_Q(mesh, spec):
     wb = h * _GAUSS_W * _hats(_GAUSS_U)
     cells = np.arange(n)
     if isinstance(spec, _Stationary):
-        # offsets d = a - b from 1 - n to n - 1, block d at index d + n - 1
-        d = np.arange(1 - n, n)
+        # offsets d = a - b >= 0 (0 and 1 graded); -d is the (i, j) transpose
+        d = np.arange(2, n)
         z = h * np.abs(d[:, None, None] + _GAUSS_U[:, None] - _GAUSS_U)
-        by_offset = np.einsum("ip,dpq,jq->ijd", wb, spec.profile(z), wb, optimize=True)
-        same, right, left = _near_diagonal_blocks(spec, [0.0, h], h)
-        by_offset[:, :, n - 2 : n + 1] = np.concatenate(
-            [right, same[:, :, :1], left], axis=2
-        )
-        blocks = by_offset[:, :, np.subtract.outer(cells, cells) + n - 1]
+        far = np.einsum("ip,dpq,jq->ijd", wb, spec.profile(z), wb, optimize=True)
+        b = np.concatenate([*_near_diagonal_blocks(spec, [0], [0], h), far], axis=2)
+        b = np.concatenate([b[:, :, :0:-1].swapaxes(0, 1), b], axis=2)
+        blocks = b[:, :, np.subtract.outer(cells, cells) + n - 1]
     else:
         pts = (cells[:, None] * h + h * _GAUSS_U).ravel()
         qv = spec.pointwise(pts[:, None], pts[None, :])
@@ -388,10 +388,10 @@ def assemble_Q(mesh, spec):
         blocks = np.einsum("ip,apbq,jq->ijab", wb, qv, wb, optimize=True)
         # graded points of a few cells at a time; all at once would hold
         # 4096 n_cells kernel values per array
-        for lo in range(0, n - 1, _GRADED_CHUNK):
-            c = cells[lo : lo + _GRADED_CHUNK + 1]
-            same, right, left = _near_diagonal_blocks(spec, c * h, h)
+        for c in np.array_split(cells, range(_GRADED_CHUNK, n, _GRADED_CHUNK)):
+            a = c[c < n - 1]
+            same, left = _near_diagonal_blocks(spec, c, a, h)
             blocks[:, :, c, c] = same
-            blocks[:, :, c[:-1], c[1:]] = right
-            blocks[:, :, c[1:], c[:-1]] = left
+            blocks[:, :, a + 1, a] = left
+            blocks[:, :, a, a + 1] = left.swapaxes(0, 1)
     return symmetrize(_scatter(blocks, mesh))

@@ -195,6 +195,33 @@ def test_bad_constant_coefficient_is_a_config_error(tmp_path):
         load_study(_write(tmp_path, bad))
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("bc", "neumann"),
+        ("a11", "const:abc"),
+        ("a1", "sin2pix"),
+        ("a0", "zero"),
+        ("lambda0", "4"),
+        ("c0", "banana"),
+    ],
+)
+def test_wave_config_refuses_advdiff_keys(tmp_path, key, value):
+    ini = WAVE_INI.replace("g = minus_q", f"g = minus_q\n{key} = {value}")
+    path = _write(tmp_path, ini)
+    with pytest.raises(ConfigError, match=f"wave equations take no key '{key}'"):
+        load_study(path)
+    assert main(["sweep", "--config", path]) == 1
+
+
+@pytest.mark.parametrize("value", ["minus_q", "plus_q"])
+def test_advdiff_config_refuses_wave_keys(tmp_path, value):
+    path = _write(tmp_path, HEAT_INI.replace("c0 = 0", f"c0 = 0\ng = {value}"))
+    with pytest.raises(ConfigError, match="advdiff equations take no key 'g'"):
+        load_study(path)
+    assert main(["sweep", "--config", path]) == 1
+
+
 def test_load_mc_runs_the_study_reference(tmp_path):
     heat = HEAT_INI.replace("a11 = one", "a11 = const:2\na1 = sin2pix")
     for ini in (heat, WAVE_INI):

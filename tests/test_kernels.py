@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -361,3 +363,75 @@ def test_generic_gram_entries_pinned(n_cells, bc, kernel, entries):
     assert np.array_equal(Q, Q.T)
     for (i, j), want in entries.items():
         assert Q[i, j] == pytest.approx(want, rel=1e-13, abs=0)
+
+
+def _probe(n_rows):
+    """Entries (i, j), i <= j, near the start, middle and end of the diagonal."""
+    rows = (0, n_rows // 2, n_rows - 1)
+    near = {p for r in rows for k in (0, 1, 2) for p in ((r - k, r), (r, r + k))}
+    return sorted({(i, j) for i, j in near if 0 <= i <= j < n_rows} | {(0, n_rows - 1)})
+
+
+GRAM_KERNELS = {
+    "exponential": Exponential(3.0),
+    "matern": Matern(10.0, 0.01, 0.1),
+    "bridge": BrownianBridge(),
+    "skew": Custom(_skew),
+}
+
+#: Q_h at the _probe entries, from the assembly that integrated both
+#: same-cell triangles and both orientations of every adjacent pair
+#: (commit 019ca89)
+GRAM_ENTRIES = json.loads(
+    (Path(__file__).parent / "gram_entries.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize("case", sorted(GRAM_ENTRIES))
+def test_gram_matches_both_triangle_assembly(case):
+    name, n_cells, bc = case.split()
+    Q = assemble_Q(Mesh1D(int(n_cells), bc), GRAM_KERNELS[name])
+    assert np.array_equal(Q, Q.T)
+    entries = GRAM_ENTRIES[case]
+    assert [(i, j) for i, j, _ in entries] == _probe(len(Q))
+    for i, j, want in entries:
+        assert Q[i, j] == pytest.approx(want, rel=1e-13, abs=0), (i, j)
+
+
+@pytest.mark.parametrize("n_cells", [2, 3, 8, 64])
+def test_kernel_evaluations_per_assembly(monkeypatch, n_cells):
+    # each graded block is integrated once: one 64 x 64 rule per cell
+    # and per adjacent pair, and for stationary kernels one of each plus
+    # the 6 x 6 rule for every offset d >= 2
+    points = []
+
+    def counted(method):
+        def wrapper(self, *args):
+            points.append(np.broadcast(*args).size)
+            return method(self, *args)
+
+        return wrapper
+
+    monkeypatch.setattr(Exponential, "profile", counted(Exponential.profile))
+    monkeypatch.setattr(BrownianBridge, "pointwise", counted(BrownianBridge.pointwise))
+    grid, graded = (6 * n_cells) ** 2, (2 * n_cells - 1) * 64**2
+    cases = [
+        (Exponential(3.0), (n_cells - 2) * 36 + 2 * 64**2),
+        (BrownianBridge(), grid + graded),
+        # a Custom kernel is evaluated at (x, y) and (y, x) on graded points
+        (Custom(BrownianBridge().pointwise), grid + 2 * graded),
+    ]
+    for kernel, want in cases:
+        points.clear()
+        assemble_Q(Mesh1D(n_cells, "neumann"), kernel)
+        assert sum(points) == want, kernel
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("n_cells", [2, 5, 16])
+def test_custom_gram_is_that_of_its_symmetric_part(n_cells, bc):
+    mesh = Mesh1D(n_cells, bc)
+    Q = assemble_Q(mesh, Custom(_skew))
+    Q_sym = assemble_Q(mesh, Custom(lambda x, y: 0.5 * (_skew(x, y) + _skew(y, x))))
+    gap = np.abs(Q - Q_sym).max()
+    assert gap <= 1e-13 * np.abs(Q_sym).max(), gap
