@@ -10,14 +10,15 @@ operators.
 Layout
 ------
 linalg      the checked inverse, the doubling covariance propagator,
-            the PSD square root of the sampler's initial covariance
+            the run checks shared by both schemes
 fem         meshes, P1 mass/stiffness/advection assembly, hat values
             for exact prolongation to nested meshes, the shift c0
 kernels     noise covariance kernels and their Galerkin projection Q_h
 advdiff     backward Euler covariance recursion for the heat scheme
 wave        Crank-Nicolson covariance recursion for the wave scheme
 errnorms    trace-class and Hilbert-Schmidt distances across nested meshes
-spectral    sine-basis oracle: closed forms and spectral Galerkin runs
+spectral    sine-basis oracle: closed forms, spectral Galerkin runs and
+            the exact HS distance of a FEM covariance from a modal one
 montecarlo  sampled-path cross-validation of the recursions
 study       refinement sweeps, rate fitting, report serialization
 config,cli  INI-driven command line front end (spde-cov)
@@ -41,7 +42,6 @@ from .exceptions import (
     NoConvergenceError,
     NonSymmetricError,
     NoPointwiseKernelError,
-    NotPSDError,
     NumericalError,
     ShapeMismatchError,
     SingularError,
@@ -69,12 +69,9 @@ from .kernels import (
 from .linalg import propagate, symmetrize
 from .montecarlo import McConfig, McReport, empirical_cov, mc_validate
 from .spectral import (
-    cov_l2_distance,
     eigenvalues,
     heat_cov_closed_form,
-    midpoint_rule,
-    modal_cov_function,
-    nodal_cov_function,
+    modal_hs_distance,
     spectral_galerkin_cov,
     wave_cov_closed_form,
 )
@@ -113,7 +110,6 @@ __all__ = [
     "NoConvergenceError",
     "NonSymmetricError",
     "NoPointwiseKernelError",
-    "NotPSDError",
     "NumericalError",
     "RateReport",
     "ShapeMismatchError",
@@ -130,7 +126,6 @@ __all__ = [
     "assemble_stiffness",
     "coefficient_from_name",
     "compute_c0",
-    "cov_l2_distance",
     "eigenvalues",
     "emit",
     "empirical_cov",
@@ -145,9 +140,7 @@ __all__ = [
     "load_mc",
     "load_study",
     "mc_validate",
-    "midpoint_rule",
-    "modal_cov_function",
-    "nodal_cov_function",
+    "modal_hs_distance",
     "propagate",
     "read_config",
     "read_report",

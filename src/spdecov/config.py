@@ -12,13 +12,12 @@ configs stay plain text:
 """
 
 import configparser
-from dataclasses import dataclass
 
 import numpy as np
 
 from .advdiff import AdvDiffConfig
 from .exceptions import ConfigError
-from .fem import Coefficients, Mesh1D, compute_c0
+from .fem import Coefficients, Mesh1D, _Constant, compute_c0
 from .kernels import BrownianBridge, Exponential, Matern, WhiteNoise
 from .montecarlo import McConfig
 from .study import StudyConfig, levels_from_exponents
@@ -33,17 +32,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class _Constant:
-    """The coefficient x -> value; configs read from equal files compare equal."""
-
-    value: float
-
-    def __call__(self, x):
-        return np.full_like(np.asarray(x, dtype=float), self.value)
-
-
-# name -> (vectorized coefficient function, its infimum on [0, 1])
+# name -> (vectorized coefficient function, its infimum on [0, 1]); the
+# constants compare by value, so configs read from equal files are equal
 _CATALOG = {
     "zero": (_Constant(0.0), 0.0),
     "one": (_Constant(1.0), 1.0),
@@ -181,7 +171,10 @@ def load_study(path):
     The reference exponent becomes the study's AdvDiffConfig or
     WaveConfig; every problem, a config's ValueError too, is a ConfigError.
     """
-    parser = read_config(path)
+    return _study(read_config(path))
+
+
+def _study(parser):
     for name in ("equation", "kernel", "study"):
         if name not in parser:
             raise ConfigError(f"config is missing the [{name}] section")
@@ -230,8 +223,6 @@ def load_study(path):
             scheme=scheme,
             levels=levels,
             norms=norms,
-            seed=_getint(st, "seed"),
-            n_samples=_getint(st, "n_samples"),
             snapshot_t=_getfloat(st, "snapshot_t"),
         )
     except ValueError as exc:
@@ -243,11 +234,13 @@ def load_mc(path, n_samples=None, seed=None):
 
     n_samples/seed arguments override the [study] section values.
     """
-    study = load_study(path)
-    ns = n_samples if n_samples is not None else study.n_samples
+    parser = read_config(path)
+    study = _study(parser)
+    st = parser["study"]
+    ns = n_samples if n_samples is not None else _getint(st, "n_samples")
     if ns is None:
         raise ConfigError("monte carlo runs need n_samples")
-    sd = seed if seed is not None else study.seed
+    sd = seed if seed is not None else _getint(st, "seed")
     if sd is None:
         raise ConfigError("monte carlo runs need a seed")
     return McConfig(scheme=study.scheme, n_samples=ns, seed=sd)

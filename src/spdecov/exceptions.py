@@ -1,8 +1,8 @@
 """Exception hierarchy for spdecov.
 
-Numerical failures (singular factorizations, indefinite matrices that were
-required to be PSD, Cholesky breakdown) all derive from NumericalError so
-callers can distinguish them from configuration mistakes.
+Numerical failures (singular factorizations, nonsymmetric matrices,
+Cholesky breakdown) all derive from NumericalError so callers can
+distinguish them from configuration mistakes.
 """
 
 
@@ -24,11 +24,6 @@ class NonSymmetricError(NumericalError):
 
 class NoConvergenceError(NumericalError):
     """An iterative eigenvalue or factorization routine failed."""
-
-
-class NotPSDError(NumericalError):
-    """A matrix required to be positive semidefinite has a negative
-    eigenvalue beyond the clamp tolerance."""
 
 
 class SingularError(NumericalError):

@@ -83,6 +83,16 @@ class Mesh1D:
 
 
 @dataclass(frozen=True)
+class _Constant:
+    """The coefficient x -> value; equal values compare equal."""
+
+    value: float
+
+    def __call__(self, x):
+        return np.full_like(np.asarray(x, dtype=float), self.value)
+
+
+@dataclass(frozen=True)
 class Coefficients:
     """Scalar coefficients of the 1D elliptic operator.
 
@@ -98,13 +108,13 @@ class Coefficients:
 
     @staticmethod
     def constant(a11=1.0, a1=0.0, a0=0.0, lambda0=None):
-        """Convenience builder for constant coefficients."""
+        """Constant coefficients; equal arguments build equal instances."""
         if lambda0 is None:
             lambda0 = a11
         return Coefficients(
-            a11=lambda x: np.full_like(x, float(a11)),
-            a1=lambda x: np.full_like(x, float(a1)),
-            a0=lambda x: np.full_like(x, float(a0)),
+            a11=_Constant(float(a11)),
+            a1=_Constant(float(a1)),
+            a0=_Constant(float(a0)),
             lambda0=float(lambda0),
         )
 

@@ -19,7 +19,6 @@ import numpy as np
 from .exceptions import (
     NonSymmetricError,
     NoConvergenceError,
-    NotPSDError,
     SingularError,
 )
 from .fem import _is_int
@@ -29,20 +28,16 @@ __all__ = [
     "AffineStep",
     "SchemeOperators",
     "sym_eig",
-    "psd_sqrt",
     "checked_inverse",
     "propagate",
     "symmetrize",
 ]
 
-#: relative symmetry slack accepted by sym_eig
+#: relative symmetry slack accepted by sym_eig and in an initial covariance
 SYMMETRY_RTOL = 1e-9
 
 #: largest condition number kappa_inf(L) that checked_inverse accepts
 COND_MAX = 1e14
-
-#: relative clamp of psd_sqrt for roundoff-negative eigenvalues
-PSD_RTOL = 1e-10
 
 #: largest matrix, in rows, of a run that _serial_blas keeps on one thread
 SERIAL_BLAS_MAX_ROWS = 256
@@ -83,13 +78,14 @@ def _as_square(A, name="matrix"):
         raise ValueError(f"{name} has non-finite entries")
     return A
 
-def _check_symmetric(A, rtol=SYMMETRY_RTOL):
+
+def _check_symmetric(A, name="matrix", error=NonSymmetricError):
     scale = max(np.abs(A).max(), 1e-300)
     gap = np.abs(A - A.T).max()
-    if gap > rtol * scale:
-        raise NonSymmetricError(
-            f"matrix is not symmetric: max|A - A^T| = {gap:.3e} "
-            f"exceeds {rtol:.1e} * max|A| = {rtol * scale:.3e}"
+    if gap > SYMMETRY_RTOL * scale:
+        raise error(
+            f"{name} is not symmetric: max|A - A^T| = {gap:.3e} exceeds "
+            f"{SYMMETRY_RTOL:.1e} * max|A| = {SYMMETRY_RTOL * scale:.3e}"
         )
 
 
@@ -121,38 +117,6 @@ def sym_eig(A):
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(str(exc)) from exc
     return SymEig(w, V)
-
-
-def psd_sqrt(A):
-    """Symmetric PSD square root via eigendecomposition.
-
-    Eigenvalues in [-PSD_RTOL * max(1, lambda_max), 0) are treated as
-    roundoff and clamped to zero, so rank-deficient Gram matrices are
-    fine.
-
-    Parameters
-    ----------
-    A : (n, n) array_like
-        Symmetric positive semidefinite matrix.
-
-    Returns
-    -------
-    (n, n) ndarray
-        Symmetric PSD matrix B with B @ B ~= A.
-
-    Raises
-    ------
-    NotPSDError
-        If an eigenvalue falls below -PSD_RTOL * max(1, lambda_max).
-    """
-    w, V = sym_eig(A)
-    floor = -PSD_RTOL * max(1.0, w[-1] if w.size else 1.0)
-    if w.size and w[0] < floor:
-        raise NotPSDError(
-            f"matrix is not PSD: min eigenvalue {w[0]:.3e} < {floor:.3e}"
-        )
-    root = V * np.sqrt(np.clip(w, 0.0, None))
-    return symmetrize(root @ V.T)
 
 
 def checked_inverse(L):
@@ -237,7 +201,11 @@ def propagate(step, n_steps, K0=None):
 
 
 def _check_run(config):
-    """Refuse a scheme config's T, n_steps, dt > 1 or K0 of the wrong shape."""
+    """Refuse a scheme config's T, n_steps, dt > 1, or a K0 that does not fit.
+
+    K0 must have n_state rows, finite entries, and be symmetric within
+    SYMMETRY_RTOL; the recursion and the path sampler both take it as is.
+    """
     T, n_steps = config.T, config.n_steps
     if not (math.isfinite(T) and T > 0):
         raise ValueError(
@@ -248,10 +216,13 @@ def _check_run(config):
     if config.dt > 1.0:
         raise ValueError("dt must not exceed 1")
     n = config.n_state
-    if config.K0 is not None and np.shape(config.K0) != (n, n):
+    if config.K0 is None:
+        return
+    if np.shape(config.K0) != (n, n):
         raise ValueError(
             f"K0 shape {np.shape(config.K0)} does not fit {n} state rows"
         )
+    _check_symmetric(_as_square(config.K0, "K0"), "K0", ValueError)
 
 
 @functools.lru_cache(maxsize=None)

@@ -38,7 +38,7 @@ from .exceptions import (
     TooFewSamplesError,
 )
 from .fem import _is_int
-from .linalg import propagate, psd_sqrt, symmetrize
+from .linalg import propagate, symmetrize
 from .wave import WaveConfig, extract_position_cov, wave_operators
 
 # mc_validate builds each scheme's operators once, propagates them itself
@@ -57,7 +57,7 @@ __all__ = [
     "mc_validate",
 ]
 
-#: jitter ladder for Cholesky of Q_h, relative to trace(Q)/N
+#: jitter ladder for Cholesky of Q_h and K0, relative to trace/N
 CHOLESKY_JITTERS = (0.0, 1e-14, 1e-12, 1e-10)
 
 #: frozen coefficient of the scheme-consistency margin, calibrated on
@@ -223,7 +223,8 @@ def _batch_paths(config, ops, keys):
     ops are the config's SchemeOperators, from advdiff_operators or
     wave_operators; keys is an (n_paths, 2) uint64 array, and path i
     draws from the stream of a fresh Philox under keys[i] (counter 0):
-    first its K0 draw, then its (n_steps, d) noise block. Returns an
+    first its K0 draw, through a Cholesky factor of K0 on the noise's
+    jitter ladder, then its (n_steps, d) noise block. Returns an
     (n_paths, d) array whose row i does not depend on the other keys. A
     step solves L x_j = g M x_{j-1} + b_j (advdiff, g = 1 + c0 dt) or
     L x_j = R P x_{j-1} + [0; b_j] (wave, the load on the velocity
@@ -233,8 +234,11 @@ def _batch_paths(config, ops, keys):
     n = ops.M.shape[0]
     n_state = ops.load.shape[0]
     chol = _chol_with_jitter(ops.Q_h)
-    K0 = config.K0
-    root_K0 = None if K0 is None else psd_sqrt(np.asarray(K0, dtype=float))
+    root_K0 = None
+    if config.K0 is not None:
+        K0 = symmetrize(np.asarray(config.K0))
+        # no jitter relative to its trace lifts a zero K0: it is its own factor
+        root_K0 = _chol_with_jitter(K0) if K0.any() else K0
     # indexed (step, path, dof), so each step's noise block is contiguous
     xi = np.empty((config.n_steps, len(keys), n))
     X = np.zeros((n_state, len(keys)))

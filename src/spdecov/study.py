@@ -54,8 +54,6 @@ class StudyConfig:
     scheme: Union[AdvDiffConfig, WaveConfig]
     levels: Tuple[Tuple[int, int], ...]
     norms: Tuple[str, ...] = ("L1", "L2")
-    seed: Optional[int] = None
-    n_samples: Optional[int] = None
     snapshot_t: Optional[float] = None
 
     def __post_init__(self):

@@ -36,7 +36,6 @@ from spdecov import (
     advdiff_run,
     assemble_mass,
     assemble_stiffness,
-    cov_l2_distance,
     err_hs_norm,
     err_trace_norm,
     extract_position_cov,
@@ -44,16 +43,14 @@ from spdecov import (
     heat_cov_closed_form,
     levels_from_exponents,
     mc_validate,
-    midpoint_rule,
-    modal_cov_function,
-    nodal_cov_function,
+    modal_hs_distance,
     run_single,
     symmetrize,
     wave_cov_closed_form,
     wave_energy,
     wave_run,
 )
-from spdecov.linalg import psd_sqrt, sym_eig
+from spdecov.linalg import sym_eig
 from spdecov.wave import crank_nicolson_step
 
 
@@ -275,11 +272,8 @@ def _oracle_relative_distance(equation, j):
         )
         K = extract_position_cov(wave_run(cfg))
         exact = wave_cov_closed_form(256, 1.0)
-    x, w = midpoint_rule(512)
-    C = nodal_cov_function(K, cfg.mesh, x)
-    C_ref = modal_cov_function(exact, x)
-    ref = cov_l2_distance(C_ref, np.zeros_like(C_ref), w)
-    return cov_l2_distance(C, C_ref, w) / ref
+    # the HS norm of the modal covariance is the l2 norm of its variances
+    return modal_hs_distance(K, cfg.mesh, exact) / np.linalg.norm(exact)
 
 
 def test_closed_form_oracle_agreement():
@@ -289,10 +283,11 @@ def test_closed_form_oracle_agreement():
     # (1/(2 lambda_k)) / (1 + dt lambda_k / 2), so its distance from the
     # closed form is first order in dt: at h = dt the advdiff half reads
     # 0.2876 / 0.1828 / 0.1135 for j = 4, 5, 6, a time error of the
-    # method above the cap, and at dt = h^2 it reads 0.0503 / 0.0182 /
-    # 0.0065. The wave half reads about 0.002 at 2^-6: Crank-Nicolson is
-    # second order, so its time error is negligible next to the spatial
-    # one at the same level.
+    # method above the cap, and at dt = h^2 it reads 0.0502 / 0.0182 /
+    # 0.0065. The wave half reads 0.0154 / 0.0054 / 0.0019:
+    # Crank-Nicolson is second order, so its time error is negligible
+    # next to the spatial one at the same level. Both halves take the
+    # exact Hilbert-Schmidt distance to the first 256 modes.
     failures = []
     details = []
     for equation in ("advdiff", "wave"):
@@ -345,7 +340,8 @@ def test_scalar_regressions():
 def _check_symmetry_and_psd(K, mesh):
     scale = max(np.abs(K).max(), 1.0)
     assert np.abs(K - K.T).max() <= 1e-12 * scale
-    root = psd_sqrt(assemble_mass(mesh))
+    w, V = np.linalg.eigh(assemble_mass(mesh))
+    root = (V * np.sqrt(w)) @ V.T
     ev = sym_eig(symmetrize(root @ K @ root)).eigenvalues
     assert ev.min() >= -1e-8 * max(ev.max(), 0.0)
 

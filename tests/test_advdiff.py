@@ -278,6 +278,23 @@ def test_config_validation():
         AdvDiffConfig(mesh=mesh, coeffs=coeffs, c0=0.0, kernel=WhiteNoise(), T=3.0, n_steps=2)
 
 
+@pytest.mark.parametrize(
+    "K0, match",
+    [
+        ([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "K0 is not symmetric"),
+        (np.diag([1.0, np.nan, 1.0]), "K0 has non-finite"),
+    ],
+    ids=["nonsymmetric", "nan"],
+)
+def test_config_refuses_a_bad_initial_covariance(K0, match):
+    # the sampler and the recursion share this one check of K0
+    with pytest.raises(ValueError, match=match):
+        AdvDiffConfig(
+            mesh=Mesh1D(4, "dirichlet"), coeffs=Coefficients.constant(a11=1.0),
+            c0=0.0, kernel=WhiteNoise(), T=1.0, n_steps=4, K0=K0,
+        )
+
+
 @pytest.mark.parametrize("n_steps", [2.5, 2.0, True])
 def test_config_needs_an_integer_step_count(n_steps):
     # a float count used to pass and fail later in propagate

@@ -16,8 +16,24 @@ from spdecov import (
     hat_values,
     symmetrize,
 )
-from spdecov.linalg import psd_sqrt, sym_eig
-from spdecov.spectral import midpoint_rule, nodal_cov_function
+from spdecov.linalg import sym_eig
+
+
+def _spd_root(M):
+    """Symmetric square root of an SPD matrix."""
+    w, V = np.linalg.eigh(M)
+    return (V * np.sqrt(w)) @ V.T
+
+
+def _midpoint(n):
+    """Midpoint grid on (0, 1) and its equal weights."""
+    return (np.arange(n) + 0.5) / n, np.full(n, 1.0 / n)
+
+
+def _nodal(K, mesh, x):
+    """Covariance function Phi K Phi^T of K on the grid x by x."""
+    Phi = hat_values(mesh, x)
+    return Phi @ K @ Phi.T
 
 
 def test_rank_one_trace_norm():
@@ -35,7 +51,7 @@ def test_same_mesh_reduction():
     K = symmetrize(rng.standard_normal((8, 8)))
     Kref = symmetrize(rng.standard_normal((8, 8)))
     M = assemble_mass(mesh)
-    root = psd_sqrt(M)
+    root = _spd_root(M)
     W = symmetrize(root @ (K - Kref) @ root)
     direct = np.abs(sym_eig(W).eigenvalues).sum()
     assert abs(err_trace_norm(K, mesh, Kref, mesh) - direct) <= 1e-9
@@ -134,7 +150,7 @@ def test_self_prolongation_distance_vanishes(n_cells, ratio, bc, seed):
     rng = np.random.default_rng(seed)
     B = rng.standard_normal((coarse.n_dof, coarse.n_dof))
     K = B @ B.T
-    K_fine = nodal_cov_function(K, coarse, fine.dof_nodes)
+    K_fine = _nodal(K, coarse, fine.dof_nodes)
     C = rng.standard_normal((fine.n_dof, fine.n_dof))
     other = C @ C.T
     scale = np.abs(K).max()
@@ -167,7 +183,7 @@ def test_cholesky_frame_matches_square_root_frame(n_cells, ratio, bc, seed):
     P = hat_values(coarse, fine.dof_nodes)
     D = P @ K @ P.T - Kref
     M = assemble_mass(fine)
-    root = psd_sqrt(M)
+    root = _spd_root(M)
     trace = np.abs(sym_eig(symmetrize(root @ D @ root)).eigenvalues).sum()
     hs = np.sqrt(np.trace(D @ M @ D @ M))
     for a, b in ((K, coarse), (Kref, fine)), ((Kref, fine), (K, coarse)):
@@ -200,25 +216,23 @@ def _cov_grids(bc, n_coarse, n_fine):
 def test_cross_mesh_hs_matches_function_quadrature():
     # the HS distance is the L2((0,1)^2) distance of covariance functions,
     # so a dense quadrature of the nodal interpolants must reproduce it
-    x, w = midpoint_rule(2048)
+    x, w = _midpoint(2048)
     for case in CROSS_MESH_CASES:
         (mesh_a, K), (mesh_b, Kref) = _cov_grids(*case)
         hs = err_hs_norm(K, mesh_a, Kref, mesh_b)
-        Ca = nodal_cov_function(K, mesh_a, x)
-        Cb = nodal_cov_function(Kref, mesh_b, x)
-        D = Ca - Cb
+        D = _nodal(K, mesh_a, x) - _nodal(Kref, mesh_b, x)
         quad = np.sqrt(np.einsum("p,q,pq->", w, w, D * D))
         assert hs == pytest.approx(quad, rel=5e-6), case
 
 
 def test_cross_mesh_trace_matches_dense_operator():
     # trace norm via a dense grid discretization of the kernel difference
-    x, w = midpoint_rule(2048)
+    x, w = _midpoint(2048)
     rw = np.sqrt(w)
     for case in CROSS_MESH_CASES:
         (mesh_a, K), (mesh_b, Kref) = _cov_grids(*case)
         tr = err_trace_norm(K, mesh_a, Kref, mesh_b)
-        D = nodal_cov_function(K, mesh_a, x) - nodal_cov_function(Kref, mesh_b, x)
+        D = _nodal(K, mesh_a, x) - _nodal(Kref, mesh_b, x)
         vals = np.linalg.eigvalsh(symmetrize(rw[:, None] * D * rw[None, :]))
         assert tr == pytest.approx(np.abs(vals).sum(), rel=5e-6), case
 

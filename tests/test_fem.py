@@ -150,6 +150,11 @@ def test_mass_row_sums_are_hat_integrals():
     assert_allclose(sums, expected, atol=1e-15)
 
 
+def test_constant_coefficients_compare_by_value():
+    assert Coefficients.constant(a11=1.0) == Coefficients.constant(a11=1.0)
+    assert Coefficients.constant(a11=1.0) != Coefficients.constant(a11=2.0)
+
+
 def test_form_reduces_to_stiffness():
     mesh = Mesh1D(6, "dirichlet")
     coeffs = Coefficients.constant(a11=1.0)

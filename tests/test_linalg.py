@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from spdecov import NonSymmetricError, NotPSDError, SingularError, symmetrize
+from spdecov import NonSymmetricError, SingularError, symmetrize
 from spdecov.advdiff import backward_euler_step
-from spdecov.linalg import checked_inverse, psd_sqrt, sym_eig
+from spdecov.linalg import checked_inverse, sym_eig
 
 
 def test_sym_eig_diagonal_case():
@@ -32,37 +32,6 @@ def test_sym_eig_rejects_nonsymmetric():
 def test_sym_eig_accepts_roundoff_asymmetry():
     A = np.array([[1.0, 0.5], [0.5 + 1e-13, 1.0]])
     sym_eig(A)  # within the 1e-9 relative gate
-
-
-def test_psd_sqrt_identity():
-    assert_allclose(psd_sqrt(np.eye(3)), np.eye(3), atol=1e-14)
-
-
-def test_psd_sqrt_squares_back():
-    A = np.array([[2.0, 1.0], [1.0, 2.0]])
-    R = psd_sqrt(A)
-    assert_allclose(R @ R, A, atol=1e-12)
-    assert_allclose(R, R.T, atol=1e-14)
-
-
-def test_psd_sqrt_random_psd_property():
-    rng = np.random.default_rng(5)
-    for _ in range(5):
-        B = rng.standard_normal((7, 7))
-        A = B @ B.T
-        R = psd_sqrt(A)
-        assert_allclose(R @ R, A, rtol=0, atol=1e-10 * max(1.0, np.abs(A).max()))
-
-
-def test_psd_sqrt_clamps_tiny_negatives():
-    A = np.diag([1.0, -1e-12])
-    R = psd_sqrt(A)
-    assert_allclose(R, np.diag([1.0, 0.0]), atol=1e-6)
-
-
-def test_psd_sqrt_rejects_indefinite():
-    with pytest.raises(NotPSDError):
-        psd_sqrt(np.diag([1.0, -1e-3]))
 
 
 def test_congruence_solve_singular():

@@ -22,7 +22,7 @@ from spdecov import (
     mc_validate,
     symmetrize,
 )
-from spdecov.linalg import psd_sqrt, sym_eig
+from spdecov.linalg import sym_eig
 from spdecov import montecarlo
 from spdecov.advdiff import advdiff_operators
 from spdecov.montecarlo import (
@@ -124,7 +124,7 @@ def _loop_batch_paths(config, ops, seeds):
     n_state = ops.load.shape[0]
     chol = _chol_with_jitter(ops.Q_h)
     K0 = config.K0
-    root_K0 = None if K0 is None else psd_sqrt(np.asarray(K0, dtype=float))
+    root_K0 = None if K0 is None else _chol_with_jitter(symmetrize(K0))
     xi = np.empty((config.n_steps, len(seeds), n))
     X = np.zeros((n_state, len(seeds)))
     for i, seed in enumerate(seeds):
@@ -202,7 +202,8 @@ def test_mc_needs_three_samples():
 
 def _loop_jackknife(samples, M, K_det):
     """The per-path leave-one-out loop the stacked jackknife replaced."""
-    root_M = psd_sqrt(M)
+    w, V = np.linalg.eigh(M)
+    root_M = (V * np.sqrt(w)) @ V.T
     n_s = samples.shape[0]
     A = samples.T @ samples
     s = samples.sum(axis=0)
@@ -352,6 +353,24 @@ def test_rank_one_noise_uses_jitter_ladder():
     cfg = _advdiff_cfg(kernel=Custom(q=lambda x, y: 1.0))
     x = _one_path(cfg, 3)
     assert np.all(np.isfinite(x))
+
+
+@pytest.mark.parametrize("make_cfg, n_state", [(_advdiff_cfg, 9), (_wave_cfg, 14)])
+@pytest.mark.parametrize("rank", [0, 1])
+def test_degenerate_k0_samples_within_the_bound(make_cfg, n_state, rank):
+    # plain Cholesky fails on both: a rank-one K0 climbs the jitter
+    # ladder, and a zero K0, which no jitter relative to its trace lifts,
+    # is its own factor. The paths still carry K0's covariance
+    v = 2.0 * np.sin(np.linspace(0.3, 2.8, n_state))
+    K0 = rank * np.outer(v, v)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(K0)
+    rep = mc_validate(McConfig(scheme=make_cfg(K0=K0), n_samples=2000, seed=29))
+    assert rep.hs_distance <= 3.0 * rep.sampling_error_hs + rep.consistency_margin
+    assert (
+        rep.trace_distance
+        <= 3.0 * rep.sampling_error_trace + rep.consistency_margin
+    )
 
 
 def test_zero_noise_raises_cholesky_error():

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -9,17 +10,22 @@ from spdecov import (
     BrownianBridge,
     Coefficients,
     ConfigError,
+    Exponential,
     Mesh1D,
+    ShapeMismatchError,
     WaveConfig,
     WhiteNoise,
-    cov_l2_distance,
+    advdiff_run,
     eigenvalues,
+    err_hs_norm,
+    extract_position_cov,
+    hat_values,
     heat_cov_closed_form,
-    midpoint_rule,
-    modal_cov_function,
-    nodal_cov_function,
+    levels_from_exponents,
+    modal_hs_distance,
     spectral_galerkin_cov,
     wave_cov_closed_form,
+    wave_run,
 )
 from spdecov.spectral import eigenfunction_values
 
@@ -128,48 +134,106 @@ def test_spectral_wave_minus_q_changes_position_block():
     assert np.abs(K1[:n, :n] - K0[:n, :n]).max() > 1e-4
 
 
-def test_modal_cov_diag_equals_full():
-    x = np.linspace(0.05, 0.95, 7)
-    var = np.array([0.3, 0.1, 0.05])
-    assert_allclose(modal_cov_function(var, x), modal_cov_function(np.diag(var), x))
-
-
-def test_nodal_cov_cardinal_at_nodes():
-    mesh = Mesh1D(4, "dirichlet")
-    rng = np.random.default_rng(5)
-    K = rng.standard_normal((3, 3))
-    K = K + K.T
-    assert_allclose(nodal_cov_function(K, mesh, mesh.dof_nodes), K, atol=1e-14)
-
-
-def test_midpoint_rule_weights():
-    x, w = midpoint_rule(8)
-    assert x.shape == (8,)
-    assert w.sum() == pytest.approx(1.0)
-    assert x[0] == pytest.approx(1.0 / 16.0)
-
-
-def test_cov_l2_distance_values():
-    x, w = midpoint_rule(32)
-    ones = np.ones((32, 32))
-    assert cov_l2_distance(ones, ones, w) == 0.0
-    assert cov_l2_distance(ones, np.zeros_like(ones), w) == pytest.approx(1.0)
-
-
 def test_spectral_closed_form_crosscheck_l2():
-    # modal covariance of the fine spectral run vs the closed form, as
-    # covariance functions on the comparison grid; the white-noise time
-    # error contributes ~ dt * q / 4 per mode, so the distance is O(dt)
+    # the fine spectral run vs the closed form in the HS norm, which is
+    # the Frobenius norm of the coefficients in the orthonormal
+    # eigenbasis; the white-noise time error contributes ~ dt * q / 4
+    # per mode, so the distance is O(dt)
     n = 8
-    x, w = midpoint_rule(256)
-    C2 = modal_cov_function(heat_cov_closed_form(n, 1.0), x)
-    ref = cov_l2_distance(C2, np.zeros_like(C2), w)
+    exact = heat_cov_closed_form(n, 1.0)
     d = {}
     for dt in (1e-3, 5e-4):
         K = spectral_galerkin_cov(n, _heat_config(), fine_dt=dt)
-        d[dt] = cov_l2_distance(modal_cov_function(K, x), C2, w)
-    assert d[1e-3] <= 2e-2 * ref
+        d[dt] = np.linalg.norm(K - np.diag(exact))
+    assert d[1e-3] <= 2e-2 * np.linalg.norm(exact)
     assert d[1e-3] / d[5e-4] == pytest.approx(2.0, abs=0.2)
+
+
+def _wave_oracle_case(j=4, n_modes=64):
+    """FEM wave position covariance at h = dt = 2^-j, and its closed form."""
+    n_cells, n_steps = levels_from_exponents([j], "equal")[0]
+    cfg = replace(_wave_config(), mesh=Mesh1D(n_cells), n_steps=n_steps)
+    K = extract_position_cov(wave_run(cfg))
+    return K, cfg.mesh, wave_cov_closed_form(n_modes, 1.0)
+
+
+def test_modal_hs_distance_zero_operands():
+    K, mesh, var = _wave_oracle_case()
+    assert modal_hs_distance(0 * K, mesh, var) == pytest.approx(
+        np.linalg.norm(var), rel=1e-14
+    )
+    assert modal_hs_distance(K, mesh, 0 * var) == pytest.approx(
+        err_hs_norm(K, mesh, 0 * K, mesh), rel=1e-12
+    )
+
+
+def test_modal_hs_distance_diag_equals_full():
+    K, mesh, var = _wave_oracle_case()
+    assert modal_hs_distance(K, mesh, var) == pytest.approx(
+        modal_hs_distance(K, mesh, np.diag(var)), rel=1e-12
+    )
+
+
+def _grid_hs_distance(K, mesh, var, m):
+    """The HS distance on an m-point midpoint grid of covariance functions.
+
+    Both functions are F G F^T on the grid, with F the hats and sines at
+    the points and G = blockdiag(K, -diag(var)), so the grid's squared
+    distance is trace((G H)^2) with H = F^T F / m.
+    """
+    x = (np.arange(m) + 0.5) / m
+    F = np.hstack([hat_values(mesh, x), eigenfunction_values(len(var), x)])
+    n = K.shape[0]
+    G = np.zeros((n + len(var), n + len(var)))
+    G[:n, :n] = K
+    G[n:, n:] = -np.diag(var)
+    GH = G @ (F.T @ F / m)
+    return math.sqrt(np.sum(GH * GH.T))
+
+
+def test_modal_hs_distance_matches_midpoint_grid():
+    # the grid's integrand is smooth on every grid cell, so the midpoint
+    # rule's gap falls as m^-2
+    K, mesh, var = _wave_oracle_case()
+    exact = modal_hs_distance(K, mesh, var)
+    gaps = [
+        abs(_grid_hs_distance(K, mesh, var, m) / exact - 1.0)
+        for m in (2048, 4096, 8192)
+    ]
+    assert gaps[0] / gaps[1] == pytest.approx(4.0, rel=0.05)
+    assert gaps[1] / gaps[2] == pytest.approx(4.0, rel=0.05)
+    assert gaps[2] <= 1e-6
+
+
+def test_fem_heat_approaches_spectral_galerkin():
+    # advection couples the modes, so the oracle's V is a full matrix;
+    # at dt = h^2 both the space and the time error fall like h^2
+    coeffs = Coefficients(
+        a11=lambda x: np.full_like(x, 1.0),
+        a1=lambda x: np.sin(2.0 * np.pi * x),
+        a0=lambda x: np.zeros_like(x),
+        lambda0=1.0,
+    )
+    cfg = replace(_heat_config(), coeffs=coeffs, kernel=Exponential(1.0), T=0.25)
+    V = spectral_galerkin_cov(64, cfg, fine_dt=2.5e-5)
+    assert np.linalg.norm(V - np.diag(np.diag(V))) > 0.05 * np.linalg.norm(V)
+    dists = []
+    for n_cells, n_steps in levels_from_exponents([3, 4, 5], "sqrt", cfg.T):
+        level = replace(cfg, mesh=Mesh1D(n_cells), n_steps=n_steps)
+        dists.append(modal_hs_distance(advdiff_run(level), level.mesh, V))
+    assert dists[0] / dists[1] > 3.0 and dists[1] / dists[2] > 3.0
+
+
+def test_modal_hs_distance_bad_input():
+    mesh = Mesh1D(4)
+    K, var = np.eye(3), np.ones(5)
+    with pytest.raises(ConfigError, match="dirichlet"):
+        modal_hs_distance(np.eye(5), Mesh1D(4, "neumann"), var)
+    with pytest.raises(ShapeMismatchError, match="K shape"):
+        modal_hs_distance(np.eye(4), mesh, var)
+    for V in (np.ones((5, 4)), np.ones((2, 2, 2)), np.float64(1.0)):
+        with pytest.raises(ShapeMismatchError, match="V must be"):
+            modal_hs_distance(K, mesh, V)
 
 
 def test_config_gates():

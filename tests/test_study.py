@@ -128,7 +128,7 @@ def test_study_validation():
 
 def test_study_refuses_k0_and_non_schemes():
     assert [f.name for f in fields(StudyConfig)] == [
-        "scheme", "levels", "norms", "seed", "n_samples", "snapshot_t",
+        "scheme", "levels", "norms", "snapshot_t",
     ]
     with pytest.raises(ConfigError, match="AdvDiffConfig or a WaveConfig"):
         _study(scheme="advdiff")

@@ -191,6 +191,23 @@ def test_config_validation():
         WaveConfig(mesh=mesh, kernel=WhiteNoise(), g_spec="zero", T=1.0, n_steps=1, K0=np.zeros((1, 1)))
 
 
+@pytest.mark.parametrize(
+    "K0, match",
+    [
+        (np.eye(6) + 0.5 * np.eye(6, k=4), "K0 is not symmetric"),
+        (np.diag([1.0, 1.0, np.inf, 1.0, 1.0, 1.0]), "K0 has non-finite"),
+    ],
+    ids=["nonsymmetric", "inf"],
+)
+def test_config_refuses_a_bad_initial_covariance(K0, match):
+    # the sampler and the recursion share this one check of K0
+    with pytest.raises(ValueError, match=match):
+        WaveConfig(
+            mesh=Mesh1D(4, "dirichlet"), kernel=WhiteNoise(), g_spec="zero",
+            T=1.0, n_steps=4, K0=K0,
+        )
+
+
 def test_explicit_g_spec_shape_checked():
     mesh = Mesh1D(4, "dirichlet")
     for G in (np.zeros((4, 4)), np.zeros(3), np.zeros((3, 4))):
