@@ -21,6 +21,12 @@ A fresh Philox is fully described by its key and a zero counter, so the
 children are never built: _philox_keys runs numpy's SeedSequence mixing
 for all of them at once as uint32 column operations, and _batch_paths
 re-keys one generator before each path.
+
+_batch_paths walks the paths in chunks through one reused noise buffer
+of at most CHUNK_BYTES (or 9 paths' noise, if more), so sampling holds
+that buffer plus the (n_samples, n_state) result, however many steps
+the scheme takes. Each chunk is logged at DEBUG to the
+"spdecov.montecarlo" logger.
 """
 
 from dataclasses import dataclass
@@ -65,10 +71,13 @@ CHOLESKY_JITTERS = (0.0, 1e-14, 1e-12, 1e-10)
 #: n_steps * trace(M K_det)
 MC_CONSISTENCY_COEFF = 1.0
 
-#: bytes of one stack of d x d leave-one-out matrices in the jackknife;
-#: a chunk holds up to three such stacks, so it takes max(1, this //
-#: (8 d^2)) paths and its transient memory stays a few MB whatever d is
-JACKKNIFE_CHUNK_BYTES = 2**20
+#: byte budget of one chunk in the two chunked loops. A sampling chunk
+#: fills a noise buffer of this size with the largest power of two of
+#: paths, at least 8, that fits; a jackknife chunk takes max(1, this //
+#: (8 d^2)) paths and holds up to three stacks of their d x d
+#: leave-one-out matrices. Either way the transient memory stays a few
+#: MB whatever the step count, d or n_samples is
+CHUNK_BYTES = 2**20
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
 _POOL_SIZE = 4
@@ -217,8 +226,16 @@ def _philox_keys(seed, n):
     )
 
 
+def _paths_per_chunk(n_steps, n):
+    """Largest power of two of paths, at least 8, whose noise fits in CHUNK_BYTES."""
+    chunk = 8
+    while 2 * chunk * 8 * n_steps * n <= CHUNK_BYTES:
+        chunk *= 2
+    return chunk
+
+
 def _batch_paths(config, ops, keys):
-    """One path per Philox key, all advanced together.
+    """One path per Philox key, advanced a chunk of paths at a time.
 
     ops are the config's SchemeOperators, from advdiff_operators or
     wave_operators; keys is an (n_paths, 2) uint64 array, and path i
@@ -230,41 +247,71 @@ def _batch_paths(config, ops, keys):
     L x_j = R P x_{j-1} + [0; b_j] (wave, the load on the velocity
     row), so x_j = g T x_{j-1} + ops.load b_j with the T of the
     covariance step.
+
+    The paths go through in chunks of _paths_per_chunk paths, and a lone
+    last path joins the chunk before it: alone it would go through
+    BLAS's one-column kernel (gemv), which rounds differently from the
+    many-column ones. So sampling holds one noise buffer of at most
+    max(CHUNK_BYTES, 9 paths' noise) besides the result, whatever
+    n_steps is. On OpenBLAS every row is bit-identical to that of one
+    batch of all paths, except that the last n_paths % 8 rows may differ
+    by rounding: they are the short remainder of BLAS's 8-column blocks,
+    which its kernel for small products rounds differently from its
+    kernel for large ones.
     """
+    # imported here, so that the commands which sample nothing do not
+    # pay for it at start-up
+    import logging
+
     n = ops.M.shape[0]
     n_state = ops.load.shape[0]
+    n_paths = len(keys)
     chol = _chol_with_jitter(ops.Q_h)
     root_K0 = None
     if config.K0 is not None:
         K0 = symmetrize(np.asarray(config.K0))
         # no jitter relative to its trace lifts a zero K0: it is its own factor
         root_K0 = _chol_with_jitter(K0) if K0.any() else K0
-    # indexed (step, path, dof), so each step's noise block is contiguous
-    xi = np.empty((config.n_steps, len(keys), n))
-    X = np.zeros((n_state, len(keys)))
-    # one generator, re-keyed to the state of a fresh Philox per path
-    bitgen = np.random.Philox(0)
-    rng = np.random.Generator(bitgen)
-    zero = np.zeros(4, dtype=np.uint64)
-    for i, key in enumerate(keys):
-        bitgen.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": zero, "key": key},
-            "buffer": zero,
-            "buffer_pos": 4,  # the four-word buffer is spent
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        if root_K0 is not None:
-            X[:, i] = root_K0 @ rng.standard_normal(n_state)
-        xi[:, i, :] = rng.standard_normal((config.n_steps, n))
     T = ops.step.T
     if isinstance(config, AdvDiffConfig):
         T = (1.0 + config.c0 * config.dt) * T
     load = np.sqrt(config.dt) * (ops.load @ chol)
-    for j in range(config.n_steps):
-        X = T @ X + load @ xi[j].T
-    return X.T
+
+    chunk = _paths_per_chunk(config.n_steps, n)
+    bounds = list(range(0, n_paths, chunk)) + [n_paths]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    # indexed (path, step, dof), so each path's noise block is contiguous
+    buf = np.empty((min(chunk + 1, n_paths), config.n_steps, n))
+    out = np.empty((n_state, n_paths))
+    # one generator, re-keyed to the state of a fresh Philox per path
+    bitgen = np.random.Philox(0)
+    rng = np.random.Generator(bitgen)
+    zero = np.zeros(4, dtype=np.uint64)
+    log = logging.getLogger(__name__)
+    for lo, hi in zip(bounds, bounds[1:]):
+        X = np.zeros((n_state, hi - lo))
+        for i, key in enumerate(keys[lo:hi]):
+            bitgen.state = {
+                "bit_generator": "Philox",
+                "state": {"counter": zero, "key": key},
+                "buffer": zero,
+                "buffer_pos": 4,  # the four-word buffer is spent
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            if root_K0 is not None:
+                X[:, i] = root_K0 @ rng.standard_normal(n_state)
+            rng.standard_normal(out=buf[i])
+        xi = buf[: hi - lo]
+        for j in range(config.n_steps):
+            X = T @ X + load @ xi[:, j].T
+        out[:, lo:hi] = X
+        log.debug("propagated paths %d-%d of %d", lo + 1, hi, n_paths)
+    # the rounding of the statistics' sums over paths depends on the
+    # memory order, so this is the transposed (n_state, n_paths) state
+    # that one batch of all paths returns
+    return out.T
 
 
 # an overflow surfaces as the NumericalError of the finite check instead
@@ -285,7 +332,7 @@ def _jackknife_distances(samples, L, K_det):
     # W_i is exactly symmetric: B, R and both outer products are
     B = symmetrize(L.T @ (samples.T @ samples) @ L)
     R = symmetrize(L.T @ K_det @ L)
-    chunk = max(1, JACKKNIFE_CHUNK_BYTES // (8 * d * d))
+    chunk = max(1, CHUNK_BYTES // (8 * d * d))
     tr = np.empty(n_s)
     hs = np.empty(n_s)
     for lo in range(0, n_s, chunk):

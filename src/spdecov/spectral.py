@@ -16,7 +16,7 @@ from .advdiff import AdvDiffConfig, backward_euler_step
 from .exceptions import ConfigError, ShapeMismatchError
 from .fem import assemble_mass
 from .kernels import BrownianBridge, WhiteNoise
-from .linalg import propagate, symmetrize
+from .linalg import _serial_blas, propagate, symmetrize
 from .wave import WaveConfig, crank_nicolson_step
 
 __all__ = [
@@ -193,10 +193,13 @@ def modal_hs_distance(K, mesh, V):
         raise ShapeMismatchError(f"K shape {K.shape} does not match mesh ({n} DoF)")
     if V.ndim not in (1, 2) or (V.ndim == 2 and V.shape[0] != V.shape[1]):
         raise ShapeMismatchError(f"V must be 1-D or square, got shape {V.shape}")
-    w = np.sqrt(eigenvalues(V.shape[0]))
-    C = eigenfunction_values(V.shape[0], mesh.dof_nodes).T
-    C *= (2.0 * (1.0 - np.cos(w * mesh.h)) / (mesh.h * w**2))[:, None]
-    KM = K @ assemble_mass(mesh)
-    CVC = (C.T * V) @ C if V.ndim == 1 else C.T @ V @ C
-    sq = np.sum(KM * KM.T) - 2.0 * np.sum(K * CVC.T) + np.sum(V * V)
+    m = V.shape[0]
+    # the products are no larger than a small run's, whose policy they share
+    with _serial_blas(max(n, m)):
+        w = np.sqrt(eigenvalues(m))
+        C = eigenfunction_values(m, mesh.dof_nodes).T
+        C *= (2.0 * (1.0 - np.cos(w * mesh.h)) / (mesh.h * w**2))[:, None]
+        KM = K @ assemble_mass(mesh)
+        CVC = (C.T * V) @ C if V.ndim == 1 else C.T @ V @ C
+        sq = np.sum(KM * KM.T) - 2.0 * np.sum(K * CVC.T) + np.sum(V * V)
     return math.sqrt(max(sq, 0.0))

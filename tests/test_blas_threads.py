@@ -1,15 +1,17 @@
-"""The BLAS thread policy of run_single and run_sweep.
+"""The BLAS thread policy of run_single, run_sweep and modal_hs_distance.
 
 A run whose largest dense matrix (the state covariance: n_dof rows, or
 2 n_dof for a wave run) has at most linalg.SERIAL_BLAS_MAX_ROWS rows
 runs on one OpenBLAS thread; a larger one keeps the caller's count. A
-sweep decides once, from its reference, and the caller's count comes
-back however the run ends. Most tests swap the library lookup for a
+sweep decides once, from its reference, modal_hs_distance from the
+larger of its n_dof and mode count, and the caller's count comes back
+however the run ends. Most tests swap the library lookup for a
 fake counter, so they run on any BLAS; the last three use the
 OpenBLAS this process has loaded and are skipped where the lookup
 finds none.
 """
 
+import numpy as np
 import pytest
 
 from spdecov import (
@@ -26,7 +28,7 @@ from spdecov import (
     run_single,
     run_sweep,
 )
-from spdecov import linalg
+from spdecov import linalg, spectral
 from spdecov import study as study_mod
 
 CALLER_THREADS = 3
@@ -138,6 +140,35 @@ def test_callers_threads_restored_after_numerical_error(blas, monkeypatch):
     assert blas.sets == [1, CALLER_THREADS]
 
 
+@pytest.mark.parametrize(
+    "n_modes, bound, threads",
+    [
+        (16, 16, 1),
+        # the modes decide when they outnumber the 7 degrees of freedom
+        (16, 15, CALLER_THREADS),
+        (4, 7, 1),
+        (4, 6, CALLER_THREADS),
+    ],
+)
+def test_modal_hs_distance_threads_follow_its_larger_size(
+    blas, monkeypatch, n_modes, bound, threads
+):
+    monkeypatch.setattr(linalg, "SERIAL_BLAS_MAX_ROWS", bound)
+    seen = []
+
+    def recorded(mesh, _fn=spectral.assemble_mass):
+        seen.append(blas.get())
+        return _fn(mesh)
+
+    monkeypatch.setattr(spectral, "assemble_mass", recorded)
+    mesh = Mesh1D(8, "dirichlet")
+    d = spectral.modal_hs_distance(np.eye(7), mesh, np.ones(n_modes))
+    assert d > 0.0
+    assert seen == [threads]
+    assert blas.threads == CALLER_THREADS
+    assert blas.sets == ([] if threads == CALLER_THREADS else [1, CALLER_THREADS])
+
+
 REAL_BLAS = linalg._openblas()
 
 
@@ -198,3 +229,4 @@ def test_sweep_above_the_bound_agrees_across_thread_counts(real_blas, monkeypatc
         assert [a.err_L1, a.err_L2] == pytest.approx(
             [b.err_L1, b.err_L2], rel=1e-9, abs=0
         )
+
