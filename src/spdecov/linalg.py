@@ -256,6 +256,8 @@ def _openblas():
 def _serial_blas(rows):
     """Run the body on one BLAS thread if its largest matrix is small.
 
+    run_single, run_sweep and mc_validate pass their scheme's state rows
+    (n_state), modal_hs_distance the larger of its DoF and mode counts.
     Up to SERIAL_BLAS_MAX_ROWS rows, a second OpenBLAS thread costs more
     to wake than it saves, and one thread makes the results independent
     of the caller's count, which is restored on exit. A scope opened

@@ -23,10 +23,16 @@ for all of them at once as uint32 column operations, and _batch_paths
 re-keys one generator before each path.
 
 _batch_paths walks the paths in chunks through one reused noise buffer
-of at most CHUNK_BYTES (or 9 paths' noise, if more), so sampling holds
-that buffer plus the (n_samples, n_state) result, however many steps
-the scheme takes. Each chunk is logged at DEBUG to the
-"spdecov.montecarlo" logger.
+of at most CHUNK_BYTES (or 9 paths' noise, if more), and one buffer of
+their noise loads, so sampling holds those two plus the (n_samples,
+n_state) result, however many steps the scheme takes. Each chunk is
+logged at DEBUG to the "spdecov.montecarlo" logger.
+
+The jackknife standard errors come from one leave-one-out covariance
+per path. Each is a rank-one downdate, in the centred sample, of one
+matrix built once, so _jackknife_distances takes their eigenvalues a
+chunk of paths at a time in stacked calls. mc_validate runs on one BLAS
+thread up to linalg.SERIAL_BLAS_MAX_ROWS state rows, as run_single does.
 """
 
 from dataclasses import dataclass
@@ -44,7 +50,7 @@ from .exceptions import (
     TooFewSamplesError,
 )
 from .fem import _is_int
-from .linalg import propagate, symmetrize
+from .linalg import _serial_blas, propagate, symmetrize
 from .wave import WaveConfig, extract_position_cov, wave_operators
 
 # mc_validate builds each scheme's operators once, propagates them itself
@@ -73,10 +79,11 @@ MC_CONSISTENCY_COEFF = 1.0
 
 #: byte budget of one chunk in the two chunked loops. A sampling chunk
 #: fills a noise buffer of this size with the largest power of two of
-#: paths, at least 8, that fits; a jackknife chunk takes max(1, this //
-#: (8 d^2)) paths and holds up to three stacks of their d x d
-#: leave-one-out matrices. Either way the transient memory stays a few
-#: MB whatever the step count, d or n_samples is
+#: paths, at least 8, that fits, and its loads n_state / n times that;
+#: a jackknife chunk takes max(1, this // (8 d^2)) paths and holds one
+#: stack of their d x d leave-one-out matrices. Either way the
+#: transient memory stays a few MB whatever the step count, d or
+#: n_samples is
 CHUNK_BYTES = 2**20
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
@@ -252,10 +259,11 @@ def _batch_paths(config, ops, keys):
     last path joins the chunk before it: alone it would go through
     BLAS's one-column kernel (gemv), which rounds differently from the
     many-column ones. So sampling holds one noise buffer of at most
-    max(CHUNK_BYTES, 9 paths' noise) besides the result, whatever
-    n_steps is. On OpenBLAS every row is bit-identical to that of one
-    batch of all paths, except that the last n_paths % 8 rows may differ
-    by rounding: they are the short remainder of BLAS's 8-column blocks,
+    max(CHUNK_BYTES, 9 paths' noise), and a load buffer n_state / n
+    times its size, besides the result, whatever n_steps is. On
+    OpenBLAS every row is bit-identical to that of one batch of all
+    paths, except that the last n_paths % 8 rows may differ by
+    rounding: they are the short remainder of BLAS's 8-column blocks,
     which its kernel for small products rounds differently from its
     kernel for large ones.
     """
@@ -283,6 +291,8 @@ def _batch_paths(config, ops, keys):
         del bounds[-2]
     # indexed (path, step, dof), so each path's noise block is contiguous
     buf = np.empty((min(chunk + 1, n_paths), config.n_steps, n))
+    # a chunk's noise loads, (step, state row, path), each step contiguous
+    loads = np.empty(len(buf) * config.n_steps * n_state)
     out = np.empty((n_state, n_paths))
     # one generator, re-keyed to the state of a fresh Philox per path
     bitgen = np.random.Philox(0)
@@ -303,9 +313,13 @@ def _batch_paths(config, ops, keys):
             if root_K0 is not None:
                 X[:, i] = root_K0 @ rng.standard_normal(n_state)
             rng.standard_normal(out=buf[i])
-        xi = buf[: hi - lo]
+        # every step's noise load in one stacked product, which makes the
+        # BLAS call of the per-step product load @ xi[:, j].T for each j
+        m = hi - lo
+        G = loads[: config.n_steps * n_state * m].reshape(-1, n_state, m)
+        np.matmul(load, buf[:m].transpose(1, 2, 0), out=G)
         for j in range(config.n_steps):
-            X = T @ X + load @ xi[:, j].T
+            X = T @ X + G[j]
         out[:, lo:hi] = X
         log.debug("propagated paths %d-%d of %d", lo + 1, hi, n_paths)
     # the rounding of the statistics' sums over paths depends on the
@@ -320,27 +334,34 @@ def _jackknife_distances(samples, L, K_det):
     """Leave-one-out (trace, HS) distances of the empirical covariance.
 
     Entry i measures the covariance of all paths but path i against
-    K_det. With M = L L^T and Y = samples L, the leave-one-out covariance
-    in the Cholesky frame L^T (.) L of errnorms is a rank-two update of
-    Y^T Y, so a chunk of paths is one stack of d x d matrices W_i and one
-    stacked eigvalsh. The HS distance is sqrt(sum w^2), which is
-    ||L^T D L||_F = sqrt(trace((D M)^2)).
+    K_det. With M = L L^T, Y = samples L and the centred U = Y - mean(Y),
+    the leave-one-out covariance in the Cholesky frame L^T (.) L of
+    errnorms, less L^T K_det L, is exactly the rank-one downdate
+
+        W_i = D - k u_i u_i^T,  D = U^T U / (n - 2) - L^T K_det L,
+        k = n / ((n - 1)(n - 2)),
+
+    of one D for all paths, so a chunk of paths is one stack of d x d
+    matrices W_i and one stacked eigvalsh. The HS distance is
+    sqrt(sum w^2) = ||W_i||_F, which is sqrt(trace((E M)^2)) for the
+    coefficient difference E = L^-T W_i L^-1.
     """
     n_s, d = samples.shape
     Y = samples @ L
-    r = Y.sum(axis=0)
-    # W_i is exactly symmetric: B, R and both outer products are
-    B = symmetrize(L.T @ (samples.T @ samples) @ L)
-    R = symmetrize(L.T @ K_det @ L)
+    U = Y - Y.mean(axis=0)
+    D = symmetrize(U.T @ U) / (n_s - 2) - symmetrize(L.T @ K_det @ L)
+    # W_i = D - v_i v_i^T with V = sqrt(k) U is exactly symmetric, as
+    # k (u_i u_i^T) is but (k u_i) u_i^T need not be
+    V = np.sqrt(n_s / ((n_s - 1.0) * (n_s - 2.0))) * U
     chunk = max(1, CHUNK_BYTES // (8 * d * d))
+    stack = np.empty((min(chunk, n_s), d, d))
     tr = np.empty(n_s)
     hs = np.empty(n_s)
     for lo in range(0, n_s, chunk):
-        y = Y[lo : lo + chunk]
-        t = r - y
-        W = B - y[:, :, None] * y[:, None, :]
-        W -= t[:, :, None] * t[:, None, :] / (n_s - 1)
-        W = W / (n_s - 2) - R
+        v = V[lo : lo + chunk]
+        W = stack[: len(v)]
+        np.multiply(v[:, :, None], v[:, None, :], out=W)
+        np.subtract(D, W, out=W)
         if not np.isfinite(W).all():
             raise NumericalError(
                 "leave-one-out covariance has non-finite entries"
@@ -365,10 +386,18 @@ def mc_validate(mc):
 
         distance <= 3 * sampling error + consistency_margin.
 
+    The scheme's state rows set the BLAS thread policy of the whole
+    validation, as in run_single.
+
     Returns
     -------
     McReport
     """
+    with _serial_blas(mc.scheme.n_state):
+        return _mc_validate(mc)
+
+
+def _mc_validate(mc):
     config = mc.scheme
     mesh = config.mesh
     wave = isinstance(config, WaveConfig)

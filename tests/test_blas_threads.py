@@ -1,11 +1,12 @@
-"""The BLAS thread policy of run_single, run_sweep and modal_hs_distance.
+"""The BLAS thread policy of run_single, run_sweep, mc_validate and
+modal_hs_distance.
 
 A run whose largest dense matrix (the state covariance: n_dof rows, or
 2 n_dof for a wave run) has at most linalg.SERIAL_BLAS_MAX_ROWS rows
 runs on one OpenBLAS thread; a larger one keeps the caller's count. A
-sweep decides once, from its reference, modal_hs_distance from the
-larger of its n_dof and mode count, and the caller's count comes back
-however the run ends. Most tests swap the library lookup for a
+sweep decides once, from its reference, mc_validate from its scheme's
+state rows, modal_hs_distance from the larger of its n_dof and mode
+count, and the caller's count comes back however the run ends. Most tests swap the library lookup for a
 fake counter, so they run on any BLAS; the last three use the
 OpenBLAS this process has loaded and are skipped where the lookup
 finds none.
@@ -19,16 +20,19 @@ from spdecov import (
     Coefficients,
     Exponential,
     Matern,
+    McConfig,
     Mesh1D,
+    NumericalError,
     SingularError,
     StudyConfig,
     WaveConfig,
     WhiteNoise,
     levels_from_exponents,
+    mc_validate,
     run_single,
     run_sweep,
 )
-from spdecov import linalg, spectral
+from spdecov import linalg, montecarlo, spectral
 from spdecov import study as study_mod
 
 CALLER_THREADS = 3
@@ -82,15 +86,21 @@ def blas(monkeypatch):
     return fake
 
 
-def _record_threads(monkeypatch, get):
-    """Thread counts seen by every propagation run and error norm."""
+def _record_threads(
+    monkeypatch,
+    get,
+    module=study_mod,
+    names=("advdiff_run", "wave_run", "err_trace_norm", "err_hs_norm"),
+):
+    """Thread counts seen by the named calls: by default, every
+    propagation run and error norm of a study."""
     seen = []
-    for name in ("advdiff_run", "wave_run", "err_trace_norm", "err_hs_norm"):
-        def recorded(*args, _fn=getattr(study_mod, name), **kwargs):
+    for name in names:
+        def recorded(*args, _fn=getattr(module, name), **kwargs):
             seen.append(get())
             return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(study_mod, name, recorded)
+        monkeypatch.setattr(module, name, recorded)
     return seen
 
 
@@ -167,6 +177,59 @@ def test_modal_hs_distance_threads_follow_its_larger_size(
     assert seen == [threads]
     assert blas.threads == CALLER_THREADS
     assert blas.sets == ([] if threads == CALLER_THREADS else [1, CALLER_THREADS])
+
+
+def _small_advdiff(**kw):
+    # 8 Neumann cells: 9 state rows
+    return AdvDiffConfig(
+        mesh=Mesh1D(8, "neumann"),
+        coeffs=Coefficients.constant(a11=1.0),
+        c0=0.0,
+        kernel=WhiteNoise(),
+        T=0.5,
+        n_steps=4,
+        **kw,
+    )
+
+
+def _record_mc_threads(monkeypatch, get):
+    """Thread counts seen by mc_validate's sampling and jackknife."""
+    return _record_threads(
+        monkeypatch, get, montecarlo, ("_batch_paths", "_jackknife_distances")
+    )
+
+
+@pytest.mark.parametrize(
+    "equation, bound, threads",
+    [
+        ("advdiff", linalg.SERIAL_BLAS_MAX_ROWS, 1),
+        ("wave", 30, 1),
+        # 15 degrees of freedom fit under 29, the 30 state rows do not
+        ("wave", 29, CALLER_THREADS),
+    ],
+)
+def test_mc_validate_threads_follow_the_state_rows(
+    blas, monkeypatch, equation, bound, threads
+):
+    monkeypatch.setattr(linalg, "SERIAL_BLAS_MAX_ROWS", bound)
+    seen = _record_mc_threads(monkeypatch, blas.get)
+    scheme = _small_advdiff() if equation == "advdiff" else _wave().scheme
+    mc_validate(McConfig(scheme=scheme, n_samples=50, seed=1))
+    assert seen == [threads, threads]
+    assert blas.threads == CALLER_THREADS
+    assert blas.sets == ([] if threads == CALLER_THREADS else [1, CALLER_THREADS])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_callers_threads_restored_after_overflowing_sample(blas, monkeypatch):
+    # the paths of K0 = 1e308 I are finite, their squares are not
+    seen = _record_mc_threads(monkeypatch, blas.get)
+    scheme = _small_advdiff(K0=1e308 * np.eye(9))
+    with pytest.raises(NumericalError):
+        mc_validate(McConfig(scheme=scheme, n_samples=50, seed=1))
+    assert seen == [1]
+    assert blas.threads == CALLER_THREADS
+    assert blas.sets == [1, CALLER_THREADS]
 
 
 REAL_BLAS = linalg._openblas()

@@ -259,8 +259,8 @@ def test_each_chunk_is_logged_at_debug(caplog, capsys):
 def test_sampling_memory_does_not_grow_with_the_step_count():
     # at 256 steps the noise of 2000 paths of 17 DoF is 70 MB, and the
     # one-shot sampler's peak was 67 MiB here; the chunked one holds one
-    # CHUNK_BYTES noise buffer, the 0.3 MB of samples and the
-    # jackknife's chunk stacks (3.75 MiB measured, at 16 steps too)
+    # CHUNK_BYTES noise buffer and its loads, the 0.3 MB of samples and
+    # the jackknife's chunk stack (2.3 MiB measured, 3.4 MiB at 16 steps)
     cfg = _advdiff_cfg(mesh=Mesh1D(16, "neumann"), T=1.0, n_steps=256)
     mc = McConfig(scheme=cfg, n_samples=2000, seed=3)
     tracemalloc.start()
@@ -409,6 +409,27 @@ def test_stacked_jackknife_matches_per_path_loop(cfg, monkeypatch):
     assert_allclose(hs, hs_ref, rtol=1e-12, atol=0.0)
     assert rep.sampling_error_trace == pytest.approx(_jackknife_se(tr_ref), rel=1e-12)
     assert rep.sampling_error_hs == pytest.approx(_jackknife_se(hs_ref), rel=1e-12)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    n_s=st.integers(3, 40),
+    d=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rank_one_jackknife_matches_per_path_loop(n_s, d, seed):
+    # K_det is drawn apart from the samples, so no distance is near
+    # zero; the shifted mean exercises the centring of the downdate
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((d, d))
+    M = A @ A.T + d * np.eye(d)
+    B = rng.standard_normal((d, d))
+    K_det = B @ B.T + np.eye(d)
+    samples = rng.standard_normal((n_s, d)) + rng.uniform(-1.0, 1.0, d)
+    tr, hs = _jackknife_distances(samples, np.linalg.cholesky(M), K_det)
+    tr_ref, hs_ref = _loop_jackknife(samples, M, K_det)
+    assert_allclose(tr, tr_ref, rtol=1e-12, atol=0.0)
+    assert_allclose(hs, hs_ref, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200], ids=["nan", "inf", "overflow"])
