@@ -4,7 +4,9 @@ A kernel spec is either white noise (no pointwise kernel; its Gram is
 the mass matrix) or a pointwise kernel q(x, y): exponential, Matern,
 Brownian bridge, or a user-supplied callable. Exponential and Matern
 are stationary: they depend on the distance |x - y| alone, through
-their `profile`. assemble_Q produces Q_h[i, j] = <Q phi_i, phi_j> by
+their `profile`. The Brownian bridge is semiseparable, f(min(x, y))
+g(max(x, y)), so its Gram is an outer product of hat moments plus a
+band. assemble_Q produces Q_h[i, j] = <Q phi_i, phi_j> by
 Gauss-Legendre quadrature over cell pairs. Each graded block on and
 next to the diagonal is integrated once, from the kernel's symmetric
 part, so the Gram of a Custom kernel q is that of (q(x, y) + q(y, x)) / 2.
@@ -252,9 +254,30 @@ class Matern(_Stationary):
         return self.sigma**2 * (_scaled_kv(self.nu, w) / self._f0)
 
 
+class _Semiseparable(Kernel):
+    """Kernel q(x, y) = f(min(x, y)) g(max(x, y)); subclasses define f and g.
+
+    For two hats whose supports do not overlap, <Q phi_i, phi_j> is the
+    product of the moments int f phi and int g phi of the left and the
+    right hat, so the Gram is semiseparable: an outer product of those
+    moments plus a band, which assemble_Q exploits (Vandebril, Van Barel
+    and Mastronardi, Matrix Computations and Semiseparable Matrices, 2008).
+    """
+
+
 @dataclass(frozen=True)
-class BrownianBridge(Kernel):
-    """q(x, y) = min(x, y) - x y, the Brownian bridge covariance."""
+class BrownianBridge(_Semiseparable):
+    """q(x, y) = min(x, y) - x y, the Brownian bridge covariance.
+
+    It is the Green's function of the Dirichlet Laplacian, Q = Lambda^-1,
+    with f(x) = x and g(y) = 1 - y.
+    """
+
+    def f(self, x):
+        return x
+
+    def g(self, y):
+        return 1.0 - y
 
     def pointwise(self, x, y):
         return np.minimum(x, y) - np.asarray(x, dtype=float) * y
@@ -308,6 +331,26 @@ def _contract(qw, bx, by):
     return (b @ qw.reshape(-1, b.shape[1]).T).reshape(2, 2, -1)
 
 
+def _same_cell_blocks(q, cells, h, nodes, weights):
+    """(2, 2, len(cells)) same-cell blocks of the symmetric kernel q.
+
+    Each pair is split along the diagonal y = x. On the triangle y <= x
+    the substitution x = xl + h u, y = xl + h u v (Jacobian h^2 u) keeps
+    |x - y| = h u (1 - v) away from sign changes, so kernels with a kink
+    or cusp on the diagonal are integrated from smooth data; q is only
+    called with x >= y. The tensor rule (nodes, weights) on [0, 1] runs
+    over u and reflected over v, so a graded rule is graded toward u = 0
+    and v = 1. The mirrored triangle adds the transpose of this one's
+    block.
+    """
+    W = np.outer(weights, weights) * h * h
+    U, V = np.meshgrid(nodes, 1.0 - nodes, indexing="ij")
+    c = h * np.asarray(cells, dtype=float)[:, None, None]
+    qw = q(c + h * U, c + h * U * V) * (W * U)
+    a = _contract(qw, _hats(U), _hats(U * V))
+    return a + a.swapaxes(0, 1)
+
+
 def _near_diagonal_blocks(spec, same, adjacent, h):
     """Graded blocks of the cells `same` and the pairs (c + 1, c), c in `adjacent`.
 
@@ -316,13 +359,9 @@ def _near_diagonal_blocks(spec, same, adjacent, h):
     kernel's symmetric part, so the block of (c, c + 1) is the (i, j)
     transpose of that of (c + 1, c).
 
-    Same-cell pairs are split along the diagonal y = x. On the triangle
-    y <= x the substitution x = xl + h u, y = xl + h u v (Jacobian
-    h^2 u) keeps |x - y| = h u (1 - v) away from sign changes, so
-    kernels with a kink or cusp on the diagonal are integrated from
-    smooth data. u is graded toward 0 and v toward 1, where the residual
-    edge cusps of nearly-white Matern kernels sit. The mirrored triangle
-    adds the transpose of this one's block.
+    Same-cell pairs are split along the diagonal (_same_cell_blocks),
+    with u graded toward 0 and v toward 1, where the residual edge cusps
+    of nearly-white Matern kernels sit.
 
     Adjacent pairs share one node, where nearly-white Matern kernels
     cusp at |x - y| = 0; both axes are graded toward that corner, since
@@ -330,14 +369,57 @@ def _near_diagonal_blocks(spec, same, adjacent, h):
     """
     W = np.outer(_GRADED_W, _GRADED_W) * h * h
     U, V = np.meshgrid(_GRADED_U, 1.0 - _GRADED_U, indexing="ij")
-    bx = _hats(U)
-    c = h * np.asarray(same, dtype=float)[:, None, None]
-    qw = spec._symmetric_part(c + h * U, c + h * U * V) * (W * U)
-    a = _contract(qw, bx, _hats(U * V))
     # the shared node is the left end of cell c + 1 and the right end of c
     c = np.asarray(adjacent, dtype=float)[:, None, None]
     qw = spec._symmetric_part((c + 1.0) * h + h * U, c * h + h * V) * W
-    return a + a.swapaxes(0, 1), _contract(qw, bx, _hats(V))
+    return (
+        _same_cell_blocks(spec._symmetric_part, same, h, _GRADED_U, _GRADED_W),
+        _contract(qw, _hats(U), _hats(V)),
+    )
+
+
+def _semiseparable_gram(mesh, spec):
+    """Gram of a _Semiseparable kernel: an outer product plus a band.
+
+    u[c, i] = int f phi_i and v[c, i] = int g phi_i are the moments of
+    the local hats of cell c, and U, V their sums per node. For x in
+    cell a and y in a cell b > a, q = f(x) g(y), so the block of cells
+    (a, b) is u[a] v[b]^T, and Q[p, r] = U[p] V[r] wherever r >= p + 2:
+    there the supports of the two hats do not overlap. The outer product
+    of U and V, mirrored from its upper triangle so that the result is
+    exactly symmetric, is corrected on the band: each same-cell block
+    replaces its u[c] v[c]^T, and on the main diagonal the pair
+    (c + 1, c), whose x lies right of its y, replaces u[c + 1, 0] v[c, 1]
+    by u[c, 1] v[c + 1, 0]. The moments come from the 6-point cell rule
+    and the same-cell blocks from the triangle split with the plain
+    6 x 6 rule: q is smooth on each triangle, and for the bridge the
+    integrands are polynomials that both rules integrate exactly.
+    """
+    n, h = mesh.n_cells, mesh.h
+    x = np.arange(n)[:, None] * h + h * _GAUSS_U
+    wb = h * _GAUSS_W * _hats(_GAUSS_U)
+    u, v = spec.f(x) @ wb.T, spec.g(x) @ wb.T
+    same = _same_cell_blocks(
+        lambda x, y: spec.f(y) * spec.g(x), range(n), h, _GAUSS_U, _GAUSS_W
+    )
+    U, V, diag = np.zeros(n + 1), np.zeros(n + 1), np.zeros(n + 1)
+    for i in (0, 1):
+        U[i : n + i] += u[:, i]
+        V[i : n + i] += v[:, i]
+        diag[i : n + i] += same[i, i] - u[:, i] * v[:, i]
+    diag[1:-1] += u[:-1, 1] * v[1:, 0] - u[1:, 0] * v[:-1, 1]
+    upper = same[0, 1] - u[:, 0] * v[:, 1]
+
+    # upper[p] couples nodes p and p + 1, so the node slice keeps the
+    # pairs of two degrees of freedom
+    U, V, diag, upper = U[mesh.dofs], V[mesh.dofs], diag[mesh.dofs], upper[mesh.dofs]
+    Q = np.triu(np.outer(U, V))
+    Q += np.triu(Q, 1).T
+    i = np.arange(len(U))
+    Q[i, i] += diag
+    Q[i[:-1], i[1:]] += upper
+    Q[i[1:], i[:-1]] += upper
+    return Q
 
 
 def _scatter(blocks, mesh):
@@ -356,19 +438,30 @@ def _scatter(blocks, mesh):
 def assemble_Q(mesh, spec):
     """Noise Gram matrix Q_h[i, j] = <Q phi_i, phi_j>.
 
-    White noise returns the mass matrix exactly. Pointwise kernels are
-    integrated with a 6x6 tensor Gauss-Legendre rule per cell pair;
-    pairs within one cell of the diagonal, where kernels may kink or
-    cusp at |x - y| = 0, use graded rules instead (a triangle split on
-    same-cell pairs, corner grading on adjacent ones), each integrated
-    once from the kernel's symmetric part: a Custom kernel's Gram is
-    that of its symmetric part. For stationary kernels the block of cell
-    pair (a, b) depends on the offset d = a - b alone, and that of -d is
-    the transpose of that of d, so the n_cells blocks with d >= 0 are
-    integrated once: O(n_cells) kernel evaluations, not O(n_cells^2).
+    White noise returns the mass matrix exactly. Each pointwise kernel
+    takes one of three paths, chosen by its type:
+
+    - semiseparable (the Brownian bridge): the outer product of the hat
+      moments of f and g plus a band from the same-cell blocks
+      (_semiseparable_gram), with O(n_cells) evaluations of f and g and
+      no kernel grid;
+    - stationary (exponential, Matern): the block of cell pair (a, b)
+      depends on the offset d = a - b alone, and that of -d is the
+      transpose of that of d, so the n_cells blocks with d >= 0 are
+      integrated once: O(n_cells) kernel evaluations, not O(n_cells^2);
+    - grid (Custom): the kernel on the whole (6 n_cells)^2 point grid.
+
+    The last two integrate with a 6x6 tensor Gauss-Legendre rule per
+    cell pair; pairs within one cell of the diagonal, where kernels may
+    kink or cusp at |x - y| = 0, use graded rules instead (a triangle
+    split on same-cell pairs, corner grading on adjacent ones), each
+    integrated once from the kernel's symmetric part: a Custom kernel's
+    Gram is that of its symmetric part.
     """
     if isinstance(spec, WhiteNoise):
         return assemble_mass(mesh)
+    if isinstance(spec, _Semiseparable):
+        return _semiseparable_gram(mesh, spec)
 
     n, h = mesh.n_cells, mesh.h
     wb = h * _GAUSS_W * _hats(_GAUSS_U)

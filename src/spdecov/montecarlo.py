@@ -375,6 +375,15 @@ def _jackknife_distances(samples, L, K_det):
     return tr, hs
 
 
+def _check_finite(name, value):
+    """Raise a NumericalError naming value if any of its entries is inf or nan."""
+    if not np.isfinite(value).all():
+        raise NumericalError(
+            f"the {name} is not finite: the covariances or their squares "
+            "overflow double precision"
+        )
+
+
 def mc_validate(mc):
     """Compare the empirical path covariance to the deterministic one.
 
@@ -392,11 +401,20 @@ def mc_validate(mc):
     Returns
     -------
     McReport
+
+    Raises
+    ------
+    NumericalError
+        If a covariance, a distance or a standard error is not finite,
+        as when the covariances or their squares overflow double
+        precision; the message names the quantity.
     """
     with _serial_blas(mc.scheme.n_state):
         return _mc_validate(mc)
 
 
+# an overflow surfaces as the NumericalError of a finite check instead
+@np.errstate(over="ignore", invalid="ignore")
 def _mc_validate(mc):
     config = mc.scheme
     mesh = config.mesh
@@ -419,15 +437,20 @@ def _mc_validate(mc):
     if wave:
         samples = samples[:, :n]
     K_emp = empirical_cov(samples)
-
+    _check_finite("empirical covariance", K_emp)
+    _check_finite("deterministic covariance", K_det)
     trace_d = err_trace_norm(K_emp, mesh, K_det, mesh)
     hs_d = err_hs_norm(K_emp, mesh, K_det, mesh)
+    _check_finite("trace distance", trace_d)
+    _check_finite("Hilbert-Schmidt distance", hs_d)
 
     tr_vals, hs_vals = _jackknife_distances(samples, np.linalg.cholesky(M), K_det)
     n_s = mc.n_samples
     fac = (n_s - 1.0) / n_s
     se_tr = float(np.sqrt(fac * np.sum((tr_vals - tr_vals.mean()) ** 2)))
     se_hs = float(np.sqrt(fac * np.sum((hs_vals - hs_vals.mean()) ** 2)))
+    _check_finite("trace standard error", se_tr)
+    _check_finite("Hilbert-Schmidt standard error", se_hs)
 
     margin = (
         MC_CONSISTENCY_COEFF

@@ -1,5 +1,8 @@
 import json
 import math
+import tracemalloc
+from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +26,7 @@ from spdecov import (
     assemble_stiffness,
     hat_values,
 )
-from spdecov.kernels import _scaled_kv
+from spdecov.kernels import _Semiseparable, _scaled_kv
 
 
 def test_brownian_bridge_midpoint():
@@ -387,6 +390,57 @@ GRAM_ENTRIES = json.loads(
 )
 
 
+#: int int min(s, t) phi_i(s) phi_j(t) ds dt over the unit cell, for
+#: the local hats phi_0 = 1 - s and phi_1 = s
+_MIN_MOMENTS = ((Fraction(1, 20), Fraction(3, 40)), (Fraction(3, 40), Fraction(2, 15)))
+
+
+def _exact_bridge_entry(n_cells, bc, i, j):
+    """Q_h[i, j] of the Brownian bridge, exactly, in Fractions.
+
+    For x in cell a and y in cell b > a, q = x (1 - y) factors into the
+    cell moments F[a] = int x phi and G[b] = int (1 - y) phi. In a cell
+    a, int int min(x, y) phi phi = h^3 (a / 4 + _MIN_MOMENTS) and
+    int int x y phi phi = F[a] F[a].
+    """
+    h = Fraction(1, n_cells)
+    off = (Fraction(1, 6), Fraction(1, 3))
+
+    def F(c, k):
+        return h * h * (Fraction(c, 2) + off[k])
+
+    def G(c, k):
+        return h * h * (Fraction(n_cells - c, 2) - off[k])
+
+    def cells(dof):
+        node = dof + (bc == "dirichlet")
+        return [(c, k) for c, k in ((node - 1, 1), (node, 0)) if 0 <= c < n_cells]
+
+    total = Fraction(0)
+    for a, k in cells(i):
+        for b, m in cells(j):
+            if a < b:
+                total += F(a, k) * G(b, m)
+            elif a > b:
+                total += F(b, m) * G(a, k)
+            else:
+                total += h**3 * (Fraction(a, 4) + _MIN_MOMENTS[k][m])
+                total -= F(a, k) * F(a, m)
+    return total
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("n_cells", [2, 3, 8, 64])
+def test_bridge_gram_is_exact(n_cells, bc):
+    Q = assemble_Q(Mesh1D(n_cells, bc), BrownianBridge())
+    assert np.array_equal(Q, Q.T)
+    want = np.array(
+        [[float(_exact_bridge_entry(n_cells, bc, i, j)) for j in range(len(Q))]
+         for i in range(len(Q))]
+    )
+    assert_allclose(Q, want, rtol=1e-13, atol=0)
+
+
 @pytest.mark.parametrize("case", sorted(GRAM_ENTRIES))
 def test_gram_matches_both_triangle_assembly(case):
     name, n_cells, bc = case.split()
@@ -394,8 +448,69 @@ def test_gram_matches_both_triangle_assembly(case):
     assert np.array_equal(Q, Q.T)
     entries = GRAM_ENTRIES[case]
     assert [(i, j) for i, j, _ in entries] == _probe(len(Q))
+    if name == "bridge":
+        # the stored bridge entries carry that assembly's quadrature
+        # error, up to 1.3e-13 relative at 1024 cells; check the exact ones
+        entries = [
+            (i, j, float(_exact_bridge_entry(int(n_cells), bc, i, j)))
+            for i, j, _ in entries
+        ]
     for i, j, want in entries:
         assert Q[i, j] == pytest.approx(want, rel=1e-13, abs=0), (i, j)
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("n_cells", [2, 3, 8, 128])
+def test_bridge_gram_matches_the_grid_path(n_cells, bc):
+    # Custom hides the semiseparable structure, so it takes the grid path
+    mesh = Mesh1D(n_cells, bc)
+    Q = assemble_Q(mesh, BrownianBridge())
+    Q_grid = assemble_Q(mesh, Custom(BrownianBridge().pointwise))
+    gap = np.abs(Q - Q_grid).max()
+    assert gap <= 1e-13 * np.abs(Q_grid).max(), gap
+
+
+@dataclass(frozen=True)
+class _SemiseparableExponential(_Semiseparable):
+    """exp(-scale |x - y|) as f(min(x, y)) g(max(x, y))."""
+
+    scale: float
+
+    def f(self, x):
+        return np.exp(self.scale * x)
+
+    def g(self, y):
+        return np.exp(-self.scale * y)
+
+
+@pytest.mark.parametrize("scale", [0.5, 2.0])
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("n_cells", [2, 3, 8, 128])
+def test_semiseparable_exponential_matches_the_stationary_path(n_cells, bc, scale):
+    # two fast paths for one kernel: the outer product plus band, and
+    # one block per cell offset. The band subtracts products of moments
+    # that grow like exp(scale h) across a cell, so scale h stays <= 1
+    mesh = Mesh1D(n_cells, bc)
+    Q = assemble_Q(mesh, _SemiseparableExponential(scale))
+    Q_stationary = assemble_Q(mesh, Exponential(scale))
+    assert np.array_equal(Q, Q.T)
+    gap = np.abs(Q - Q_stationary).max()
+    assert gap <= 1e-13 * np.abs(Q_stationary).max(), gap
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+def test_bridge_gram_memory(bc):
+    # the outer product, its mirrored upper triangle and a boolean mask;
+    # the grid path peaked at 84 such matrices
+    mesh = Mesh1D(1024, bc)
+    assemble_Q(mesh, BrownianBridge())
+    tracemalloc.start()
+    try:
+        assemble_Q(mesh, BrownianBridge())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * mesh.n_dof**2, peak
 
 
 @pytest.mark.parametrize("n_cells", [2, 3, 8, 64])
@@ -403,28 +518,36 @@ def test_kernel_evaluations_per_assembly(monkeypatch, n_cells):
     # each graded block is integrated once: one 64 x 64 rule per cell
     # and per adjacent pair, and for stationary kernels one of each plus
     # the 6 x 6 rule for every offset d >= 2
-    points = []
+    calls = []
 
-    def counted(method):
+    def counted(name, method):
         def wrapper(self, *args):
-            points.append(np.broadcast(*args).size)
+            calls.append((name, np.broadcast(*args).size))
             return method(self, *args)
 
         return wrapper
 
-    monkeypatch.setattr(Exponential, "profile", counted(Exponential.profile))
-    monkeypatch.setattr(BrownianBridge, "pointwise", counted(BrownianBridge.pointwise))
+    monkeypatch.setattr(Exponential, "profile", counted("profile", Exponential.profile))
+    for name in ("pointwise", "f", "g"):
+        method = getattr(BrownianBridge, name)
+        monkeypatch.setattr(BrownianBridge, name, counted(name, method))
     grid, graded = (6 * n_cells) ** 2, (2 * n_cells - 1) * 64**2
     cases = [
-        (Exponential(3.0), (n_cells - 2) * 36 + 2 * 64**2),
-        (BrownianBridge(), grid + graded),
-        # a Custom kernel is evaluated at (x, y) and (y, x) on graded points
-        (Custom(BrownianBridge().pointwise), grid + 2 * graded),
+        (Exponential(3.0), {"profile": (n_cells - 2) * 36 + 2 * 64**2}),
+        # f and g at the 6 points of each cell for the hat moments and
+        # at the 6 x 6 points of each same-cell triangle; never pointwise
+        (BrownianBridge(), {"f": 42 * n_cells, "g": 42 * n_cells}),
+        # a Custom kernel takes the grid path and is evaluated at (x, y)
+        # and (y, x) on graded points
+        (Custom(BrownianBridge().pointwise), {"pointwise": grid + 2 * graded}),
     ]
     for kernel, want in cases:
-        points.clear()
+        calls.clear()
         assemble_Q(Mesh1D(n_cells, "neumann"), kernel)
-        assert sum(points) == want, kernel
+        got = {}
+        for name, points in calls:
+            got[name] = got.get(name, 0) + points
+        assert got == want, kernel
 
 
 @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])

@@ -440,6 +440,24 @@ def test_jackknife_rejects_non_finite_stack(bad):
         _jackknife_distances(samples, np.eye(3), np.eye(3))
 
 
+@pytest.mark.parametrize(
+    "scale, quantity",
+    [
+        # the paths and both covariances are finite, the sum of squares
+        # of the Hilbert-Schmidt distance is not
+        (1e305, "Hilbert-Schmidt distance"),
+        (1e307, "Hilbert-Schmidt distance"),
+        # K0 + K0^T overflows when K0 is symmetrized, so neither the
+        # paths nor the empirical covariance are finite
+        (1e308, "empirical covariance"),
+    ],
+)
+def test_overflowing_statistics_name_the_non_finite_quantity(scale, quantity):
+    cfg = _advdiff_cfg(c0=0.0, K0=scale * np.eye(9))
+    with pytest.raises(NumericalError, match=f"the {quantity} is not finite"):
+        mc_validate(McConfig(scheme=cfg, n_samples=50, seed=1))
+
+
 def _one_path(cfg, seed):
     return _batch_paths(cfg, advdiff_operators(cfg), _philox_keys(seed, 1))[0]
 
