@@ -20,11 +20,12 @@ from dataclasses import astuple, fields
 
 import numpy as np
 
+from . import montecarlo
 from .advdiff import AdvDiffConfig
 from .config import load_mc, load_study
 from .exceptions import ConfigError, NumericalError
-from .kernels import BrownianBridge, WhiteNoise
 from .spectral import (
+    _sine_diagonal,
     eigenvalues,
     heat_cov_closed_form,
     wave_cov_closed_form,
@@ -40,6 +41,70 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _run_equation(args):
+    study = load_study(args.config)
+    declared = "advdiff" if isinstance(study.scheme, AdvDiffConfig) else "wave"
+    if declared != args.command:
+        raise ConfigError(
+            f"config declares equation type {declared!r}, "
+            f"but the {args.command} subcommand was invoked"
+        )
+    mesh, K, t = run_single(study, t_stop=study.snapshot_t)
+    if study.snapshot_t is None:
+        title = f"covariance coefficient matrix, n_dof={len(K)}, t={float(t)!r}"
+        return write_table(args.format, (), K, title=title)
+    # nodal covariance samples Cov(u(x_p), u(x_q)) on the DoF nodes
+    xs = mesh.dof_nodes
+    rows = [(xs[p], xs[q], K[p, q]) for p, q in np.ndindex(K.shape)]
+    title = f"covariance snapshot at t={float(t)!r}"
+    return write_table(
+        args.format, ("x", "y", "cov"), rows, title=title, block=len(xs)
+    )
+
+
+def _run_sweep(args):
+    return emit(run_sweep(load_study(args.config)), fmt=args.format)
+
+
+def _run_mc(args):
+    mc = load_mc(args.config, n_samples=args.samples, seed=args.seed)
+    # looked up on the module at call time, where a tracer may wrap it
+    report = montecarlo.mc_validate(mc)
+    columns = [f.name for f in fields(report)]
+    return write_table(args.format, columns, [astuple(report)])
+
+
+def _run_oracle(args):
+    scheme = load_study(args.config).scheme
+    n_modes = args.modes
+    if n_modes < 1:
+        raise ConfigError("--modes must be positive")
+    q = _sine_diagonal(n_modes, scheme.kernel)
+    if q is None:
+        raise ConfigError(
+            "closed-form oracle needs a white or brownian_bridge kernel"
+        )
+    if isinstance(scheme, AdvDiffConfig):
+        var = heat_cov_closed_form(n_modes, scheme.T, q_diag=q)
+    else:
+        var = wave_cov_closed_form(n_modes, scheme.T, q_diag=q)
+    rows = zip(range(1, n_modes + 1), eigenvalues(n_modes), var)
+    return write_table(args.format, ("k", "lambda", "variance"), rows)
+
+
+# subcommand -> (help text, handler of the parsed arguments)
+_COMMANDS = {
+    "advdiff": (
+        "single heat-equation covariance at the reference level",
+        _run_equation,
+    ),
+    "wave": ("single wave-equation position covariance", _run_equation),
+    "sweep": ("refinement study with fitted convergence rates", _run_sweep),
+    "mc": ("Monte Carlo validation of the deterministic covariance", _run_mc),
+    "oracle": ("closed-form spectral mode variances", _run_oracle),
+}
+
+
 def _build_parser():
     parser = _Parser(
         prog="spde-cov",
@@ -47,13 +112,7 @@ def _build_parser():
         "stochastic equations on (0,1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("advdiff", "single heat-equation covariance at the reference level"),
-        ("wave", "single wave-equation position covariance"),
-        ("sweep", "refinement study with fitted convergence rates"),
-        ("mc", "Monte Carlo validation of the deterministic covariance"),
-        ("oracle", "closed-form spectral mode variances"),
-    ):
+    for name, (help_text, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="INI config file")
         p.add_argument("--out", help="write output here instead of stdout")
@@ -77,78 +136,11 @@ def _build_parser():
     return parser
 
 
-def _run_equation(args, equation):
-    study = load_study(args.config)
-    declared = "advdiff" if isinstance(study.scheme, AdvDiffConfig) else "wave"
-    if declared != equation:
-        raise ConfigError(
-            f"config declares equation type {declared!r}, "
-            f"but the {equation} subcommand was invoked"
-        )
-    mesh, K, t = run_single(study, t_stop=study.snapshot_t)
-    if study.snapshot_t is None:
-        title = f"covariance coefficient matrix, n_dof={len(K)}, t={float(t)!r}"
-        return write_table(args.format, (), K, title=title)
-    # nodal covariance samples Cov(u(x_p), u(x_q)) on the DoF nodes
-    xs = mesh.dof_nodes
-    rows = [(xs[p], xs[q], K[p, q]) for p, q in np.ndindex(K.shape)]
-    title = f"covariance snapshot at t={float(t)!r}"
-    return write_table(
-        args.format, ("x", "y", "cov"), rows, title=title, block=len(xs)
-    )
-
-
-def _run_sweep(args):
-    study = load_study(args.config)
-    report = run_sweep(study)
-    return emit(report, fmt=args.format)
-
-
-def _run_mc(args):
-    mc = load_mc(args.config, n_samples=args.samples, seed=args.seed)
-    from .montecarlo import mc_validate
-
-    report = mc_validate(mc)
-    columns = [f.name for f in fields(report)]
-    return write_table(args.format, columns, [astuple(report)])
-
-
-def _run_oracle(args):
-    scheme = load_study(args.config).scheme
-    n_modes = args.modes
-    if n_modes < 1:
-        raise ConfigError("--modes must be positive")
-    lam = eigenvalues(n_modes)
-    if isinstance(scheme.kernel, WhiteNoise):
-        q = np.ones(n_modes)
-    elif isinstance(scheme.kernel, BrownianBridge):
-        q = 1.0 / lam
-    else:
-        raise ConfigError(
-            "closed-form oracle needs a white or brownian_bridge kernel"
-        )
-    if isinstance(scheme, AdvDiffConfig):
-        var = heat_cov_closed_form(n_modes, scheme.T, q_diag=q)
-    else:
-        var = wave_cov_closed_form(n_modes, scheme.T, q_diag=q)
-    rows = zip(range(1, n_modes + 1), lam, var)
-    return write_table(args.format, ("k", "lambda", "variance"), rows)
-
-
 def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "advdiff":
-            text = _run_equation(args, "advdiff")
-        elif args.command == "wave":
-            text = _run_equation(args, "wave")
-        elif args.command == "sweep":
-            text = _run_sweep(args)
-        elif args.command == "mc":
-            text = _run_mc(args)
-        else:
-            text = _run_oracle(args)
+        text = _COMMANDS[args.command][1](args)
     except (ConfigError, ValueError) as exc:
         print(f"spde-cov: config error: {exc}", file=sys.stderr)
         return 1

@@ -2,8 +2,9 @@
 
 Three sections. [equation] picks the scheme and its coefficients,
 [kernel] the noise covariance, [study] the discretization levels and
-outputs. Coefficient functions come from a small named catalog so that
-configs stay plain text:
+outputs; a key that its section does not take is a ConfigError.
+Coefficient functions come from a small named catalog so that configs
+stay plain text:
 
     zero       constant 0
     one        constant 1
@@ -39,6 +40,25 @@ _CATALOG = {
     "one": (_Constant(1.0), 1.0),
     "sin2pix": (lambda x: np.sin(2.0 * np.pi * np.asarray(x, dtype=float)), -1.0),
 }
+
+
+# the keys each section takes: [equation] by equation type, [kernel] by
+# kernel type besides its type key, [study] whatever the command
+_EQUATION_KEYS = {
+    "advdiff": ("type", "bc", "a11", "a1", "a0", "lambda0", "c0"),
+    "wave": ("type", "g"),
+}
+_KERNEL_KEYS = {
+    "white": (),
+    "white_noise": (),
+    "bridge": (),
+    "brownian_bridge": (),
+    "exponential": ("scale",),
+    "matern": ("sigma", "nu", "rho"),
+}
+_STUDY_KEYS = (
+    "t", "coupling", "levels", "reference", "norms", "snapshot_t", "n_samples", "seed"
+)
 
 
 def _catalog_entry(name):
@@ -94,8 +114,18 @@ def _getint(section, key, default=None):
         raise ConfigError(f"key {key!r} is not an integer") from exc
 
 
+def _check_keys(section, allowed, owner):
+    """Refuse a key of the section that is not in allowed, naming both."""
+    for key in section:
+        if key not in allowed:
+            raise ConfigError(f"{owner} take no key {key!r} in [{section.name}]")
+
+
 def kernel_from_section(section):
     kind = section.get("type", "white").strip().lower()
+    if kind not in _KERNEL_KEYS:
+        raise ConfigError(f"unknown kernel type {kind!r}")
+    _check_keys(section, ("type",) + _KERNEL_KEYS[kind], f"{kind} kernels")
     if kind in ("white", "white_noise"):
         return WhiteNoise()
     if kind in ("brownian_bridge", "bridge"):
@@ -103,15 +133,13 @@ def kernel_from_section(section):
     try:
         if kind == "exponential":
             return Exponential(scale=_getfloat(section, "scale", 1.0))
-        if kind == "matern":
-            return Matern(
-                sigma=_getfloat(section, "sigma", 1.0),
-                nu=_getfloat(section, "nu", required=True),
-                rho=_getfloat(section, "rho", 1.0),
-            )
+        return Matern(
+            sigma=_getfloat(section, "sigma", 1.0),
+            nu=_getfloat(section, "nu", required=True),
+            rho=_getfloat(section, "rho", 1.0),
+        )
     except ValueError as exc:
         raise ConfigError(f"bad {kind} kernel: {exc}") from exc
-    raise ConfigError(f"unknown kernel type {kind!r}")
 
 
 def _parse_exponents(raw):
@@ -183,10 +211,8 @@ def _study(parser):
     equation = eq.get("type", "").strip().lower()
     if equation not in ("advdiff", "wave"):
         raise ConfigError(f"equation type must be advdiff or wave, got {equation!r}")
-    foreign = {"advdiff": ("g",), "wave": ("bc", "a11", "a1", "a0", "lambda0", "c0")}
-    for key in foreign[equation]:
-        if key in eq:
-            raise ConfigError(f"{equation} equations take no key {key!r}")
+    _check_keys(eq, _EQUATION_KEYS[equation], f"{equation} equations")
+    _check_keys(st, _STUDY_KEYS, "studies")
 
     T = _getfloat(st, "t", 1.0)
     coupling = st.get("coupling", "equal").strip().lower()
@@ -214,8 +240,6 @@ def _study(parser):
             )
         else:
             g = eq.get("g", "minus_q").strip().lower()
-            if g not in ("minus_q", "zero"):
-                raise ConfigError(f"g must be minus_q or zero, got {g!r}")
             scheme = WaveConfig(
                 mesh=Mesh1D(n_cells), kernel=kernel, g_spec=g, T=T, n_steps=n_steps
             )

@@ -104,6 +104,13 @@ def err_hs_norm(K, mesh, Kref, mesh_ref):
 
     With D and L as in err_trace_norm this is ||L^T D L||_F, which is
     sqrt(trace((D M)^2)) for M = L L^T. Arguments and errors are those
-    of err_trace_norm, except NoConvergenceError.
+    of err_trace_norm, except NoConvergenceError. Where the squares of
+    the entries overflow, the norm is taken of W / max|W| and scaled back.
     """
-    return float(np.linalg.norm(_difference(K, mesh, Kref, mesh_ref)))
+    W = _difference(K, mesh, Kref, mesh_ref)
+    with np.errstate(over="ignore"):
+        hs = np.linalg.norm(W)
+    if not np.isfinite(hs):
+        s = np.abs(W).max()
+        hs = s * np.linalg.norm(W / s)
+    return float(hs)

@@ -66,8 +66,18 @@ class SymEig(NamedTuple):
 
 
 def symmetrize(A):
-    """Return (A + A^T)/2."""
-    return 0.5 * (A + A.T)
+    """Return (A + A^T)/2, finite wherever A is.
+
+    Only where A + A^T overflows, past about 9e307, is it taken as
+    A/2 + A^T/2, whose second temporary costs a page-faulting
+    allocation at a few hundred rows.
+    """
+    with np.errstate(over="raise"):
+        try:
+            return 0.5 * (A + A.T)
+        except FloatingPointError:
+            pass
+    return 0.5 * A + 0.5 * A.T
 
 
 def _as_square(A, name="matrix"):

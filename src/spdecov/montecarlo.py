@@ -51,7 +51,7 @@ from .exceptions import (
 )
 from .fem import _is_int
 from .linalg import _serial_blas, propagate, symmetrize
-from .wave import WaveConfig, extract_position_cov, wave_operators
+from .wave import WaveConfig, wave_operators
 
 # mc_validate builds each scheme's operators once, propagates them itself
 # and takes its jackknife eigenvalues in stacked calls; these stay
@@ -71,11 +71,6 @@ __all__ = [
 
 #: jitter ladder for Cholesky of Q_h and K0, relative to trace/N
 CHOLESKY_JITTERS = (0.0, 1e-14, 1e-12, 1e-10)
-
-#: frozen coefficient of the scheme-consistency margin, calibrated on
-#: the one-DoF model (see tests): margin = coeff * gap_rate * dt^2 *
-#: n_steps * trace(M K_det)
-MC_CONSISTENCY_COEFF = 1.0
 
 #: byte budget of one chunk in the two chunked loops. A sampling chunk
 #: fills a noise buffer of this size with the largest power of two of
@@ -384,6 +379,8 @@ def _check_finite(name, value):
         )
 
 
+# an overflow surfaces as the NumericalError of a finite check instead
+@np.errstate(over="ignore", invalid="ignore")
 def mc_validate(mc):
     """Compare the empirical path covariance to the deterministic one.
 
@@ -395,8 +392,10 @@ def mc_validate(mc):
 
         distance <= 3 * sampling error + consistency_margin.
 
-    The scheme's state rows set the BLAS thread policy of the whole
-    validation, as in run_single.
+    The margin is gap_rate * dt^2 * n_steps * trace(M K_b), K_b the last
+    n x n block of the state covariance: K for advdiff (gap_rate c0^2),
+    the velocity block for wave (gap_rate 1). The scheme's state rows set
+    the BLAS thread policy of the whole validation, as in run_single.
 
     Returns
     -------
@@ -409,62 +408,43 @@ def mc_validate(mc):
         as when the covariances or their squares overflow double
         precision; the message names the quantity.
     """
-    with _serial_blas(mc.scheme.n_state):
-        return _mc_validate(mc)
-
-
-# an overflow surfaces as the NumericalError of a finite check instead
-@np.errstate(over="ignore", invalid="ignore")
-def _mc_validate(mc):
     config = mc.scheme
     mesh = config.mesh
-    wave = isinstance(config, WaveConfig)
-    ops = wave_operators(config) if wave else advdiff_operators(config)
-    M = ops.M
-    n = M.shape[0]
-    K_full = propagate(ops.step, config.n_steps, config.K0)
-    if wave:
-        K_det = extract_position_cov(K_full)
-        # the O(dt^2) load-vs-increment gap scales with the velocity block
-        gap_rate = 1.0
-        margin_scale = float(np.sum(M * K_full[n:, n:]))
-    else:
-        K_det = K_full
-        gap_rate = config.c0**2
-        margin_scale = float(np.sum(M * K_det))
-
-    samples = _batch_paths(config, ops, _philox_keys(mc.seed, mc.n_samples))
-    if wave:
+    with _serial_blas(config.n_state):
+        if isinstance(config, WaveConfig):
+            ops, gap_rate = wave_operators(config), 1.0
+        else:
+            ops, gap_rate = advdiff_operators(config), config.c0**2
+        M = ops.M
+        n = M.shape[0]
+        K_full = propagate(ops.step, config.n_steps, config.K0)
+        # the position block, which for advdiff is the whole state
+        K_det = K_full[:n, :n]
+        samples = _batch_paths(config, ops, _philox_keys(mc.seed, mc.n_samples))
         samples = samples[:, :n]
-    K_emp = empirical_cov(samples)
-    _check_finite("empirical covariance", K_emp)
-    _check_finite("deterministic covariance", K_det)
-    trace_d = err_trace_norm(K_emp, mesh, K_det, mesh)
-    hs_d = err_hs_norm(K_emp, mesh, K_det, mesh)
-    _check_finite("trace distance", trace_d)
-    _check_finite("Hilbert-Schmidt distance", hs_d)
+        K_emp = empirical_cov(samples)
+        _check_finite("empirical covariance", K_emp)
+        _check_finite("deterministic covariance", K_det)
+        trace_d = err_trace_norm(K_emp, mesh, K_det, mesh)
+        hs_d = err_hs_norm(K_emp, mesh, K_det, mesh)
+        _check_finite("trace distance", trace_d)
+        _check_finite("Hilbert-Schmidt distance", hs_d)
 
-    tr_vals, hs_vals = _jackknife_distances(samples, np.linalg.cholesky(M), K_det)
-    n_s = mc.n_samples
-    fac = (n_s - 1.0) / n_s
-    se_tr = float(np.sqrt(fac * np.sum((tr_vals - tr_vals.mean()) ** 2)))
-    se_hs = float(np.sqrt(fac * np.sum((hs_vals - hs_vals.mean()) ** 2)))
-    _check_finite("trace standard error", se_tr)
-    _check_finite("Hilbert-Schmidt standard error", se_hs)
+        L = np.linalg.cholesky(M)
+        tr_vals, hs_vals = _jackknife_distances(samples, L, K_det)
+        fac = (mc.n_samples - 1.0) / mc.n_samples
+        se_tr = float(np.sqrt(fac * np.sum((tr_vals - tr_vals.mean()) ** 2)))
+        se_hs = float(np.sqrt(fac * np.sum((hs_vals - hs_vals.mean()) ** 2)))
+        _check_finite("trace standard error", se_tr)
+        _check_finite("Hilbert-Schmidt standard error", se_hs)
 
-    margin = (
-        MC_CONSISTENCY_COEFF
-        * gap_rate
-        * config.dt**2
-        * config.n_steps
-        * margin_scale
-    )
+    scale = float(np.sum(M * K_full[-n:, -n:]))
     return McReport(
         hs_distance=hs_d,
         trace_distance=trace_d,
         sampling_error_hs=se_hs,
         sampling_error_trace=se_tr,
-        consistency_margin=margin,
+        consistency_margin=gap_rate * config.dt**2 * config.n_steps * scale,
         n_samples=mc.n_samples,
         seed=mc.seed,
     )

@@ -102,13 +102,23 @@ def _project_form(n_modes, coeffs, c0):
     return A + c0 * np.eye(n_modes)
 
 
+def _sine_diagonal(n_modes, kernel):
+    """Diagonal of the noise Gram in the eigenbasis, None where it is not diagonal.
+
+    The Gram is exactly I for white noise, Lambda^{-1} for the bridge.
+    """
+    if isinstance(kernel, WhiteNoise):
+        return np.ones(n_modes)
+    if isinstance(kernel, BrownianBridge):
+        return 1.0 / eigenvalues(n_modes)
+    return None
+
+
 def _project_noise(n_modes, kernel):
     """Gram of the noise covariance in the eigenbasis."""
-    if isinstance(kernel, WhiteNoise):
-        return np.eye(n_modes)
-    if isinstance(kernel, BrownianBridge):
-        # Q = Lambda^{-1} is diagonal here, exactly
-        return np.diag(1.0 / eigenvalues(n_modes))
+    q = _sine_diagonal(n_modes, kernel)
+    if q is not None:
+        return np.diag(q)
     pts, wts = _oracle_quadrature(n_modes)
     E = eigenfunction_values(n_modes, pts) * wts[:, None]
     qv = kernel.pointwise(pts[:, None], pts[None, :])

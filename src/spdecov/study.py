@@ -181,53 +181,28 @@ def run_sweep(study):
     usable points leaves the slope nan. The reference's state rows set
     the BLAS thread policy of the whole sweep, as in run_single.
     """
+    nan = float("nan")
+    rows, slopes = [], {}
     with _serial_blas(study.scheme.n_state):
-        return _run_sweep(study)
-
-
-def _run_sweep(study):
-    mesh_ref, K_ref, _ = run_single(study)
-
-    def one_level(idx, pair):
-        t0 = time.perf_counter()
-        mesh, K, _ = run_single(study, pair)
-        e1 = (
-            err_trace_norm(K, mesh, K_ref, mesh_ref)
-            if "L1" in study.norms
-            else float("nan")
-        )
-        e2 = (
-            err_hs_norm(K, mesh, K_ref, mesh_ref)
-            if "L2" in study.norms
-            else float("nan")
-        )
-        wall = time.perf_counter() - t0
-        return LevelResult(
-            level=idx,
-            h=mesh.h,
-            dt=study.scheme.T / pair[1],
-            err_L1=e1,
-            err_L2=e2,
-            wall_time_s=wall,
-        )
-
-    rows = tuple(
-        one_level(idx, pair) for idx, pair in enumerate(study.levels, start=1)
-    )
-
-    hs = [r.h for r in rows]
-    slopes = {}
-    for norm, errs in (
-        ("L1", [r.err_L1 for r in rows]),
-        ("L2", [r.err_L2 for r in rows]),
-    ):
-        slopes[norm] = float("nan")
-        if norm in study.norms:
+        mesh_ref, K_ref, _ = run_single(study)
+        for idx, pair in enumerate(study.levels, start=1):
+            t0 = time.perf_counter()
+            mesh, K, _ = run_single(study, pair)
+            e1 = e2 = nan
+            if "L1" in study.norms:
+                e1 = err_trace_norm(K, mesh, K_ref, mesh_ref)
+            if "L2" in study.norms:
+                e2 = err_hs_norm(K, mesh, K_ref, mesh_ref)
+            wall = time.perf_counter() - t0
+            dt = study.scheme.T / pair[1]
+            rows.append(LevelResult(idx, mesh.h, dt, e1, e2, wall))
+        for norm in study.norms:
+            errs = [getattr(r, f"err_{norm}") for r in rows]
             try:
-                slopes[norm] = fit_rate(hs, errs)
+                slopes[f"slope_{norm}"] = fit_rate([r.h for r in rows], errs)
             except DegenerateFitError:
                 pass
-    return RateReport(rows=rows, slope_L1=slopes["L1"], slope_L2=slopes["L2"])
+    return RateReport(rows=tuple(rows), **slopes)
 
 
 def _usable_pairs(hs, errs):
@@ -329,31 +304,18 @@ def emit(report, fmt="csv"):
 
 def read_report(text):
     """Parse a CSV report back into a RateReport (inverse of emit)."""
-    rows = []
-    slopes = {"L1": float("nan"), "L2": float("nan")}
+    rows, slopes = [], {}
     for line in text.splitlines():
         line = line.strip()
         if not line or line == CSV_HEADER:
             continue
         if line.startswith("#"):
-            body = line.lstrip("# ").strip()
-            for key in slopes:
-                if body.startswith(f"slope_{key}="):
-                    slopes[key] = float(body.split("=", 1)[1])
+            key, _, value = line.lstrip("# ").partition("=")
+            if key in ("slope_L1", "slope_L2"):
+                slopes[key] = float(value)
             continue
-        parts = line.split(",")
-        if len(parts) != 6:
+        p = line.split(",")
+        if len(p) != 6:
             raise ConfigError(f"malformed report row: {line!r}")
-        rows.append(
-            LevelResult(
-                level=int(parts[0]),
-                h=float(parts[1]),
-                dt=float(parts[2]),
-                err_L1=float(parts[3]),
-                err_L2=float(parts[4]),
-                wall_time_s=float(parts[5]),
-            )
-        )
-    return RateReport(
-        rows=tuple(rows), slope_L1=slopes["L1"], slope_L2=slopes["L2"]
-    )
+        rows.append(LevelResult(int(p[0]), *map(float, p[1:])))
+    return RateReport(rows=tuple(rows), **slopes)

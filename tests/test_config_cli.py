@@ -222,6 +222,41 @@ def test_advdiff_config_refuses_wave_keys(tmp_path, value):
     assert main(["sweep", "--config", path]) == 1
 
 
+def _refused(tmp_path, ini, section, key):
+    path = _write(tmp_path, ini)
+    with pytest.raises(ConfigError, match=rf"no key '{key}' in \[{section}\]"):
+        load_study(path)
+    assert main(["sweep", "--config", path]) == 1
+
+
+@pytest.mark.parametrize("ini", [HEAT_INI, WAVE_INI], ids=["advdiff", "wave"])
+def test_equation_section_refuses_unknown_keys(tmp_path, ini):
+    _refused(tmp_path, ini.replace("[kernel]", "a2 = zero\n[kernel]"), "equation", "a2")
+
+
+@pytest.mark.parametrize(
+    "kernel, key",
+    [
+        # a misspelled sigma once ran silently with sigma = 1
+        ("type = matern\nnu = 0.5\nsigam = 10", "sigam"),
+        ("type = white\nscale = 2", "scale"),
+        ("type = bridge\nrho = 0.1", "rho"),
+        ("type = exponential\nsigma = 2", "sigma"),
+    ],
+    ids=["matern", "white", "bridge", "exponential"],
+)
+def test_kernel_section_takes_only_the_keys_of_its_type(tmp_path, kernel, key):
+    _refused(tmp_path, HEAT_INI.replace("type = white", kernel), "kernel", key)
+    section = configparser.ConfigParser()
+    section.read_string("[kernel]\n" + kernel)
+    with pytest.raises(ConfigError, match=f"no key '{key}'"):
+        kernel_from_section(section["kernel"])
+
+
+def test_study_section_refuses_unknown_keys(tmp_path):
+    _refused(tmp_path, HEAT_INI + "n_sample = 10\n", "study", "n_sample")
+
+
 def test_load_mc_runs_the_study_reference(tmp_path):
     heat = HEAT_INI.replace("a11 = one", "a11 = const:2\na1 = sin2pix")
     for ini in (heat, WAVE_INI):

@@ -244,3 +244,13 @@ def test_cross_mesh_nested_refinement_sanity():
     d_ab = err_hs_norm(K, mesh_a, Kref, mesh_b)
     d_bc = err_hs_norm(Kref, mesh_b, Kref2, mesh_c)
     assert d_bc < d_ab
+
+
+def test_hs_norm_of_entries_whose_squares_overflow():
+    # the entries of 1e155 I square to about 1e310, past the largest double
+    mesh = Mesh1D(8, "neumann")
+    zero = np.zeros((9, 9))
+    unit = err_hs_norm(np.eye(9), mesh, zero, mesh)
+    huge = err_hs_norm(1e155 * np.eye(9), mesh, zero, mesh)
+    assert np.isfinite(huge)
+    assert huge == pytest.approx(1e155 * unit, rel=1e-15)

@@ -25,6 +25,7 @@ from spdecov import (
     empirical_cov,
     mc_validate,
     symmetrize,
+    wave_run,
 )
 from spdecov.linalg import sym_eig
 from spdecov import montecarlo
@@ -443,12 +444,11 @@ def test_jackknife_rejects_non_finite_stack(bad):
 @pytest.mark.parametrize(
     "scale, quantity",
     [
-        # the paths and both covariances are finite, the sum of squares
-        # of the Hilbert-Schmidt distance is not
-        (1e305, "Hilbert-Schmidt distance"),
-        (1e307, "Hilbert-Schmidt distance"),
-        # K0 + K0^T overflows when K0 is symmetrized, so neither the
-        # paths nor the empirical covariance are finite
+        # the paths, both covariances and both distances are finite, the
+        # squared deviations of the jackknife distances are not
+        (1e305, "trace standard error"),
+        (1e307, "trace standard error"),
+        # the paths are finite, their squares are not
         (1e308, "empirical covariance"),
     ],
 )
@@ -520,6 +520,18 @@ def test_margin_formula_advdiff():
     M = assemble_mass(cfg.mesh)
     K_det = advdiff_run(cfg)
     expected = 0.25**2 * cfg.dt**2 * cfg.n_steps * np.sum(M * K_det)
+    assert rep.consistency_margin == pytest.approx(expected, rel=1e-12)
+
+
+def test_margin_formula_wave():
+    # the load-vs-increment gap of the wave paths scales with the
+    # velocity block, not with the position block that is compared
+    cfg = _wave_cfg()
+    rep = mc_validate(McConfig(scheme=cfg, n_samples=10, seed=1))
+    M = assemble_mass(cfg.mesh)
+    n = M.shape[0]
+    K_vv = wave_run(cfg)[n:, n:]
+    expected = cfg.dt**2 * cfg.n_steps * np.trace(M @ K_vv)
     assert rep.consistency_margin == pytest.approx(expected, rel=1e-12)
 
 

@@ -10,6 +10,7 @@ from spdecov import (
     advdiff_run,
     wave_run,
 )
+from spdecov.advdiff import advdiff_operators
 from spdecov.linalg import AffineStep, propagate
 from stepping import stepped_run
 
@@ -83,3 +84,21 @@ def test_propagate_keeps_psd_data_psd(n, q_rank, k_rank, n_steps, g, seed):
     assert np.array_equal(K, K.T)
     w = np.linalg.eigvalsh(K)
     assert w.min() >= -1e-12 * np.abs(w).max(), (w.min(), w.max())
+
+
+def test_propagate_keeps_a_huge_k0_finite():
+    # symmetrizing K0 = 1e308 I as (K0 + K0^T) / 2 would overflow to inf
+    # although K0 is finite, symmetric and a contraction keeps it so
+    cfg = AdvDiffConfig(
+        mesh=Mesh1D(8, "neumann"),
+        coeffs=Coefficients.constant(a11=1.0),
+        c0=0.0,
+        kernel=Matern(sigma=1.0, nu=0.5, rho=0.3),
+        T=0.5,
+        n_steps=4,
+    )
+    step = advdiff_operators(cfg).step
+    for n_steps in (1, 4):
+        K = propagate(step, n_steps, 1e308 * np.eye(9))
+        assert np.isfinite(K).all()
+        assert np.array_equal(K, K.T)
