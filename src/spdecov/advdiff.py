@@ -31,7 +31,6 @@ from .linalg import (
 __all__ = [
     "AdvDiffConfig",
     "backward_euler_step",
-    "advdiff_operators",
     "advdiff_run",
 ]
 
@@ -71,6 +70,13 @@ class AdvDiffConfig:
         """Rows of the state covariance: one per degree of freedom."""
         return self.mesh.n_dof
 
+    def operators(self):
+        """Assemble the run's matrices into its backward Euler operators."""
+        M = assemble_mass(self.mesh)
+        A = assemble_form(self.mesh, self.coeffs, self.c0)
+        Q_h = assemble_Q(self.mesh, self.kernel)
+        return backward_euler_step(M, A, Q_h, self.dt, self.c0)
+
 
 def backward_euler_step(M, A, Q_h, dt, c0):
     """The covariance step K <- g T K T^T + Q of backward Euler.
@@ -78,20 +84,16 @@ def backward_euler_step(M, A, Q_h, dt, c0):
     T = (M + dt A)^{-1} M, Q = dt (M + dt A)^{-1} Q_h (M + dt A)^{-T}
     and g = 1 + 2 c0 dt, so that one update solves
     (M + dt A) K (M + dt A)^T = g M K_prev M + dt Q_h.
+
+    The path step (M + dt A) x_j = (1 + c0 dt) M x_{j-1} + b_j has
+    path_growth 1 + c0 dt and load (M + dt A)^{-1}. Its one-step
+    covariance carries (1 + c0 dt)^2 where the recursion has g: a
+    c0^2 dt^2 gap per step, whence gap_rate c0^2.
     """
     L_inv = checked_inverse(M + dt * A)
     noise = symmetrize(L_inv @ (dt * Q_h) @ L_inv.T)
     step = AffineStep(L_inv @ M, noise, 1.0 + 2.0 * c0 * dt)
-    return SchemeOperators(M, Q_h, L_inv, step)
-
-
-def advdiff_operators(config):
-    """Assemble a config's matrices into its backward Euler operators."""
-    mesh = config.mesh
-    M = assemble_mass(mesh)
-    A = assemble_form(mesh, config.coeffs, config.c0)
-    Q_h = assemble_Q(mesh, config.kernel)
-    return backward_euler_step(M, A, Q_h, config.dt, config.c0)
+    return SchemeOperators(M, Q_h, L_inv, step, 1.0 + c0 * dt, c0**2)
 
 
 def advdiff_run(config):
@@ -109,5 +111,4 @@ def advdiff_run(config):
     (n, n) ndarray
         Covariance coefficient matrix at the final time.
     """
-    step = advdiff_operators(config).step
-    return propagate(step, config.n_steps, config.K0)
+    return propagate(config.operators().step, config.n_steps, config.K0)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.polynomial import polyval
 
 from .exceptions import NoPointwiseKernelError
@@ -473,7 +474,8 @@ def assemble_Q(mesh, spec):
         far = np.einsum("ip,dpq,jq->ijd", wb, spec.profile(z), wb, optimize=True)
         b = np.concatenate([*_near_diagonal_blocks(spec, [0], [0], h), far], axis=2)
         b = np.concatenate([b[:, :, :0:-1].swapaxes(0, 1), b], axis=2)
-        blocks = b[:, :, np.subtract.outer(cells, cells) + n - 1]
+        # blocks[:, :, a, c] = b[:, :, a - c + n - 1], a strided view
+        blocks = sliding_window_view(b[:, :, ::-1], n, axis=2)[:, :, ::-1]
     else:
         pts = (cells[:, None] * h + h * _GAUSS_U).ravel()
         qv = spec.pointwise(pts[:, None], pts[None, :])

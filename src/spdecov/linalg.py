@@ -171,17 +171,19 @@ class AffineStep(NamedTuple):
 class SchemeOperators(NamedTuple):
     """Operators of one time step of a scheme.
 
-    step is the covariance update; the mass matrix M, the noise Gram
-    matrix Q_h and the (n_state, n) map `load` of a noise load to its
-    state increment also drive the path sampler in montecarlo. load is
-    (M + dt A)^{-1} for backward Euler and the velocity columns of the
-    block inverse L^{-1} for Crank-Nicolson.
+    step is the covariance update. The path sampler in montecarlo steps
+    x <- path_growth T x + load b, with the T of step, the (n_state, n)
+    map `load` of a noise load b to its state increment, the mass matrix
+    M and the noise Gram matrix Q_h. mc_validate bounds the O(dt^2) gap
+    between the two by gap_rate dt^2 n_steps tr(M K_b).
     """
 
     M: np.ndarray
     Q_h: np.ndarray
     load: np.ndarray
     step: AffineStep
+    path_growth: float
+    gap_rate: float
 
 
 def propagate(step, n_steps, K0=None):

@@ -1,18 +1,11 @@
 """Path sampling and statistical validation of the covariance recursions.
 
-Paths are simulated with the same space-time discretizations as the
-deterministic recursions. For advection-diffusion the backward Euler
-path step is
-
-    (M + dt A) x_j = (1 + c0 dt) M x_{j-1} + b_j,
-    b_j = sqrt(dt) chol(Q_h) xi_j,
-
-whose exact one-step covariance carries (1 + c0 dt)^2 where the
-deterministic recursion has (1 + 2 c0 dt): a c0^2 dt^2 per-step gap that
-mc_validate reports as a consistency margin instead of hiding. The wave
-path is the CN block step with the noise load [0; b_j] on the velocity
-row; its increment covariance L^{-1} blockdiag(0, dt Q_h) L^{-T} matches
-the deterministic un-propagated increment to the same O(dt^2) order.
+Paths are simulated with the operators of the deterministic recursion,
+from the scheme config's operators(): a step is x_j = path_growth T
+x_{j-1} + load b_j, b_j = sqrt(dt) chol(Q_h) xi_j. mc_validate reports
+the O(dt^2) gap of that step to the recursion as a consistency margin
+at the scheme's gap_rate instead of hiding it; backward_euler_step and
+crank_nicolson_step derive both factors.
 
 Path i draws from the counter-based Philox stream of the i-th child of
 SeedSequence(seed).spawn(n_samples), so it is reproducible regardless of
@@ -40,7 +33,7 @@ from typing import Union
 
 import numpy as np
 
-from .advdiff import AdvDiffConfig, advdiff_operators
+from .advdiff import AdvDiffConfig
 from .errnorms import err_hs_norm, err_trace_norm
 from .exceptions import (
     CholeskyError,
@@ -51,7 +44,7 @@ from .exceptions import (
 )
 from .fem import _is_int
 from .linalg import _serial_blas, propagate, symmetrize
-from .wave import WaveConfig, wave_operators
+from .wave import WaveConfig
 
 # mc_validate builds each scheme's operators once, propagates them itself
 # and takes its jackknife eigenvalues in stacked calls; these stay
@@ -99,6 +92,11 @@ class McConfig:
     seed: int
 
     def __post_init__(self):
+        if not isinstance(self.scheme, (AdvDiffConfig, WaveConfig)):
+            raise ConfigError(
+                "Monte Carlo validation runs an AdvDiffConfig or a WaveConfig, "
+                f"got {type(self.scheme).__name__}"
+            )
         # a seed of None would draw OS entropy, and a negative one has no
         # finite word split; the spawn key of a path is one 32-bit word
         if not _is_int(self.seed) or self.seed < 0:
@@ -122,7 +120,7 @@ class McReport:
 
     sampling_error_hs / sampling_error_trace are jackknife standard
     errors of the corresponding distances; consistency_margin bounds the
-    deterministic scheme-vs-path covariance gap (the c0^2 dt^2 effect),
+    deterministic scheme-vs-path covariance gap (gap_rate dt^2 per step),
     which is a property of the schemes, not of sampling.
     """
 
@@ -239,16 +237,13 @@ def _paths_per_chunk(n_steps, n):
 def _batch_paths(config, ops, keys):
     """One path per Philox key, advanced a chunk of paths at a time.
 
-    ops are the config's SchemeOperators, from advdiff_operators or
-    wave_operators; keys is an (n_paths, 2) uint64 array, and path i
-    draws from the stream of a fresh Philox under keys[i] (counter 0):
-    first its K0 draw, through a Cholesky factor of K0 on the noise's
-    jitter ladder, then its (n_steps, d) noise block. Returns an
-    (n_paths, d) array whose row i does not depend on the other keys. A
-    step solves L x_j = g M x_{j-1} + b_j (advdiff, g = 1 + c0 dt) or
-    L x_j = R P x_{j-1} + [0; b_j] (wave, the load on the velocity
-    row), so x_j = g T x_{j-1} + ops.load b_j with the T of the
-    covariance step.
+    ops are the config's SchemeOperators, from config.operators(); keys
+    is an (n_paths, 2) uint64 array, and path i draws from the stream of
+    a fresh Philox under keys[i] (counter 0): first its K0 draw, through
+    a Cholesky factor of K0 on the noise's jitter ladder, then its
+    (n_steps, d) noise block. Returns an (n_paths, d) array whose row i
+    does not depend on the other keys. A step is x_j = ops.path_growth
+    T x_{j-1} + ops.load b_j, with the T of the covariance step.
 
     The paths go through in chunks of _paths_per_chunk paths, and a lone
     last path joins the chunk before it: alone it would go through
@@ -275,9 +270,7 @@ def _batch_paths(config, ops, keys):
         K0 = symmetrize(np.asarray(config.K0))
         # no jitter relative to its trace lifts a zero K0: it is its own factor
         root_K0 = _chol_with_jitter(K0) if K0.any() else K0
-    T = ops.step.T
-    if isinstance(config, AdvDiffConfig):
-        T = (1.0 + config.c0 * config.dt) * T
+    T = ops.path_growth * ops.step.T
     load = np.sqrt(config.dt) * (ops.load @ chol)
 
     chunk = _paths_per_chunk(config.n_steps, n)
@@ -392,10 +385,10 @@ def mc_validate(mc):
 
         distance <= 3 * sampling error + consistency_margin.
 
-    The margin is gap_rate * dt^2 * n_steps * trace(M K_b), K_b the last
-    n x n block of the state covariance: K for advdiff (gap_rate c0^2),
-    the velocity block for wave (gap_rate 1). The scheme's state rows set
-    the BLAS thread policy of the whole validation, as in run_single.
+    The margin is gap_rate * dt^2 * n_steps * trace(M K_b), with the
+    operators' gap_rate and K_b the last n x n block of the state
+    covariance: K for advdiff, the velocity block for wave. The scheme's
+    state rows set the BLAS thread policy, as in run_single.
 
     Returns
     -------
@@ -411,10 +404,7 @@ def mc_validate(mc):
     config = mc.scheme
     mesh = config.mesh
     with _serial_blas(config.n_state):
-        if isinstance(config, WaveConfig):
-            ops, gap_rate = wave_operators(config), 1.0
-        else:
-            ops, gap_rate = advdiff_operators(config), config.c0**2
+        ops = config.operators()
         M = ops.M
         n = M.shape[0]
         K_full = propagate(ops.step, config.n_steps, config.K0)
@@ -444,7 +434,7 @@ def mc_validate(mc):
         trace_distance=trace_d,
         sampling_error_hs=se_hs,
         sampling_error_trace=se_tr,
-        consistency_margin=gap_rate * config.dt**2 * config.n_steps * scale,
+        consistency_margin=ops.gap_rate * config.dt**2 * config.n_steps * scale,
         n_samples=mc.n_samples,
         seed=mc.seed,
     )

@@ -43,7 +43,6 @@ from .linalg import (
 __all__ = [
     "WaveConfig",
     "crank_nicolson_step",
-    "wave_operators",
     "wave_run",
     "extract_position_cov",
     "wave_energy",
@@ -92,6 +91,17 @@ class WaveConfig:
         """Rows of the state covariance: position and velocity blocks."""
         return 2 * self.mesh.n_dof
 
+    def operators(self):
+        """Assemble the run's matrices into its Crank-Nicolson operators."""
+        M = assemble_mass(self.mesh)
+        S = assemble_stiffness(self.mesh)
+        Q_h = assemble_Q(self.mesh, self.kernel)
+        if isinstance(self.g_spec, str):
+            G_h = -Q_h if self.g_spec == "minus_q" else None
+        else:
+            G_h = np.asarray(self.g_spec, dtype=float)
+        return crank_nicolson_step(M, S, Q_h, G_h, self.dt)
+
 
 def extract_position_cov(K):
     """Top-left N x N block: the position-position covariance."""
@@ -114,8 +124,13 @@ def crank_nicolson_step(M, S, Q_h, G_h, dt):
     """The covariance step K <- T_hat K T_hat^T + Q of Crank-Nicolson.
 
     T_hat = L^{-1} R P with the blocks eliminated, Q = dt blockdiag(0,
-    M^{-1} Q_h M^{-T}) and the growth factor is 1; load is [a B; B]. G_h
-    is the Gram matrix of the inhomogeneity, or None for G = 0 (P = I).
+    M^{-1} Q_h M^{-T}) and the growth factor is 1. G_h is the Gram
+    matrix of the inhomogeneity, or None for G = 0 (P = I).
+
+    The path step L x_j = R P x_{j-1} + [0; b_j] loads the noise on the
+    velocity row: path_growth 1, load [a B; B], the velocity columns of
+    L^{-1}. Its increment covariance L^{-1} blockdiag(0, dt Q_h) L^{-T}
+    matches Q to O(dt^2) of the velocity block, whence gap_rate 1.
     """
     n = M.shape[0]
     a = 0.5 * dt
@@ -129,21 +144,7 @@ def crank_nicolson_step(M, S, Q_h, G_h, dt):
     Q = np.zeros((2 * n, 2 * n))
     Q[n:, n:] = dt * symmetrize(np.linalg.solve(M, np.linalg.solve(M, Q_h).T))
     step = AffineStep(T_hat, Q)
-    return SchemeOperators(M, Q_h, np.vstack([a * B, B]), step)
-
-
-def wave_operators(config):
-    """Assemble a config's matrices into its Crank-Nicolson operators."""
-    mesh = config.mesh
-    M = assemble_mass(mesh)
-    S = assemble_stiffness(mesh)
-    Q_h = assemble_Q(mesh, config.kernel)
-    g_spec = config.g_spec
-    if isinstance(g_spec, str):
-        G_h = -Q_h if g_spec == "minus_q" else None
-    else:
-        G_h = np.asarray(g_spec, dtype=float)
-    return crank_nicolson_step(M, S, Q_h, G_h, config.dt)
+    return SchemeOperators(M, Q_h, np.vstack([a * B, B]), step, 1.0, 1.0)
 
 
 def wave_run(config):
@@ -162,5 +163,4 @@ def wave_run(config):
         Block covariance coefficient matrix at the final time; feed it
         to extract_position_cov for the measurable part.
     """
-    step = wave_operators(config).step
-    return propagate(step, config.n_steps, config.K0)
+    return propagate(config.operators().step, config.n_steps, config.K0)

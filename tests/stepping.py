@@ -8,15 +8,12 @@ iterates that the invariant tests watch.
 
 import numpy as np
 
-from spdecov import AdvDiffConfig, symmetrize
-from spdecov.advdiff import advdiff_operators
-from spdecov.wave import wave_operators
+from spdecov import symmetrize
 
 
 def iterates(cfg):
     """Yield K_1, ..., K_n_steps of an AdvDiffConfig or WaveConfig run."""
-    operators = advdiff_operators if isinstance(cfg, AdvDiffConfig) else wave_operators
-    T, Q, g = operators(cfg).step
+    T, Q, g = cfg.operators().step
     K = np.zeros_like(Q) if cfg.K0 is None else symmetrize(np.asarray(cfg.K0, dtype=float))
     for _ in range(cfg.n_steps):
         K = g * symmetrize(T @ K @ T.T) + Q

@@ -499,14 +499,20 @@ def test_semiseparable_exponential_matches_the_stationary_path(n_cells, bc, scal
 
 
 @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
-def test_bridge_gram_memory(bc):
-    # the outer product, its mirrored upper triangle and a boolean mask;
-    # the grid path peaked at 84 such matrices
+@pytest.mark.parametrize(
+    "kernel", [BrownianBridge(), Matern(10.0, 0.01, 0.1)], ids=["bridge", "matern"]
+)
+def test_gram_memory(kernel, bc):
+    # bridge: the outer product, its mirrored upper triangle and a
+    # boolean mask; the grid path peaked at 84 such matrices. Matern: the
+    # scatter's sum and its symmetrized copy, as the (2, 2, n, n) block
+    # table is a strided view of the offset table; as a gathered copy it
+    # peaked at 6.1 such matrices
     mesh = Mesh1D(1024, bc)
-    assemble_Q(mesh, BrownianBridge())
+    assemble_Q(mesh, kernel)
     tracemalloc.start()
     try:
-        assemble_Q(mesh, BrownianBridge())
+        assemble_Q(mesh, kernel)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -27,9 +27,9 @@ from spdecov import (
     symmetrize,
     wave_run,
 )
+from spdecov.advdiff import backward_euler_step
 from spdecov.linalg import sym_eig
 from spdecov import montecarlo
-from spdecov.advdiff import advdiff_operators
 from spdecov.montecarlo import (
     CHUNK_BYTES,
     _batch_paths,
@@ -38,7 +38,7 @@ from spdecov.montecarlo import (
     _paths_per_chunk,
     _philox_keys,
 )
-from spdecov.wave import wave_operators
+from spdecov.wave import crank_nicolson_step
 
 
 def test_empirical_cov_two_samples():
@@ -95,25 +95,25 @@ def _wave_cfg(**kw):
 
 
 BATCH_CASES = pytest.mark.parametrize(
-    "cfg, operators",
+    "cfg",
     [
-        (_advdiff_cfg(), advdiff_operators),
-        (_advdiff_cfg(K0=0.5 * np.eye(9)), advdiff_operators),
-        (_wave_cfg(), wave_operators),
-        (_wave_cfg(K0=0.5 * np.eye(14)), wave_operators),
+        _advdiff_cfg(),
+        _advdiff_cfg(K0=0.5 * np.eye(9)),
+        _wave_cfg(),
+        _wave_cfg(K0=0.5 * np.eye(14)),
     ],
     ids=["advdiff", "advdiff-K0", "wave", "wave-K0"],
 )
 
 
 @BATCH_CASES
-def test_batch_of_five_equals_five_batches_of_one(cfg, operators):
+def test_batch_of_five_equals_five_batches_of_one(cfg):
     # each row consumes only its own stream. Batches of one go through
     # BLAS's one-column kernels (gemv) and round differently from the
     # many-column ones, so they agree to rounding; splitting into
     # batches of two and three keeps the many-column kernels and must
     # agree bit for bit
-    ops = operators(cfg)
+    ops = cfg.operators()
     keys = _philox_keys(42, 5)
     X = _batch_paths(cfg, ops, keys)
     ones = np.vstack([_batch_paths(cfg, ops, keys[i : i + 1]) for i in range(5)])
@@ -148,10 +148,10 @@ def _loop_batch_paths(config, ops, seeds):
 
 
 @BATCH_CASES
-def test_rekeyed_batch_equals_spawned_generators(cfg, operators):
+def test_rekeyed_batch_equals_spawned_generators(cfg):
     # re-keying one Philox must reproduce the spawned children's draws
     # bit for bit, the K0 draw included
-    ops = operators(cfg)
+    ops = cfg.operators()
     X = _batch_paths(cfg, ops, _philox_keys(42, 5))
     ref = _loop_batch_paths(cfg, ops, np.random.SeedSequence(42).spawn(5))
     assert np.array_equal(X, ref)
@@ -206,15 +206,12 @@ def _spy_samples(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "cfg, operators",
-    [
-        (_advdiff_cfg(K0=0.5 * np.eye(9)), advdiff_operators),
-        (_wave_cfg(K0=0.5 * np.eye(14)), wave_operators),
-    ],
+    "cfg",
+    [_advdiff_cfg(K0=0.5 * np.eye(9)), _wave_cfg(K0=0.5 * np.eye(14))],
     ids=["advdiff-K0", "wave-K0"],
 )
 @pytest.mark.parametrize("extra", [0, 1, 17])
-def test_chunked_samples_equal_one_shot_batch(cfg, operators, extra, monkeypatch):
+def test_chunked_samples_equal_one_shot_batch(cfg, extra, monkeypatch):
     # two whole chunks, then none, a lone path (which joins the second
     # chunk) or a short chunk of 17. Both 2 chunk + 1 and 2 chunk + 17
     # leave one column after BLAS's 8-column blocks; OpenBLAS's kernels
@@ -226,7 +223,7 @@ def test_chunked_samples_equal_one_shot_batch(cfg, operators, extra, monkeypatch
     n_samples = 2 * _paths_per_chunk(cfg.n_steps, n_dof) + extra
     seen = _spy_samples(monkeypatch)
     mc_validate(McConfig(scheme=cfg, n_samples=n_samples, seed=13))
-    ops = operators(cfg)
+    ops = cfg.operators()
     ref = _one_shot_batch_paths(cfg, ops, _philox_keys(13, n_samples))[:, :n_dof]
     head = n_samples - n_samples % 8
     assert np.array_equal(seen[0][:head], ref[:head])
@@ -337,6 +334,14 @@ def test_philox_keys_at_word_boundaries(seed):
 def test_seed_must_be_a_non_negative_integer(seed):
     with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
         McConfig(scheme=_advdiff_cfg(), n_samples=10, seed=seed)
+
+
+@pytest.mark.parametrize(
+    "scheme", ["x", None, Mesh1D(8, "dirichlet")], ids=["str", "none", "mesh"]
+)
+def test_scheme_must_be_a_scheme_config(scheme):
+    with pytest.raises(ConfigError, match=f"got {type(scheme).__name__}$"):
+        McConfig(scheme=scheme, n_samples=10, seed=1)
 
 
 @pytest.mark.parametrize("n_samples", [2**32, 2**40, 10.0, True, None])
@@ -459,7 +464,7 @@ def test_overflowing_statistics_name_the_non_finite_quantity(scale, quantity):
 
 
 def _one_path(cfg, seed):
-    return _batch_paths(cfg, advdiff_operators(cfg), _philox_keys(seed, 1))[0]
+    return _batch_paths(cfg, cfg.operators(), _philox_keys(seed, 1))[0]
 
 
 def test_single_path_deterministic():
@@ -512,6 +517,18 @@ def test_sampling_error_shrinks_like_sqrt_n():
         ratios.append(r4.hs_distance / r1.hs_distance)
     mean = np.mean(ratios)
     assert 0.5 / 3.0 <= mean <= 0.5 * 4.0 / 3.0
+
+
+def test_step_builders_carry_path_growth_and_gap_rate():
+    # the path step x <- path_growth T x + load b and the margin's
+    # gap_rate come from the scheme's step builder
+    eye = np.eye(3)
+    c0, dt = 0.25, 0.125
+    be = backward_euler_step(eye, eye, eye, dt, c0)
+    assert be.path_growth == 1.0 + c0 * dt
+    assert be.gap_rate == c0**2
+    cn = crank_nicolson_step(eye, eye, eye, None, dt)
+    assert (cn.path_growth, cn.gap_rate) == (1.0, 1.0)
 
 
 def test_margin_formula_advdiff():

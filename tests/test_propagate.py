@@ -10,7 +10,6 @@ from spdecov import (
     advdiff_run,
     wave_run,
 )
-from spdecov.advdiff import advdiff_operators
 from spdecov.linalg import AffineStep, propagate
 from stepping import stepped_run
 
@@ -97,7 +96,7 @@ def test_propagate_keeps_a_huge_k0_finite():
         T=0.5,
         n_steps=4,
     )
-    step = advdiff_operators(cfg).step
+    step = cfg.operators().step
     for n_steps in (1, 4):
         K = propagate(step, n_steps, 1e308 * np.eye(9))
         assert np.isfinite(K).all()
