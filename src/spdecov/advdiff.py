@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from .exceptions import ConfigError
 from .fem import Coefficients, Mesh1D, assemble_form, assemble_mass
 from .kernels import Kernel, assemble_Q
 from .linalg import (
@@ -56,9 +57,9 @@ class AdvDiffConfig:
 
     def __post_init__(self):
         if not isinstance(self.coeffs, Coefficients):
-            raise ValueError(f"coeffs must be Coefficients, got {self.coeffs!r}")
+            raise ConfigError(f"coeffs must be Coefficients, got {self.coeffs!r}")
         if not isinstance(self.kernel, Kernel):
-            raise ValueError(f"kernel must be a Kernel, got {self.kernel!r}")
+            raise ConfigError(f"kernel must be a Kernel, got {self.kernel!r}")
         _check_run(self)
 
     @property

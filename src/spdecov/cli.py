@@ -141,7 +141,8 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         text = _COMMANDS[args.command][1](args)
-    except (ConfigError, ValueError) as exc:
+    # every ConfigError is a ValueError too
+    except ValueError as exc:
         print(f"spde-cov: config error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

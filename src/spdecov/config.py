@@ -2,7 +2,8 @@
 
 Three sections. [equation] picks the scheme and its coefficients,
 [kernel] the noise covariance, [study] the discretization levels and
-outputs; a key that its section does not take is a ConfigError.
+outputs; a key that its section does not take, like every problem, is
+a ConfigError.
 Coefficient functions come from a small named catalog so that configs
 stay plain text:
 
@@ -130,16 +131,13 @@ def kernel_from_section(section):
         return WhiteNoise()
     if kind in ("brownian_bridge", "bridge"):
         return BrownianBridge()
-    try:
-        if kind == "exponential":
-            return Exponential(scale=_getfloat(section, "scale", 1.0))
-        return Matern(
-            sigma=_getfloat(section, "sigma", 1.0),
-            nu=_getfloat(section, "nu", required=True),
-            rho=_getfloat(section, "rho", 1.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad {kind} kernel: {exc}") from exc
+    if kind == "exponential":
+        return Exponential(scale=_getfloat(section, "scale", 1.0))
+    return Matern(
+        sigma=_getfloat(section, "sigma", 1.0),
+        nu=_getfloat(section, "nu", required=True),
+        rho=_getfloat(section, "rho", 1.0),
+    )
 
 
 def _parse_exponents(raw):
@@ -183,10 +181,7 @@ def _resolve_c0(eq, coeffs):
             eps = float(raw.split(":", 1)[1])
         except ValueError as exc:
             raise ConfigError(f"bad c0 spec {raw!r}") from exc
-        try:
-            return compute_c0(coeffs, epsilon=eps)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return compute_c0(coeffs, epsilon=eps)
     try:
         return float(raw)
     except ValueError as exc:
@@ -197,7 +192,7 @@ def load_study(path):
     """Build a StudyConfig from an INI file.
 
     The reference exponent becomes the study's AdvDiffConfig or
-    WaveConfig; every problem, a config's ValueError too, is a ConfigError.
+    WaveConfig; every problem is a ConfigError.
     """
     return _study(read_config(path))
 
@@ -227,30 +222,27 @@ def _study(parser):
 
     norms = tuple(t.strip() for t in st.get("norms", "L1,L2").split(",") if t.strip())
     kernel = kernel_from_section(kern)
-    try:
-        if equation == "advdiff":
-            coeffs = _build_coeffs(eq)
-            scheme = AdvDiffConfig(
-                mesh=Mesh1D(n_cells, eq.get("bc", "dirichlet").strip().lower()),
-                coeffs=coeffs,
-                c0=_resolve_c0(eq, coeffs),
-                kernel=kernel,
-                T=T,
-                n_steps=n_steps,
-            )
-        else:
-            g = eq.get("g", "minus_q").strip().lower()
-            scheme = WaveConfig(
-                mesh=Mesh1D(n_cells), kernel=kernel, g_spec=g, T=T, n_steps=n_steps
-            )
-        return StudyConfig(
-            scheme=scheme,
-            levels=levels,
-            norms=norms,
-            snapshot_t=_getfloat(st, "snapshot_t"),
+    if equation == "advdiff":
+        coeffs = _build_coeffs(eq)
+        scheme = AdvDiffConfig(
+            mesh=Mesh1D(n_cells, eq.get("bc", "dirichlet").strip().lower()),
+            coeffs=coeffs,
+            c0=_resolve_c0(eq, coeffs),
+            kernel=kernel,
+            T=T,
+            n_steps=n_steps,
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    else:
+        g = eq.get("g", "minus_q").strip().lower()
+        scheme = WaveConfig(
+            mesh=Mesh1D(n_cells), kernel=kernel, g_spec=g, T=T, n_steps=n_steps
+        )
+    return StudyConfig(
+        scheme=scheme,
+        levels=levels,
+        norms=norms,
+        snapshot_t=_getfloat(st, "snapshot_t"),
+    )
 
 
 def load_mc(path, n_samples=None, seed=None):

@@ -1,8 +1,9 @@
 """Exception hierarchy for spdecov.
 
-Numerical failures (singular factorizations, nonsymmetric matrices,
-Cholesky breakdown) all derive from NumericalError so callers can
-distinguish them from configuration mistakes.
+Every input check raises a ConfigError, also a ValueError. Numerical
+failures (singular factorizations, nonsymmetric matrices, Cholesky
+breakdown) all derive from NumericalError so callers can distinguish
+them from configuration mistakes.
 """
 
 
@@ -10,8 +11,8 @@ class SpdeCovError(Exception):
     """Base class for all package errors."""
 
 
-class ConfigError(SpdeCovError):
-    """Invalid or inconsistent configuration input."""
+class ConfigError(SpdeCovError, ValueError):
+    """Invalid or inconsistent configuration input; also a ValueError."""
 
 
 class NumericalError(SpdeCovError):

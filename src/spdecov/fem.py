@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exceptions import EllipticityError
+from .exceptions import ConfigError, EllipticityError
 
 __all__ = [
     "Mesh1D",
@@ -55,9 +55,9 @@ class Mesh1D:
 
     def __post_init__(self):
         if not _is_int(self.n_cells) or self.n_cells < 2:
-            raise ValueError(f"need an integer n_cells >= 2, got {self.n_cells!r}")
+            raise ConfigError(f"need an integer n_cells >= 2, got {self.n_cells!r}")
         if self.bc not in ("dirichlet", "neumann"):
-            raise ValueError(f"unknown bc {self.bc!r}")
+            raise ConfigError(f"unknown bc {self.bc!r}")
 
     @property
     def h(self):
@@ -220,14 +220,14 @@ def hat_values(mesh, x):
 
     Returns an array of shape (len(x), n_dof), column i holding
     phi_i(x). Points must be finite and lie in [0, 1], up to the
-    rounding slack of the node snap below; others raise ValueError.
+    rounding slack of the node snap below; others raise ConfigError.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     u = x * mesh.n_cells
     snap = 4 * np.finfo(float).eps * mesh.n_cells
     # a NaN fails both comparisons
     if not np.all((u >= -snap) & (u <= mesh.n_cells + snap)):
-        raise ValueError("hat_values needs finite points in [0, 1]")
+        raise ConfigError("hat_values needs finite points in [0, 1]")
     # points within rounding of a node are put on it, so the hats are
     # exactly 0 or 1 there and a mesh's own nodes give the identity
     node = np.rint(u)
@@ -250,7 +250,7 @@ def compute_c0(coeffs, epsilon):
         Young-inequality split parameter, 0 < epsilon < 1.
     """
     if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
+        raise ConfigError("epsilon must lie in (0, 1)")
     grid = np.linspace(0.0, 1.0, C0_GRID_POINTS)
     sup_a1 = np.abs(np.asarray(coeffs.a1(grid), dtype=float)).max()
     inf_a0 = np.asarray(coeffs.a0(grid), dtype=float).min()

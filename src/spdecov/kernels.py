@@ -20,7 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.polynomial import polyval
 
-from .exceptions import NoPointwiseKernelError
+from .exceptions import ConfigError, NoPointwiseKernelError
 from .fem import assemble_mass
 from .linalg import symmetrize
 
@@ -72,7 +72,7 @@ _EPS = np.finfo(float).eps
 def _check_positive(**params):
     for name, value in params.items():
         if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+            raise ConfigError(f"{name} must be finite and positive, got {value!r}")
 
 
 def _temme(mu, x, even, odd, lim1):
@@ -239,12 +239,12 @@ class Matern(_Stationary):
     def __post_init__(self):
         _check_positive(sigma=self.sigma, nu=self.nu, rho=self.rho)
         if self.nu > _MATERN_NU_MAX:
-            raise ValueError(
+            raise ConfigError(
                 f"nu must not exceed {_MATERN_NU_MAX:g}, got {self.nu!r}: "
                 "K_nu overflows there (a Gaussian kernel is the nu -> inf limit)"
             )
         if self.nu < _MATERN_NU_MIN:
-            raise ValueError(
+            raise ConfigError(
                 f"nu must be at least {_MATERN_NU_MIN:g}, got {self.nu!r}: "
                 "Gamma(nu) overflows as nu -> 0"
             )
@@ -459,6 +459,8 @@ def assemble_Q(mesh, spec):
     integrated once from the kernel's symmetric part: a Custom kernel's
     Gram is that of its symmetric part.
     """
+    if not isinstance(spec, Kernel):
+        raise ConfigError(f"kernel must be a Kernel, got {spec!r}")
     if isinstance(spec, WhiteNoise):
         return assemble_mass(mesh)
     if isinstance(spec, _Semiseparable):

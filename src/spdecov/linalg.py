@@ -17,6 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import (
+    ConfigError,
     NonSymmetricError,
     NoConvergenceError,
     SingularError,
@@ -83,9 +84,9 @@ def symmetrize(A):
 def _as_square(A, name="matrix"):
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {A.shape}")
+        raise ConfigError(f"{name} must be square, got shape {A.shape}")
     if not np.isfinite(A).all():
-        raise ValueError(f"{name} has non-finite entries")
+        raise ConfigError(f"{name} has non-finite entries")
     return A
 
 
@@ -195,8 +196,10 @@ def propagate(step, n_steps, K0=None):
     by squaring and applied for the set bits of n_steps; they commute,
     so bit order does not matter. K0 and every update are symmetrized,
     so for symmetric Q the result is exactly symmetric. Doubling equals
-    stepping up to rounding.
+    stepping up to rounding. n_steps = 0 gives K0 or zero.
     """
+    if not _is_int(n_steps) or n_steps < 0:
+        raise ConfigError(f"need an integer n_steps >= 0, got {n_steps!r}")
     T, Q, g = step
     K = np.zeros_like(Q) if K0 is None else symmetrize(
         np.asarray(K0, dtype=float)
@@ -220,21 +223,21 @@ def _check_run(config):
     """
     T, n_steps = config.T, config.n_steps
     if not (math.isfinite(T) and T > 0):
-        raise ValueError(
+        raise ConfigError(
             f"need a finite T > 0: T must be finite and positive, got {T!r}"
         )
     if not _is_int(n_steps) or n_steps < 1:
-        raise ValueError(f"need an integer n_steps >= 1, got {n_steps!r}")
+        raise ConfigError(f"need an integer n_steps >= 1, got {n_steps!r}")
     if config.dt > 1.0:
-        raise ValueError("dt must not exceed 1")
+        raise ConfigError("dt must not exceed 1")
     n = config.n_state
     if config.K0 is None:
         return
     if np.shape(config.K0) != (n, n):
-        raise ValueError(
+        raise ConfigError(
             f"K0 shape {np.shape(config.K0)} does not fit {n} state rows"
         )
-    _check_symmetric(_as_square(config.K0, "K0"), "K0", ValueError)
+    _check_symmetric(_as_square(config.K0, "K0"), "K0", ConfigError)
 
 
 @functools.lru_cache(maxsize=None)

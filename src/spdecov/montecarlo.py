@@ -11,9 +11,9 @@ Path i draws from the counter-based Philox stream of the i-th child of
 SeedSequence(seed).spawn(n_samples), so it is reproducible regardless of
 scheduling, and the empirical covariance is accumulated in path order.
 A fresh Philox is fully described by its key and a zero counter, so the
-children are never built: _philox_keys runs numpy's SeedSequence mixing
-for all of them at once as uint32 column operations, and _batch_paths
-re-keys one generator before each path.
+children are never built: _philox_keys takes the seed's mixed pool from
+numpy, mixes in every child's spawn word at once as a uint32 column, and
+_batch_paths re-keys one generator before each path.
 
 _batch_paths walks the paths in chunks through one reused noise buffer
 of at most CHUNK_BYTES (or 9 paths' noise, if more), and one buffer of
@@ -182,35 +182,20 @@ def _philox_keys(seed, n):
 
     Returns an (n, 2) uint64 array whose row i is
     SeedSequence(seed).spawn(n)[i].generate_state(2, np.uint64), the key
-    of Philox(child). Each step of numpy's SeedSequence algorithm runs on
-    a uint32 column: shape (1,) for the seed's words, which every child
-    shares, and (n,) from the child's spawn key (i,) on. seed is a
-    non-negative integer and n is below 2**32.
+    of Philox(child). A child's pool is the seed's, which numpy mixes,
+    with its spawn key (i,) mixed in last, by numpy's hashmix on a
+    uint32 column of shape (n,). seed is a non-negative integer and n
+    is below 2**32.
     """
     seed = int(seed)
-    # little-endian 32-bit words, zero-padded to the pool because a
-    # spawn key follows
-    words = [
-        (seed >> s) & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)
-    ]
-    words += [0] * (_POOL_SIZE - len(words))
-    entropy = [np.array([w], dtype=np.uint32) for w in words]
-    entropy.append(np.arange(n, dtype=np.uint32))
-
-    const = _INIT_A
-    pool = []
-    for word in entropy[:_POOL_SIZE]:
+    pool = list(np.random.SeedSequence(seed).pool[:, None])
+    # the seed's mixing made 16 hashmix calls, and 4 per word past the pool
+    extra = max(0, -(-seed.bit_length() // 32) - _POOL_SIZE)
+    const = _INIT_A * pow(_MULT_A, 16 + 4 * extra, 2**32) & _MASK32
+    word = np.arange(n, dtype=np.uint32)
+    for dst in range(_POOL_SIZE):
         value, const = _hashmix(word, const)
-        pool.append(value)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                value, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], value)
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            value, const = _hashmix(word, const)
-            pool[dst] = _mix(pool[dst], value)
+        pool[dst] = _mix(pool[dst], value)
 
     # generate_state(2, np.uint64): four uint32 words, low word first
     const = _INIT_B

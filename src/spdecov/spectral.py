@@ -130,10 +130,10 @@ def spectral_galerkin_cov(n_modes, config, fine_dt):
 
     Projects the configured operator onto the first n_modes Dirichlet
     eigenfunctions (mass matrix = I there) and evaluates the matching
-    covariance recursion with step T / round(T / fine_dt) by
-    linalg.propagate. Advdiff configs yield an (n, n) matrix, wave
-    configs the full (2n, 2n) block; both are coefficient matrices
-    w.r.t. the eigenbasis.
+    covariance recursion with step T / max(1, round(T / fine_dt)), for a
+    finite fine_dt > 0, by linalg.propagate. Advdiff configs yield an
+    (n, n) matrix, wave configs the full (2n, 2n) block; both are
+    coefficient matrices w.r.t. the eigenbasis.
 
     Only Dirichlet configs with K0 = None are meaningful here; the
     Neumann problems have no closed eigenbasis and are validated by
@@ -145,6 +145,8 @@ def spectral_galerkin_cov(n_modes, config, fine_dt):
         raise ConfigError("spectral oracle needs a dirichlet configuration")
     if config.K0 is not None:
         raise ConfigError("spectral oracle supports K0 = None only")
+    if not (math.isfinite(fine_dt) and fine_dt > 0):
+        raise ConfigError(f"fine_dt must be finite and positive, got {fine_dt!r}")
     T = config.T
     n_steps = max(1, round(T / fine_dt))
     dt = T / n_steps

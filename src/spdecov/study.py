@@ -146,7 +146,7 @@ def run_single(study, pair=None, t_stop=None):
     """One covariance computation at a single discretization.
 
     pair defaults to the study's reference. t_stop, when given, must be
-    a multiple of dt; the run then stops there (snapshot support).
+    a multiple of dt in [0, T]; the run then stops there (snapshots).
     Returns (mesh, K, t_end) with K the position block for wave runs.
     Runs with at most linalg.SERIAL_BLAS_MAX_ROWS state rows use one
     BLAS thread.
@@ -156,13 +156,15 @@ def run_single(study, pair=None, t_stop=None):
         n_cells, n_steps = pair
         cfg = replace(cfg, mesh=Mesh1D(n_cells, cfg.mesh.bc), n_steps=n_steps)
     if t_stop is not None:
+        if not (math.isfinite(t_stop) and 0.0 <= t_stop <= cfg.T):
+            raise ConfigError(
+                f"snapshot_t={t_stop!r} must be finite and lie in [0, T={cfg.T!r}]"
+            )
         j = round(t_stop / cfg.dt)
         if abs(j * cfg.dt - t_stop) > 1e-9 * max(1.0, cfg.T):
             raise ConfigError(
                 f"snapshot_t={t_stop} is not a multiple of dt={cfg.dt}"
             )
-        if j > cfg.n_steps:
-            raise ConfigError("snapshot_t lies beyond the horizon T")
         if j == 0:
             n = cfg.mesh.n_dof
             return cfg.mesh, np.zeros((n, n)), 0.0
@@ -224,9 +226,13 @@ def fit_rate(hs, errs):
     """Least-squares slope of log(err) against log(h).
 
     Zero errors are excluded with a warning; fewer than two usable
-    pairs raise DegenerateFitError, and a non-finite or nonpositive h
-    raises ConfigError.
+    pairs raise DegenerateFitError, and a non-finite or nonpositive h,
+    or unequal lengths, raise ConfigError.
     """
+    if len(hs) != len(errs):
+        raise ConfigError(
+            f"need one error per mesh width, got {len(hs)} and {len(errs)}"
+        )
     if not all(math.isfinite(h) and h > 0 for h in hs):
         raise ConfigError(f"mesh widths must be finite and positive, got {hs!r}")
     pairs = _usable_pairs(hs, errs)

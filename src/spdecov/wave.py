@@ -29,6 +29,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .exceptions import ConfigError
 from .fem import Mesh1D, assemble_mass, assemble_stiffness
 from .kernels import Kernel, assemble_Q
 from .linalg import (
@@ -67,20 +68,20 @@ class WaveConfig:
 
     def __post_init__(self):
         if self.mesh.bc != "dirichlet":
-            raise ValueError("wave runs require a dirichlet mesh")
+            raise ConfigError("wave runs require a dirichlet mesh")
         if not isinstance(self.kernel, Kernel):
-            raise ValueError(f"kernel must be a Kernel, got {self.kernel!r}")
+            raise ConfigError(f"kernel must be a Kernel, got {self.kernel!r}")
         _check_run(self)
         n = self.mesh.n_dof
         if isinstance(self.g_spec, str):
             if self.g_spec not in ("minus_q", "zero"):
-                raise ValueError(f"unknown g_spec {self.g_spec!r}")
+                raise ConfigError(f"unknown g_spec {self.g_spec!r}")
         elif np.shape(self.g_spec) != (n, n):
-            raise ValueError(
+            raise ConfigError(
                 f"g_spec shape {np.shape(self.g_spec)} does not fit {n} DoF"
             )
         elif not np.isfinite(np.asarray(self.g_spec, dtype=float)).all():
-            raise ValueError("g_spec has non-finite entries")
+            raise ConfigError("g_spec has non-finite entries")
 
     @property
     def dt(self):

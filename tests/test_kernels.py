@@ -15,6 +15,7 @@ from scipy.special import kv
 
 from spdecov import (
     BrownianBridge,
+    ConfigError,
     Custom,
     Exponential,
     Matern,
@@ -564,3 +565,12 @@ def test_custom_gram_is_that_of_its_symmetric_part(n_cells, bc):
     Q_sym = assemble_Q(mesh, Custom(lambda x, y: 0.5 * (_skew(x, y) + _skew(y, x))))
     gap = np.abs(Q - Q_sym).max()
     assert gap <= 1e-13 * np.abs(Q_sym).max(), gap
+
+
+@pytest.mark.parametrize(
+    "spec", ["white", None, 1.0, Mesh1D(4)], ids=["str", "none", "float", "mesh"]
+)
+def test_assemble_q_refuses_a_non_kernel(spec):
+    # the schemes refuse these too, with the same words
+    with pytest.raises(ConfigError, match="kernel must be a Kernel"):
+        assemble_Q(Mesh1D(4), spec)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from spdecov import (
@@ -10,6 +11,7 @@ from spdecov import (
     advdiff_run,
     wave_run,
 )
+from spdecov.exceptions import ConfigError
 from spdecov.linalg import AffineStep, propagate
 from stepping import stepped_run
 
@@ -101,3 +103,18 @@ def test_propagate_keeps_a_huge_k0_finite():
         K = propagate(step, n_steps, 1e308 * np.eye(9))
         assert np.isfinite(K).all()
         assert np.array_equal(K, K.T)
+
+
+@pytest.mark.parametrize("n_steps", [-1, -8, 2.5, True, None])
+def test_propagate_refuses_a_bad_step_count(n_steps):
+    # -1 >> 1 is -1, so an unchecked negative count never ends
+    step = AffineStep(0.5 * np.eye(2), np.eye(2))
+    with pytest.raises(ConfigError, match="integer n_steps >= 0"):
+        propagate(step, n_steps)
+
+
+def test_propagate_takes_zero_steps():
+    step = AffineStep(0.5 * np.eye(2), np.eye(2))
+    K0 = np.array([[2.0, 1.0], [1.0, 3.0]])
+    assert np.array_equal(propagate(step, 0), np.zeros((2, 2)))
+    assert np.array_equal(propagate(step, np.int64(0), K0), K0)

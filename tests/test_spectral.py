@@ -295,3 +295,11 @@ def test_brownian_bridge_noise_projection():
     rel = np.abs(np.diag(K) - exact) / exact
     scaled = rel / (dt * lam)
     assert np.all((0.45 < scaled) & (scaled < 0.52))
+
+
+@pytest.mark.parametrize("fine_dt", [0.0, -1.0, float("nan"), float("inf")])
+def test_galerkin_refuses_a_bad_fine_dt(fine_dt):
+    # unchecked, 0 divides by zero, nan fails in round(), and -1 and inf
+    # round to a single step
+    with pytest.raises(ConfigError, match="fine_dt must be finite and positive"):
+        spectral_galerkin_cov(4, _heat_config(), fine_dt)

@@ -35,6 +35,14 @@ def test_fit_rate_exact_power():
     assert fit_rate(hs, errs) == pytest.approx(1.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("n_errs", [0, 2, 4])
+def test_fit_rate_refuses_unpaired_lengths(n_errs):
+    # zip() would fit the shorter list's pairs and drop the rest
+    hs = [0.5, 0.25, 0.125]
+    with pytest.raises(ConfigError, match="one error per mesh width"):
+        fit_rate(hs, [0.25, 0.0625, 0.015625, 0.00390625][:n_errs])
+
+
 def test_fit_rate_tolerates_alternating_noise():
     hs = [2.0**-j for j in range(1, 7)]
     errs = [
@@ -173,6 +181,14 @@ def test_run_single_snapshot():
         run_single(st, pair=(4, 16), t_stop=0.03)
     with pytest.raises(ConfigError):
         run_single(st, pair=(4, 16), t_stop=2.0)
+
+
+@pytest.mark.parametrize("t_stop", [float("nan"), float("inf"), -0.5, 1.5])
+def test_run_single_refuses_a_stop_outside_the_horizon(t_stop):
+    # unchecked, nan and inf fail in round() untyped, and -0.5 reaches
+    # the scheme config as a negative T
+    with pytest.raises(ConfigError, match="must be finite and lie in"):
+        run_single(_study(), pair=(4, 16), t_stop=t_stop)
 
 
 def test_snapshot_prefix_consistency():
