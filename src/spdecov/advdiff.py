@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import ConfigError
-from .fem import Coefficients, Mesh1D, assemble_form, assemble_mass
+from .fem import Coefficients, Mesh1D, _is_finite, assemble_form, assemble_mass
 from .kernels import Kernel, assemble_Q
 from .linalg import (
     AffineStep,
@@ -60,6 +60,8 @@ class AdvDiffConfig:
             raise ConfigError(f"coeffs must be Coefficients, got {self.coeffs!r}")
         if not isinstance(self.kernel, Kernel):
             raise ConfigError(f"kernel must be a Kernel, got {self.kernel!r}")
+        if not _is_finite(self.c0):
+            raise ConfigError(f"c0 must be a finite number, got {self.c0!r}")
         _check_run(self)
 
     @property

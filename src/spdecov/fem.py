@@ -7,6 +7,7 @@ prolong coefficients exactly from a mesh to any mesh refining it.
 Dirichlet degrees of freedom are eliminated, never penalized.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,6 +40,15 @@ C0_GRID_POINTS = 1001
 def _is_int(x):
     """True for Python and numpy integers, but not for bools."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _is_finite(x):
+    """True for finite Python and numpy reals, but not for bools."""
+    return (
+        isinstance(x, (int, float, np.integer, np.floating))
+        and not isinstance(x, bool)
+        and math.isfinite(x)
+    )
 
 
 @dataclass(frozen=True)
@@ -249,8 +259,8 @@ def compute_c0(coeffs, epsilon):
     epsilon : float
         Young-inequality split parameter, 0 < epsilon < 1.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ConfigError("epsilon must lie in (0, 1)")
+    if not (_is_finite(epsilon) and 0.0 < epsilon < 1.0):
+        raise ConfigError(f"epsilon must be a number in (0, 1), got {epsilon!r}")
     grid = np.linspace(0.0, 1.0, C0_GRID_POINTS)
     sup_a1 = np.abs(np.asarray(coeffs.a1(grid), dtype=float)).max()
     inf_a0 = np.asarray(coeffs.a0(grid), dtype=float).min()

@@ -21,7 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.polynomial import polyval
 
 from .exceptions import ConfigError, NoPointwiseKernelError
-from .fem import assemble_mass
+from .fem import _is_finite, assemble_mass
 from .linalg import symmetrize
 
 __all__ = [
@@ -71,7 +71,7 @@ _EPS = np.finfo(float).eps
 
 def _check_positive(**params):
     for name, value in params.items():
-        if not (math.isfinite(value) and value > 0):
+        if not (_is_finite(value) and value > 0):
             raise ConfigError(f"{name} must be finite and positive, got {value!r}")
 
 

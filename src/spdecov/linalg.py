@@ -9,7 +9,6 @@ are inherently dense, so no sparse paths are provided.
 import contextvars
 import ctypes
 import functools
-import math
 import os
 from contextlib import contextmanager
 from typing import NamedTuple
@@ -22,7 +21,7 @@ from .exceptions import (
     NoConvergenceError,
     SingularError,
 )
-from .fem import _is_int
+from .fem import _is_finite, _is_int
 
 __all__ = [
     "SymEig",
@@ -196,22 +195,28 @@ def propagate(step, n_steps, K0=None):
     by squaring and applied for the set bits of n_steps; they commute,
     so bit order does not matter. K0 and every update are symmetrized,
     so for symmetric Q the result is exactly symmetric. Doubling equals
-    stepping up to rounding. n_steps = 0 gives K0 or zero.
+    stepping up to rounding. n_steps = 0 gives K0 or zero. From K0 =
+    None no product touches the zero start: the first set bit takes the
+    accumulated Q as K, equal to what K0 = 0 gives.
     """
     if not _is_int(n_steps) or n_steps < 0:
         raise ConfigError(f"need an integer n_steps >= 0, got {n_steps!r}")
     T, Q, g = step
-    K = np.zeros_like(Q) if K0 is None else symmetrize(
-        np.asarray(K0, dtype=float)
-    )
+    K = None if K0 is None else symmetrize(np.asarray(K0, dtype=float))
     while True:
         if n_steps & 1:
-            K = g * symmetrize(T @ K @ T.T) + Q
+            if K is None:
+                K = np.array(Q, dtype=float)
+            else:
+                K = g * symmetrize(T @ K @ T.T) + Q
         n_steps >>= 1
         if not n_steps:
-            return K
+            return np.zeros_like(Q) if K is None else K
         Q = g * symmetrize(T @ Q @ T.T) + Q
-        T = T @ T
+        # the next T carries a K or doubles Q again; the last bit of a
+        # zero start needs neither
+        if K is not None or n_steps > 1:
+            T = T @ T
         g = g * g
 
 
@@ -222,7 +227,7 @@ def _check_run(config):
     SYMMETRY_RTOL; the recursion and the path sampler both take it as is.
     """
     T, n_steps = config.T, config.n_steps
-    if not (math.isfinite(T) and T > 0):
+    if not (_is_finite(T) and T > 0):
         raise ConfigError(
             f"need a finite T > 0: T must be finite and positive, got {T!r}"
         )
@@ -277,18 +282,24 @@ def _serial_blas(rows):
     to wake than it saves, and one thread makes the results independent
     of the caller's count, which is restored on exit. A scope opened
     inside another keeps the outer one's decision.
+
+    Yields the number of worker threads the body may run independent
+    BLAS calls on: the cores this process may use where the scope put
+    OpenBLAS on one thread, else 1, so that the workers never contend
+    with OpenBLAS's own threads.
     """
     lib = _openblas()
     if lib is None or _BLAS_DECIDED.get():
-        yield
+        yield 1
         return
     get, set_ = lib
     saved = get() if rows <= SERIAL_BLAS_MAX_ROWS else None
+    workers = 1 if saved is None else len(os.sched_getaffinity(0))
     token = _BLAS_DECIDED.set(True)
     try:
         if saved is not None:
             set_(1)
-        yield
+        yield workers
     finally:
         _BLAS_DECIDED.reset(token)
         if saved is not None:

@@ -25,7 +25,11 @@ The jackknife standard errors come from one leave-one-out covariance
 per path. Each is a rank-one downdate, in the centred sample, of one
 matrix built once, so _jackknife_distances takes their eigenvalues a
 chunk of paths at a time in stacked calls. mc_validate runs on one BLAS
-thread up to linalg.SERIAL_BLAS_MAX_ROWS state rows, as run_single does.
+thread up to linalg.SERIAL_BLAS_MAX_ROWS state rows, as run_single does,
+and there the jackknife deals whole chunks to one thread per core that
+the process may use; each matrix is solved alone, so the report is the
+same bits at any core count. Sampling and the deterministic recursion
+stay on the caller's thread.
 """
 
 from dataclasses import dataclass
@@ -67,11 +71,12 @@ CHOLESKY_JITTERS = (0.0, 1e-14, 1e-12, 1e-10)
 
 #: byte budget of one chunk in the two chunked loops. A sampling chunk
 #: fills a noise buffer of this size with the largest power of two of
-#: paths, at least 8, that fits, and its loads n_state / n times that;
-#: a jackknife chunk takes max(1, this // (8 d^2)) paths and holds one
-#: stack of their d x d leave-one-out matrices. Either way the
-#: transient memory stays a few MB whatever the step count, d or
-#: n_samples is
+#: paths, at least 8, that fits, and its loads n_state / n times that.
+#: The jackknife splits it over its worker threads: a chunk takes
+#: max(1, this // (workers 8 d^2)) paths, and each worker holds one
+#: stack of its chunk's d x d leave-one-out matrices. Either way the
+#: transient memory stays a few MB whatever the step count, d,
+#: n_samples or the core count is
 CHUNK_BYTES = 2**20
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
@@ -303,7 +308,7 @@ def _batch_paths(config, ops, keys):
 
 # an overflow surfaces as the NumericalError of the finite check instead
 @np.errstate(over="ignore", invalid="ignore")
-def _jackknife_distances(samples, L, K_det):
+def _jackknife_distances(samples, L, K_det, workers=1):
     """Leave-one-out (trace, HS) distances of the empirical covariance.
 
     Entry i measures the covariance of all paths but path i against
@@ -318,7 +323,16 @@ def _jackknife_distances(samples, L, K_det):
     matrices W_i and one stacked eigvalsh. The HS distance is
     sqrt(sum w^2) = ||W_i||_F, which is sqrt(trace((E M)^2)) for the
     coefficient difference E = L^-T W_i L^-1.
+
+    The chunks are dealt round-robin to `workers` threads, the caller's
+    among them, and each thread fills its own stack of CHUNK_BYTES /
+    workers and writes its chunks' entries of the result. Each W_i and
+    its eigenvalues are computed alone, so the result is the same bits
+    at any worker count. An error in any chunk is raised here, after
+    every thread has stopped.
     """
+    import threading
+
     n_s, d = samples.shape
     Y = samples @ L
     U = Y - Y.mean(axis=0)
@@ -326,25 +340,50 @@ def _jackknife_distances(samples, L, K_det):
     # W_i = D - v_i v_i^T with V = sqrt(k) U is exactly symmetric, as
     # k (u_i u_i^T) is but (k u_i) u_i^T need not be
     V = np.sqrt(n_s / ((n_s - 1.0) * (n_s - 2.0))) * U
-    chunk = max(1, CHUNK_BYTES // (8 * d * d))
-    stack = np.empty((min(chunk, n_s), d, d))
+    chunk = max(1, CHUNK_BYTES // (workers * 8 * d * d))
+    starts = range(0, n_s, chunk)
+    workers = min(workers, len(starts))
     tr = np.empty(n_s)
     hs = np.empty(n_s)
-    for lo in range(0, n_s, chunk):
-        v = V[lo : lo + chunk]
-        W = stack[: len(v)]
-        np.multiply(v[:, :, None], v[:, None, :], out=W)
-        np.subtract(D, W, out=W)
-        if not np.isfinite(W).all():
-            raise NumericalError(
-                "leave-one-out covariance has non-finite entries"
-            )
+
+    errors = []
+
+    def fill(share):
+        stack = np.empty((min(chunk, n_s), d, d))
         try:
-            w = np.linalg.eigvalsh(W)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergenceError(str(exc)) from exc
-        tr[lo : lo + chunk] = np.abs(w).sum(axis=1)
-        hs[lo : lo + chunk] = np.sqrt((w * w).sum(axis=1))
+            for lo in share:
+                v = V[lo : lo + chunk]
+                W = stack[: len(v)]
+                # numpy's error state is per thread, so each sets its own
+                with np.errstate(over="ignore", invalid="ignore"):
+                    np.multiply(v[:, :, None], v[:, None, :], out=W)
+                    np.subtract(D, W, out=W)
+                if not np.isfinite(W).all():
+                    raise NumericalError(
+                        "leave-one-out covariance has non-finite entries"
+                    )
+                try:
+                    w = np.linalg.eigvalsh(W)
+                except np.linalg.LinAlgError as exc:
+                    raise NoConvergenceError(str(exc)) from exc
+                tr[lo : lo + chunk] = np.abs(w).sum(axis=1)
+                hs[lo : lo + chunk] = np.sqrt((w * w).sum(axis=1))
+        except Exception as exc:  # raised in the caller's thread below
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=fill, args=(starts[k::workers],))
+        for k in range(1, workers)
+    ]
+    for thread in threads:
+        thread.start()
+    try:
+        fill(starts[::workers])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     return tr, hs
 
 
@@ -373,7 +412,8 @@ def mc_validate(mc):
     The margin is gap_rate * dt^2 * n_steps * trace(M K_b), with the
     operators' gap_rate and K_b the last n x n block of the state
     covariance: K for advdiff, the velocity block for wave. The scheme's
-    state rows set the BLAS thread policy, as in run_single.
+    state rows set the BLAS thread policy, as in run_single, and with it
+    the jackknife's worker threads.
 
     Returns
     -------
@@ -388,7 +428,7 @@ def mc_validate(mc):
     """
     config = mc.scheme
     mesh = config.mesh
-    with _serial_blas(config.n_state):
+    with _serial_blas(config.n_state) as workers:
         ops = config.operators()
         M = ops.M
         n = M.shape[0]
@@ -406,7 +446,7 @@ def mc_validate(mc):
         _check_finite("Hilbert-Schmidt distance", hs_d)
 
         L = np.linalg.cholesky(M)
-        tr_vals, hs_vals = _jackknife_distances(samples, L, K_det)
+        tr_vals, hs_vals = _jackknife_distances(samples, L, K_det, workers)
         fac = (mc.n_samples - 1.0) / mc.n_samples
         se_tr = float(np.sqrt(fac * np.sum((tr_vals - tr_vals.mean()) ** 2)))
         se_hs = float(np.sqrt(fac * np.sum((hs_vals - hs_vals.mean()) ** 2)))

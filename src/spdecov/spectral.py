@@ -14,7 +14,7 @@ import numpy as np
 
 from .advdiff import AdvDiffConfig, backward_euler_step
 from .exceptions import ConfigError, ShapeMismatchError
-from .fem import assemble_mass
+from .fem import _is_finite, _is_int, assemble_mass
 from .kernels import BrownianBridge, WhiteNoise
 from .linalg import _serial_blas, propagate, symmetrize
 from .wave import WaveConfig, crank_nicolson_step
@@ -35,7 +35,9 @@ ORACLE_QUAD_ORDER = 8
 
 
 def eigenvalues(n_modes):
-    """lambda_k = (k pi)^2, k = 1..n_modes."""
+    """lambda_k = (k pi)^2, k = 1..n_modes, for an integer n_modes >= 1."""
+    if not _is_int(n_modes) or n_modes < 1:
+        raise ConfigError(f"n_modes must be an integer >= 1, got {n_modes!r}")
     k = np.arange(1, n_modes + 1)
     return (k * np.pi) ** 2
 
@@ -139,13 +141,15 @@ def spectral_galerkin_cov(n_modes, config, fine_dt):
     Neumann problems have no closed eigenbasis and are validated by
     self-convergence and Monte Carlo instead.
     """
-    if n_modes < 1 or n_modes > MAX_MODES:
-        raise ConfigError(f"n_modes must lie in 1..{MAX_MODES}")
+    if not _is_int(n_modes) or not 1 <= n_modes <= MAX_MODES:
+        raise ConfigError(
+            f"n_modes must be an integer in 1..{MAX_MODES}, got {n_modes!r}"
+        )
     if config.mesh.bc != "dirichlet":
         raise ConfigError("spectral oracle needs a dirichlet configuration")
     if config.K0 is not None:
         raise ConfigError("spectral oracle supports K0 = None only")
-    if not (math.isfinite(fine_dt) and fine_dt > 0):
+    if not (_is_finite(fine_dt) and fine_dt > 0):
         raise ConfigError(f"fine_dt must be finite and positive, got {fine_dt!r}")
     T = config.T
     n_steps = max(1, round(T / fine_dt))

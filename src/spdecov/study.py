@@ -19,7 +19,7 @@ import numpy as np
 from .advdiff import AdvDiffConfig, advdiff_run
 from .errnorms import err_hs_norm, err_trace_norm
 from .exceptions import ConfigError, DegenerateFitError
-from .fem import Mesh1D, _is_int
+from .fem import Mesh1D, _is_finite, _is_int
 from .linalg import _serial_blas
 from .wave import WaveConfig, extract_position_cov, wave_run
 
@@ -125,7 +125,7 @@ def levels_from_exponents(exponents, coupling, T=1.0):
     coupling 'equal' means h = dt, 'sqrt' means h = sqrt(dt); step
     counts are rounded to keep dt = T/n_steps exact.
     """
-    if not (math.isfinite(T) and T > 0.0):
+    if not (_is_finite(T) and T > 0.0):
         raise ConfigError(f"T must be finite and positive, got {T!r}")
     pairs = []
     for j in exponents:
@@ -156,7 +156,7 @@ def run_single(study, pair=None, t_stop=None):
         n_cells, n_steps = pair
         cfg = replace(cfg, mesh=Mesh1D(n_cells, cfg.mesh.bc), n_steps=n_steps)
     if t_stop is not None:
-        if not (math.isfinite(t_stop) and 0.0 <= t_stop <= cfg.T):
+        if not (_is_finite(t_stop) and 0.0 <= t_stop <= cfg.T):
             raise ConfigError(
                 f"snapshot_t={t_stop!r} must be finite and lie in [0, T={cfg.T!r}]"
             )

@@ -6,11 +6,15 @@ A run whose largest dense matrix (the state covariance: n_dof rows, or
 runs on one OpenBLAS thread; a larger one keeps the caller's count. A
 sweep decides once, from its reference, mc_validate from its scheme's
 state rows, modal_hs_distance from the larger of its n_dof and mode
-count, and the caller's count comes back however the run ends. Most tests swap the library lookup for a
-fake counter, so they run on any BLAS; the last three use the
-OpenBLAS this process has loaded and are skipped where the lookup
-finds none.
+count, and the caller's count comes back however the run ends. Where
+a scope puts OpenBLAS on one thread, it hands mc_validate's jackknife
+one worker thread per core the process may use, else one. Most tests
+swap the library lookup for a fake counter, so they run on any BLAS;
+the last three use the OpenBLAS this process has loaded and are
+skipped where the lookup finds none.
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -230,6 +234,50 @@ def test_callers_threads_restored_after_overflowing_sample(blas, monkeypatch):
     assert seen == [1]
     assert blas.threads == CALLER_THREADS
     assert blas.sets == [1, CALLER_THREADS]
+
+
+CORES = len(os.sched_getaffinity(0))
+
+
+def test_serial_scope_yields_one_worker_per_core(blas):
+    with linalg._serial_blas(linalg.SERIAL_BLAS_MAX_ROWS) as workers:
+        assert blas.threads == 1
+        # a nested scope keeps the outer BLAS threads and adds no workers
+        with linalg._serial_blas(1) as nested:
+            assert nested == 1
+    assert workers == CORES
+
+
+def test_scope_above_the_bound_yields_one_worker(blas):
+    with linalg._serial_blas(linalg.SERIAL_BLAS_MAX_ROWS + 1) as workers:
+        assert blas.threads == CALLER_THREADS
+    assert workers == 1
+
+
+def test_scope_without_openblas_yields_one_worker(monkeypatch):
+    monkeypatch.setattr(linalg, "_openblas", lambda: None)
+    with linalg._serial_blas(1) as workers:
+        pass
+    assert workers == 1
+
+
+@pytest.mark.parametrize(
+    "bound, workers", [(linalg.SERIAL_BLAS_MAX_ROWS, CORES), (8, 1)]
+)
+def test_mc_validate_hands_the_workers_to_its_jackknife(
+    blas, monkeypatch, bound, workers
+):
+    # the 9 state rows of the advdiff config fit under the bound or not
+    monkeypatch.setattr(linalg, "SERIAL_BLAS_MAX_ROWS", bound)
+    seen = []
+
+    def spy(*args, _fn=montecarlo._jackknife_distances):
+        seen.append(args[-1])
+        return _fn(*args)
+
+    monkeypatch.setattr(montecarlo, "_jackknife_distances", spy)
+    mc_validate(McConfig(scheme=_small_advdiff(), n_samples=50, seed=1))
+    assert seen == [workers]
 
 
 REAL_BLAS = linalg._openblas()

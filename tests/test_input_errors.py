@@ -10,10 +10,16 @@ from spdecov import (
     Exponential,
     Matern,
     Mesh1D,
+    StudyConfig,
     WaveConfig,
     WhiteNoise,
     compute_c0,
     hat_values,
+    heat_cov_closed_form,
+    levels_from_exponents,
+    run_single,
+    spectral_galerkin_cov,
+    wave_cov_closed_form,
 )
 
 
@@ -40,6 +46,21 @@ BAD_INPUTS = {
     "hat-point": lambda: hat_values(Mesh1D(4), [2.0]),
     "c0-epsilon": lambda: compute_c0(Coefficients.constant(a11=1.0), 2.0),
     "k0-shape": lambda: _advdiff(K0=np.eye(2)),
+    "advdiff-nan-c0": lambda: _advdiff(c0=float("nan")),
+    # a non-number is refused before any comparison or isfinite sees it
+    "exponential-str-scale": lambda: Exponential(scale="x"),
+    "matern-none-sigma": lambda: Matern(sigma=None, nu=1.0, rho=1.0),
+    "advdiff-str-T": lambda: _advdiff(T="1"),
+    "wave-str-T": lambda: WaveConfig(mesh=Mesh1D(4), kernel=WhiteNoise(), T="1"),
+    "c0-str-epsilon": lambda: compute_c0(Coefficients.constant(a11=1.0), "a"),
+    "oracle-float-modes": lambda: spectral_galerkin_cov(2.5, _advdiff(), 0.1),
+    "oracle-too-many-modes": lambda: spectral_galerkin_cov(257, _advdiff(), 0.1),
+    "heat-negative-modes": lambda: heat_cov_closed_form(-1, 1.0),
+    "wave-float-modes": lambda: wave_cov_closed_form(2.5, 1.0),
+    "levels-str-T": lambda: levels_from_exponents([1, 2], "equal", T="1"),
+    "snapshot-str-t": lambda: run_single(
+        StudyConfig(scheme=_advdiff(), levels=[(2, 2)]), t_stop="0.5"
+    ),
 }
 
 

@@ -1,5 +1,7 @@
 import logging
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -197,9 +199,9 @@ def _spy_samples(monkeypatch):
     """Records the samples that mc_validate hands to its jackknife."""
     seen = []
 
-    def spy(samples, L, K_det):
+    def spy(samples, L, K_det, workers):
         seen.append(samples)
-        return _jackknife_distances(samples, L, K_det)
+        return _jackknife_distances(samples, L, K_det, workers)
 
     monkeypatch.setattr(montecarlo, "_jackknife_distances", spy)
     return seen
@@ -401,9 +403,9 @@ def test_stacked_jackknife_matches_per_path_loop(cfg, monkeypatch):
 
     seen = {}
 
-    def spy(samples, L, K_det):
+    def spy(samples, L, K_det, workers):
         seen["args"] = (samples, K_det)
-        seen["out"] = _jackknife_distances(samples, L, K_det)
+        seen["out"] = _jackknife_distances(samples, L, K_det, workers)
         return seen["out"]
 
     monkeypatch.setattr(montecarlo, "_jackknife_distances", spy)
@@ -444,6 +446,66 @@ def test_jackknife_rejects_non_finite_stack(bad):
     samples[4, 1] = bad
     with pytest.raises(NumericalError, match="non-finite"):
         _jackknife_distances(samples, np.eye(3), np.eye(3))
+
+
+def _jackknife_inputs(n_s, d, seed=0):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((d, d))
+    M = A @ A.T + d * np.eye(d)
+    return rng.standard_normal((n_s, d)), np.linalg.cholesky(M), np.eye(d)
+
+
+def test_jackknife_is_the_same_bits_at_any_worker_count():
+    # each worker count splits the stack budget into another chunk size,
+    # and each leaves a short last chunk; 8 workers outnumber the cores
+    # of most hosts, and a short switch interval interleaves them often
+    d = 9
+    n_s = 3001
+    for workers in (1, 2, 3, 8):
+        chunk = CHUNK_BYTES // (workers * 8 * d * d)
+        assert n_s > workers * chunk and n_s % chunk != 0
+    samples, L, K_det = _jackknife_inputs(n_s, d)
+    tr, hs = _jackknife_distances(samples, L, K_det, 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (2, 3, 8):
+            got_tr, got_hs = _jackknife_distances(samples, L, K_det, workers)
+            assert np.array_equal(got_tr, tr)
+            assert np.array_equal(got_hs, hs)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_jackknife_rejects_non_finite_stack_on_every_thread(workers):
+    # the bad path makes every chunk non-finite through the mean, so the
+    # caller's thread and the workers each raise
+    samples, L, K_det = _jackknife_inputs(3001, 9)
+    samples[2000, 4] = np.nan
+    before = threading.active_count()
+    with pytest.raises(NumericalError, match="non-finite"):
+        _jackknife_distances(samples, L, K_det, workers)
+    assert threading.active_count() == before
+
+
+def test_jackknife_error_in_a_worker_reaches_the_caller(monkeypatch):
+    # a chunk fails only off the caller's thread: its error is raised in
+    # the caller, once every worker has stopped
+    caller = threading.current_thread()
+    eigvalsh = np.linalg.eigvalsh
+
+    def fail_off_the_caller(W):
+        if threading.current_thread() is not caller:
+            raise np.linalg.LinAlgError("injected")
+        return eigvalsh(W)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail_off_the_caller)
+    samples, L, K_det = _jackknife_inputs(3001, 9)
+    before = threading.active_count()
+    with pytest.raises(NumericalError, match="injected"):
+        _jackknife_distances(samples, L, K_det, 2)
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize(

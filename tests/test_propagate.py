@@ -118,3 +118,17 @@ def test_propagate_takes_zero_steps():
     K0 = np.array([[2.0, 1.0], [1.0, 3.0]])
     assert np.array_equal(propagate(step, 0), np.zeros((2, 2)))
     assert np.array_equal(propagate(step, np.int64(0), K0), K0)
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 2, 5, 8, 128])
+@pytest.mark.parametrize("g", [1.0, -0.7])
+def test_zero_start_skips_its_products_bit_for_bit(n_steps, g):
+    # K0 = None takes the first set bit's Q as K and skips the squaring
+    # of T that only a carried K would use; K0 = 0 multiplies through
+    rng = np.random.default_rng(n_steps)
+    T = 0.3 * rng.standard_normal((7, 7))
+    step = AffineStep(T, _random_psd(n_steps, 7), g)
+    K = propagate(step, n_steps)
+    assert np.array_equal(K, propagate(step, n_steps, np.zeros((7, 7))))
+    assert K is not step.Q
+    assert not np.shares_memory(K, step.Q)
