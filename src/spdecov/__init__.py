@@ -25,13 +25,7 @@ config,cli  INI-driven command line front end (spde-cov)
 """
 
 from .advdiff import AdvDiffConfig, advdiff_run
-from .config import (
-    coefficient_from_name,
-    kernel_from_section,
-    load_mc,
-    load_study,
-    read_config,
-)
+from .config import load_mc, load_study
 from .errnorms import err_hs_norm, err_trace_norm
 from .exceptions import (
     CholeskyError,
@@ -124,7 +118,6 @@ __all__ = [
     "assemble_form",
     "assemble_mass",
     "assemble_stiffness",
-    "coefficient_from_name",
     "compute_c0",
     "eigenvalues",
     "emit",
@@ -135,14 +128,12 @@ __all__ = [
     "fit_rate",
     "hat_values",
     "heat_cov_closed_form",
-    "kernel_from_section",
     "levels_from_exponents",
     "load_mc",
     "load_study",
     "mc_validate",
     "modal_hs_distance",
     "propagate",
-    "read_config",
     "read_report",
     "run_single",
     "run_sweep",

@@ -58,7 +58,7 @@ _KERNEL_KEYS = {
     "matern": ("sigma", "nu", "rho"),
 }
 _STUDY_KEYS = (
-    "t", "coupling", "levels", "reference", "norms", "snapshot_t", "n_samples", "seed"
+    "t", "coupling", "levels", "reference", "snapshot_t", "n_samples", "seed"
 )
 
 
@@ -220,7 +220,6 @@ def _study(parser):
     levels = levels_from_exponents(exponents, coupling, T)
     n_cells, n_steps = levels_from_exponents([ref_exp], coupling, T)[0]
 
-    norms = tuple(t.strip() for t in st.get("norms", "L1,L2").split(",") if t.strip())
     kernel = kernel_from_section(kern)
     if equation == "advdiff":
         coeffs = _build_coeffs(eq)
@@ -238,10 +237,7 @@ def _study(parser):
             mesh=Mesh1D(n_cells), kernel=kernel, g_spec=g, T=T, n_steps=n_steps
         )
     return StudyConfig(
-        scheme=scheme,
-        levels=levels,
-        norms=norms,
-        snapshot_t=_getfloat(st, "snapshot_t"),
+        scheme=scheme, levels=levels, snapshot_t=_getfloat(st, "snapshot_t")
     )
 
 

@@ -1,9 +1,10 @@
 """Exception hierarchy for spdecov.
 
-Every input check raises a ConfigError, also a ValueError. Numerical
-failures (singular factorizations, nonsymmetric matrices, Cholesky
-breakdown) all derive from NumericalError so callers can distinguish
-them from configuration mistakes.
+Every input check raises a ConfigError, also a ValueError; a matrix
+that does not fit its mesh is a ShapeMismatchError, one of them.
+Numerical failures (singular factorizations, nonsymmetric matrices,
+Cholesky breakdown) all derive from NumericalError so callers can
+distinguish them from configuration mistakes.
 """
 
 
@@ -31,8 +32,8 @@ class SingularError(NumericalError):
     """A pivot collapsed during LU elimination."""
 
 
-class ShapeMismatchError(NumericalError):
-    """Operands have inconsistent dimensions."""
+class ShapeMismatchError(ConfigError):
+    """Operands have inconsistent dimensions, or meshes do not nest."""
 
 
 class EllipticityError(ConfigError):

@@ -48,12 +48,12 @@ class StudyConfig:
     K0 = None. levels are (n_cells, n_steps) pairs of the same scheme on
     coarser meshes, with h = 1/n_cells and dt = scheme.T / n_steps, so
     coupling rules like h = sqrt(dt) are already baked in by the caller
-    (see levels_from_exponents).
+    (see levels_from_exponents). snapshot_t, where the single-run
+    commands stop, is a multiple of the reference dt in [0, T].
     """
 
     scheme: Union[AdvDiffConfig, WaveConfig]
     levels: Tuple[Tuple[int, int], ...]
-    norms: Tuple[str, ...] = ("L1", "L2")
     snapshot_t: Optional[float] = None
 
     def __post_init__(self):
@@ -64,22 +64,14 @@ class StudyConfig:
             )
         if self.scheme.K0 is not None:
             raise ConfigError("a study's reference run must start from K0 = None")
-        T = self.scheme.T
-        if self.snapshot_t is not None and not 0.0 <= self.snapshot_t <= T:
+        if self.snapshot_t is not None:
+            _snapshot_steps(self.snapshot_t, self.scheme)
+        if not isinstance(self.levels, (tuple, list)) or not self.levels:
             raise ConfigError(
-                f"snapshot_t={self.snapshot_t!r} lies outside [0, T={T!r}]"
+                f"a study needs a non-empty tuple of levels, got {self.levels!r}"
             )
-        if not self.levels:
-            raise ConfigError("study has no levels")
-        for c, s in self.levels:
-            if not (_is_int(c) and c >= 2 and _is_int(s) and s >= 1):
-                raise ConfigError(
-                    f"level ({c!r}, {s!r}) needs an integer n_cells >= 2 "
-                    "and an integer n_steps >= 1"
-                )
-        bad = [n for n in self.norms if n not in ("L1", "L2")]
-        if bad:
-            raise ConfigError(f"unknown norms {bad}")
+        for pair in self.levels:
+            _check_level(pair)
         cells = [c for c, _ in self.levels]
         if any(b <= a for a, b in zip(cells, cells[1:])):
             raise ConfigError("levels must be strictly decreasing in h")
@@ -100,6 +92,29 @@ class StudyConfig:
         return self.scheme.mesh.n_cells, self.scheme.n_steps
 
 
+def _check_level(pair):
+    """The (n_cells, n_steps) of a level, refused unless both are valid."""
+    c, s = pair if isinstance(pair, (tuple, list)) and len(pair) == 2 else (0, 0)
+    if not (_is_int(c) and c >= 2 and _is_int(s) and s >= 1):
+        raise ConfigError(
+            f"level {pair!r} needs an integer n_cells >= 2 "
+            "and an integer n_steps >= 1"
+        )
+    return c, s
+
+
+def _snapshot_steps(t, cfg):
+    """The step count at which a run of cfg reaches the snapshot time t."""
+    if not (_is_finite(t) and 0.0 <= t <= cfg.T):
+        raise ConfigError(
+            f"snapshot_t={t!r} must be finite and lie in [0, T={cfg.T!r}], not outside"
+        )
+    j = round(t / cfg.dt)
+    if abs(j * cfg.dt - t) > 1e-9 * max(1.0, cfg.T):
+        raise ConfigError(f"snapshot_t={t!r} is not a multiple of dt={cfg.dt!r}")
+    return j
+
+
 @dataclass(frozen=True)
 class LevelResult:
     level: int
@@ -112,7 +127,7 @@ class LevelResult:
 
 @dataclass(frozen=True)
 class RateReport:
-    """Per-level errors and fitted slopes; nan marks unselected norms."""
+    """Per-level errors and fitted slopes; a nan slope marks a degenerate fit."""
 
     rows: Tuple[LevelResult, ...]
     slope_L1: float = float("nan")
@@ -129,6 +144,8 @@ def levels_from_exponents(exponents, coupling, T=1.0):
         raise ConfigError(f"T must be finite and positive, got {T!r}")
     pairs = []
     for j in exponents:
+        if not _is_int(j):
+            raise ConfigError(f"level exponents must be integers, got {j!r}")
         n_cells = 2**j
         if coupling == "equal":
             n_steps = round(T * 2**j)
@@ -153,18 +170,10 @@ def run_single(study, pair=None, t_stop=None):
     """
     cfg = study.scheme
     if pair is not None:
-        n_cells, n_steps = pair
+        n_cells, n_steps = _check_level(pair)
         cfg = replace(cfg, mesh=Mesh1D(n_cells, cfg.mesh.bc), n_steps=n_steps)
     if t_stop is not None:
-        if not (_is_finite(t_stop) and 0.0 <= t_stop <= cfg.T):
-            raise ConfigError(
-                f"snapshot_t={t_stop!r} must be finite and lie in [0, T={cfg.T!r}]"
-            )
-        j = round(t_stop / cfg.dt)
-        if abs(j * cfg.dt - t_stop) > 1e-9 * max(1.0, cfg.T):
-            raise ConfigError(
-                f"snapshot_t={t_stop} is not a multiple of dt={cfg.dt}"
-            )
+        j = _snapshot_steps(t_stop, cfg)
         if j == 0:
             n = cfg.mesh.n_dof
             return cfg.mesh, np.zeros((n, n)), 0.0
@@ -178,27 +187,23 @@ def run_single(study, pair=None, t_stop=None):
 def run_sweep(study):
     """Run every level against the reference and fit rates.
 
-    Levels run one after another in level order. Zero errors are
-    excluded from the fit with a warning, and a fit with fewer than two
-    usable points leaves the slope nan. The reference's state rows set
-    the BLAS thread policy of the whole sweep, as in run_single.
+    Levels run one after another in level order, each measured in both
+    norms. Zero errors are excluded from the fit with a warning, and a
+    fit with fewer than two usable points leaves the slope nan. The
+    reference's state rows set the BLAS threads of the whole sweep.
     """
-    nan = float("nan")
     rows, slopes = [], {}
     with _serial_blas(study.scheme.n_state):
         mesh_ref, K_ref, _ = run_single(study)
         for idx, pair in enumerate(study.levels, start=1):
             t0 = time.perf_counter()
             mesh, K, _ = run_single(study, pair)
-            e1 = e2 = nan
-            if "L1" in study.norms:
-                e1 = err_trace_norm(K, mesh, K_ref, mesh_ref)
-            if "L2" in study.norms:
-                e2 = err_hs_norm(K, mesh, K_ref, mesh_ref)
+            e1 = err_trace_norm(K, mesh, K_ref, mesh_ref)
+            e2 = err_hs_norm(K, mesh, K_ref, mesh_ref)
             wall = time.perf_counter() - t0
             dt = study.scheme.T / pair[1]
             rows.append(LevelResult(idx, mesh.h, dt, e1, e2, wall))
-        for norm in study.norms:
+        for norm in ("L1", "L2"):
             errs = [getattr(r, f"err_{norm}") for r in rows]
             try:
                 slopes[f"slope_{norm}"] = fit_rate([r.h for r in rows], errs)
@@ -233,7 +238,7 @@ def fit_rate(hs, errs):
         raise ConfigError(
             f"need one error per mesh width, got {len(hs)} and {len(errs)}"
         )
-    if not all(math.isfinite(h) and h > 0 for h in hs):
+    if not all(_is_finite(h) and h > 0 for h in hs):
         raise ConfigError(f"mesh widths must be finite and positive, got {hs!r}")
     pairs = _usable_pairs(hs, errs)
     if len(pairs) < 2:

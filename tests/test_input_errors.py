@@ -14,9 +14,12 @@ from spdecov import (
     WaveConfig,
     WhiteNoise,
     compute_c0,
+    err_hs_norm,
+    fit_rate,
     hat_values,
     heat_cov_closed_form,
     levels_from_exponents,
+    modal_hs_distance,
     run_single,
     spectral_galerkin_cov,
     wave_cov_closed_form,
@@ -61,6 +64,20 @@ BAD_INPUTS = {
     "snapshot-str-t": lambda: run_single(
         StudyConfig(scheme=_advdiff(), levels=[(2, 2)]), t_stop="0.5"
     ),
+    "study-str-snapshot": lambda: StudyConfig(
+        scheme=_advdiff(), levels=[(2, 2)], snapshot_t="0.5"
+    ),
+    "study-int-levels": lambda: StudyConfig(scheme=_advdiff(), levels=5),
+    "study-short-level": lambda: StudyConfig(scheme=_advdiff(), levels=((4,),)),
+    "levels-float-exponent": lambda: levels_from_exponents([2.5], "sqrt"),
+    "levels-str-exponent": lambda: levels_from_exponents(["a"], "sqrt"),
+    "fit-str-h": lambda: fit_rate(["a", 0.5], [1.0, 2.0]),
+    "single-short-pair": lambda: run_single(
+        StudyConfig(scheme=_advdiff(), levels=[(2, 2)]), pair=(3,)
+    ),
+    # a shape mismatch is the caller's input too
+    "hs-shape": lambda: err_hs_norm(np.eye(3), Mesh1D(8), np.eye(7), Mesh1D(8)),
+    "modal-v-shape": lambda: modal_hs_distance(np.eye(3), Mesh1D(4), np.ones((3, 2))),
 }
 
 

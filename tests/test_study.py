@@ -120,8 +120,6 @@ def test_study_validation():
     with pytest.raises(ConfigError):
         _study(levels=())
     with pytest.raises(ConfigError):
-        _study(norms=("L1", "L3"))
-    with pytest.raises(ConfigError):
         _study(levels=((8, 64), (4, 16)))
     with pytest.raises(ConfigError):
         _study(reference=(8, 64))
@@ -132,11 +130,16 @@ def test_study_validation():
     for snapshot_t in (-0.5, 1.5, nan):
         with pytest.raises(ConfigError, match="outside"):
             _study(snapshot_t=snapshot_t)
+    # the reference dt is 1/1024, so a snapshot between its steps is
+    # refused when the study is built, as run_single refuses it
+    with pytest.raises(ConfigError, match="not a multiple of dt"):
+        _study(snapshot_t=0.5 + 2.0**-12)
+    assert _study(snapshot_t=0.5 + 2.0**-10).snapshot_t == 0.5 + 2.0**-10
 
 
 def test_study_refuses_k0_and_non_schemes():
     assert [f.name for f in fields(StudyConfig)] == [
-        "scheme", "levels", "norms", "snapshot_t",
+        "scheme", "levels", "snapshot_t",
     ]
     with pytest.raises(ConfigError, match="AdvDiffConfig or a WaveConfig"):
         _study(scheme="advdiff")
@@ -209,13 +212,6 @@ def test_sweep_slopes_near_expected():
     errs2 = [r.err_L2 for r in report.rows]
     assert all(a > b for a, b in zip(errs1, errs1[1:]))
     assert all(a > b for a, b in zip(errs2, errs2[1:]))
-
-
-def test_norm_selection():
-    report = run_sweep(_study(norms=("L2",)))
-    assert np.isnan(report.slope_L1)
-    assert np.isfinite(report.slope_L2)
-    assert all(np.isnan(r.err_L1) for r in report.rows)
 
 
 def _wave_study():
