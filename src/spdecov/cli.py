@@ -105,15 +105,16 @@ _COMMANDS = {
 }
 
 
-def _build_parser():
+def _build_parser(names=_COMMANDS):
+    """The spde-cov parser, with a subparser for each command in names."""
     parser = _Parser(
         prog="spde-cov",
         description="covariance computations for parabolic and hyperbolic "
         "stochastic equations on (0,1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+    for name in names:
+        p = sub.add_parser(name, help=_COMMANDS[name][0])
         p.add_argument("--config", required=True, help="INI config file")
         p.add_argument("--out", help="write output here instead of stdout")
         p.add_argument(
@@ -137,7 +138,11 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a command's own subparser parses it, refuses it and prints its help
+    # as the full parser does, in a fraction of the full parser's setup
+    named = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
+    parser = _build_parser(named)
     try:
         args = parser.parse_args(argv)
         text = _COMMANDS[args.command][1](args)

@@ -4,15 +4,22 @@ Both operators live on uniform meshes of one boundary flavor, and one
 mesh refines the other (the same mesh included). A coarse hat is then
 exactly piecewise linear on the fine mesh, so the coarse operator of K
 is the fine operator of P K P^T, with P the coarse hats at the fine
-DoF nodes. Both distances are taken from W = L^T D L, with D the
-coefficient difference on the finer mesh and L L^T its mass matrix: the
-difference operator's matrix in an orthonormal basis.
+DoF nodes: two nonzeros per row, 1 - s/r and s/r at fine node c r + s
+of a mesh refined r times. Both distances are taken from W = L^T D L,
+the difference operator's matrix in an orthonormal basis, with D the
+coefficient difference on the finer mesh and L L^T its mass matrix.
+That matrix is tridiagonal, so L is lower bidiagonal, and P K P^T and W
+each take two shifted element-wise passes: O(n^2) work and no matrix
+product. Only L's two diagonals are cached, per mesh; nothing that
+depends on K is.
 """
+
+import functools
+import math
 
 import numpy as np
 
 from .exceptions import MismatchedBCError, NoConvergenceError, ShapeMismatchError
-from .fem import assemble_mass, hat_values
 from .linalg import symmetrize
 
 # err_trace_norm takes eigenvalues only; sym_eig stays importable here
@@ -20,6 +27,45 @@ from .linalg import symmetrize
 from .linalg import sym_eig  # noqa: F401
 
 __all__ = ["err_trace_norm", "err_hs_norm"]
+
+
+@functools.lru_cache(maxsize=None)
+def _mass_factor(n_cells, bc):
+    """Diagonal and subdiagonal of the Cholesky factor of the mass matrix.
+
+    The mesh's mass matrix has h/6 off the diagonal and h/3 + h/3 on
+    it, summed as assemble_mass sums them, h/3 at a Neumann end node.
+    The arrays are shared by every caller, so they are read-only.
+    """
+    h = 1.0 / n_cells
+    n = n_cells - 1 if bc == "dirichlet" else n_cells + 1
+    diag = [h / 3.0 + h / 3.0] * n
+    if bc == "neumann":
+        diag[0] = diag[-1] = h / 3.0
+    d, e = np.empty(n), np.empty(n - 1)
+    pivot = diag[0]
+    for i in range(n - 1):
+        d[i] = math.sqrt(pivot)
+        e[i] = (h / 6.0) / d[i]
+        pivot = diag[i + 1] - e[i] * e[i]
+    d[-1] = math.sqrt(pivot)
+    d.flags.writeable = e.flags.writeable = False
+    return d, e
+
+
+def _prolong(K, coarse, fine):
+    """P K P^T: the coarse matrix K as a matrix on the fine mesh."""
+    r = fine.n_cells // coarse.n_cells
+    c, s = np.divmod(np.arange(fine.n_cells + 1)[fine.dofs], r)
+    w = s / r
+    # K on every coarse node, zero at an eliminated Dirichlet node and
+    # on a padding node past the end, where the last fine node's
+    # weight w is 0
+    first = 1 if coarse.bc == "dirichlet" else 0
+    A = np.zeros((coarse.n_cells + 2,) * 2)
+    A[first : first + len(K), first : first + len(K)] = K
+    A = A[c] * (1.0 - w)[:, None] + A[c + 1] * w[:, None]
+    return A[:, c] * (1.0 - w) + A[:, c + 1] * w
 
 
 def _difference(K, mesh, Kref, mesh_ref):
@@ -49,13 +95,21 @@ def _difference(K, mesh, Kref, mesh_ref):
             f"a {coarse.n_cells}-cell mesh"
         )
     if coarse.n_cells < fine.n_cells:
-        P = hat_values(coarse, fine.dof_nodes)
         if mesh is coarse:
-            K = P @ K @ P.T
+            K = _prolong(K, coarse, fine)
         else:
-            Kref = P @ Kref @ P.T
-    L = np.linalg.cholesky(assemble_mass(fine))
-    return symmetrize(L.T @ (K - Kref) @ L)
+            Kref = _prolong(Kref, coarse, fine)
+    d, e = _mass_factor(fine.n_cells, fine.bc)
+    # D L, then L^T (D L), in place: column j of D L is
+    # d_j D[:, j] + e_j D[:, j + 1], and row i of L^T D likewise
+    D = K - Kref
+    shifted = D[:, 1:] * e
+    D *= d
+    D[:, :-1] += shifted
+    shifted = D[1:] * e[:, None]
+    D *= d[:, None]
+    D[:-1] += shifted
+    return symmetrize(D)
 
 
 def err_trace_norm(K, mesh, Kref, mesh_ref):

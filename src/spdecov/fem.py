@@ -42,13 +42,16 @@ def _is_int(x):
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _is_real(x):
+    """True for Python and numpy reals, nan and inf included, but not for bools."""
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(
+        x, bool
+    )
+
+
 def _is_finite(x):
     """True for finite Python and numpy reals, but not for bools."""
-    return (
-        isinstance(x, (int, float, np.integer, np.floating))
-        and not isinstance(x, bool)
-        and math.isfinite(x)
-    )
+    return _is_real(x) and math.isfinite(x)
 
 
 @dataclass(frozen=True)

@@ -247,28 +247,28 @@ def _check_run(config):
 
 @functools.lru_cache(maxsize=None)
 def _openblas():
-    """(get, set) thread-count functions of the loaded OpenBLAS, or None.
+    """(get, set) thread-count functions of numpy's OpenBLAS, or None.
 
-    The library is found among the process's mappings and opened with
-    RTLD_NOLOAD, so no second copy is ever loaded. None where there is
-    no /proc/self/maps or no OpenBLAS (macOS, Windows, MKL builds).
+    numpy's LAPACK extension, already loaded, is opened again with
+    RTLD_NOLOAD, so no second copy of anything is loaded, and the
+    symbols are looked up through it, that is in it and in the libraries
+    it links. None where it links no OpenBLAS (macOS Accelerate, MKL
+    builds), where there is no RTLD_NOLOAD (Windows), or where numpy
+    keeps its LAPACK elsewhere.
     """
     try:
-        with open(
-            "/proc/self/maps", encoding="utf-8", errors="surrogateescape"
-        ) as fh:
-            paths = {ln.split(maxsplit=5)[5].strip() for ln in fh if "openblas" in ln}
-        libs = [ctypes.CDLL(p, os.RTLD_NOLOAD | os.RTLD_LAZY) for p in sorted(paths)]
-    except OSError:
+        from numpy.linalg import _umath_linalg
+
+        lib = ctypes.CDLL(_umath_linalg.__file__, os.RTLD_NOLOAD | os.RTLD_LAZY)
+    except (ImportError, OSError, AttributeError):
         return None
     for template in _OPENBLAS_SYMBOLS:
         get_name, set_name = template.format("get"), template.format("set")
-        for lib in libs:
-            if hasattr(lib, get_name) and hasattr(lib, set_name):
-                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
+        if hasattr(lib, get_name) and hasattr(lib, set_name):
+            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
     return None
 
 

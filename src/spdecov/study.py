@@ -19,7 +19,7 @@ import numpy as np
 from .advdiff import AdvDiffConfig, advdiff_run
 from .errnorms import err_hs_norm, err_trace_norm
 from .exceptions import ConfigError, DegenerateFitError
-from .fem import Mesh1D, _is_finite, _is_int
+from .fem import Mesh1D, _is_finite, _is_int, _is_real
 from .linalg import _serial_blas
 from .wave import WaveConfig, extract_position_cov, wave_run
 
@@ -230,9 +230,10 @@ def _usable_pairs(hs, errs):
 def fit_rate(hs, errs):
     """Least-squares slope of log(err) against log(h).
 
-    Zero errors are excluded with a warning; fewer than two usable
-    pairs raise DegenerateFitError, and a non-finite or nonpositive h,
-    or unequal lengths, raise ConfigError.
+    Zero errors are excluded with a warning and non-finite ones skipped;
+    fewer than two usable pairs raise DegenerateFitError, and a
+    non-finite or nonpositive h, an error that is not a real number, or
+    unequal lengths, raise ConfigError.
     """
     if len(hs) != len(errs):
         raise ConfigError(
@@ -240,6 +241,8 @@ def fit_rate(hs, errs):
         )
     if not all(_is_finite(h) and h > 0 for h in hs):
         raise ConfigError(f"mesh widths must be finite and positive, got {hs!r}")
+    if not all(_is_real(e) for e in errs):
+        raise ConfigError(f"errors must be real numbers, got {errs!r}")
     pairs = _usable_pairs(hs, errs)
     if len(pairs) < 2:
         raise DegenerateFitError(

@@ -21,6 +21,7 @@ from spdecov import (
     run_sweep,
     wave_cov_closed_form,
 )
+from spdecov import cli
 from spdecov.cli import main
 from spdecov.config import coefficient_from_name, kernel_from_section
 
@@ -350,6 +351,48 @@ def test_cli_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+
+
+def _outcome(argv, capsys):
+    """(exit code, stdout, stderr) of main(argv); --help exits instead."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+PARSE_CASES = (
+    [[name, "--help"] for name in cli._COMMANDS]
+    + [[name] for name in cli._COMMANDS]
+    + [
+        ["sweep", "--config", "study.ini", "--format", "xml"],
+        ["sweep", "--config", "study.ini", "--bogus"],
+        ["sweep", "--config", "study.ini", "--samples", "3"],
+        ["bogus", "--config", "study.ini"],
+        [],
+    ]
+)
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=lambda a: " ".join(a) or "none")
+def test_one_command_parser_answers_as_the_full_parser(argv, capsys, monkeypatch):
+    full_parser = cli._build_parser
+    built = []
+
+    def recorded(names):
+        built.append(list(names))
+        return full_parser(names)
+
+    monkeypatch.setattr(cli, "_build_parser", recorded)
+    own = _outcome(argv, capsys)
+    named = argv[:1] if argv and argv[0] in cli._COMMANDS else list(cli._COMMANDS)
+    assert built == [named]
+    monkeypatch.setattr(cli, "_build_parser", lambda names: full_parser())
+    assert _outcome(argv, capsys) == own
+    # each case is refused, or prints help, before any config is read
+    assert own[0] in (0, 1) and (own[1] or own[2])
 
 
 def test_cli_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):

@@ -16,6 +16,7 @@ from spdecov import (
     hat_values,
     symmetrize,
 )
+from spdecov.errnorms import _difference
 from spdecov.linalg import sym_eig
 
 
@@ -254,3 +255,57 @@ def test_hs_norm_of_entries_whose_squares_overflow():
     huge = err_hs_norm(1e155 * np.eye(9), mesh, zero, mesh)
     assert np.isfinite(huge)
     assert huge == pytest.approx(1e155 * unit, rel=1e-15)
+
+
+def _dense_difference(K, mesh, Kref, mesh_ref):
+    """W = L^T D L by dense products: the prolongation P as hat values
+    and L as LAPACK's Cholesky factor of the assembled mass matrix."""
+    coarse, fine = sorted((mesh, mesh_ref), key=lambda m: m.n_cells)
+    P = hat_values(coarse, fine.dof_nodes)
+    if mesh is coarse:
+        K = P @ K @ P.T
+    else:
+        Kref = P @ Kref @ P.T
+    L = np.linalg.cholesky(assemble_mass(fine))
+    return symmetrize(L.T @ (K - Kref) @ L)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n_cells=st.integers(2, 64),
+    ratio=st.integers(1, 8),
+    bc=st.sampled_from(["dirichlet", "neumann"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_banded_frame_matches_dense_products(n_cells, ratio, bc, seed):
+    # the two-nonzero stencil of P and the bidiagonal L, applied as
+    # shifted element-wise passes, against dense P K P^T and L^T D L
+    coarse = Mesh1D(n_cells, bc)
+    fine = Mesh1D(n_cells * ratio, bc)
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((coarse.n_dof, coarse.n_dof))
+    C = rng.standard_normal((fine.n_dof, fine.n_dof))
+    K, Kref = B @ B.T, C @ C.T
+    for args in (K, coarse, Kref, fine), (Kref, fine, K, coarse):
+        dense = _dense_difference(*args)
+        W = _difference(*args)
+        assert np.abs(W - dense).max() <= 1e-13 * np.abs(dense).max()
+        trace = np.abs(np.linalg.eigvalsh(dense)).sum()
+        assert err_trace_norm(*args) == pytest.approx(trace, rel=1e-13)
+        assert err_hs_norm(*args) == pytest.approx(np.linalg.norm(dense), rel=1e-13)
+
+
+def test_distance_follows_a_matrix_changed_in_place():
+    # only the mesh's factor is cached: a second call on the same array,
+    # changed in place, measures the changed matrix
+    coarse, fine = Mesh1D(4, "neumann"), Mesh1D(16, "neumann")
+    rng = np.random.default_rng(5)
+    B = rng.standard_normal((5, 5))
+    K, Kref = B @ B.T, np.eye(17)
+    for err in (err_trace_norm, err_hs_norm):
+        before = err(K, coarse, Kref, fine)
+        K *= 2.0
+        Kref[3, 3] += 1.0
+        after = err(K, coarse, Kref, fine)
+        assert after != before
+        assert after == err(K.copy(), coarse, Kref.copy(), fine)

@@ -72,6 +72,8 @@ BAD_INPUTS = {
     "levels-float-exponent": lambda: levels_from_exponents([2.5], "sqrt"),
     "levels-str-exponent": lambda: levels_from_exponents(["a"], "sqrt"),
     "fit-str-h": lambda: fit_rate(["a", 0.5], [1.0, 2.0]),
+    # a nan error is skipped by the fit, a string is refused
+    "fit-str-error": lambda: fit_rate([0.5, 0.25], ["a", 0.1]),
     "single-short-pair": lambda: run_single(
         StudyConfig(scheme=_advdiff(), levels=[(2, 2)]), pair=(3,)
     ),

@@ -61,6 +61,13 @@ def test_fit_rate_excludes_zero_with_warning():
     assert rec[0].filename == __file__
 
 
+def test_fit_rate_skips_a_nan_error():
+    # a nan error is a real number: skipped without a warning, not refused
+    hs = [0.5, 0.25, 0.125]
+    errs = [0.5**1.5, np.float64("nan"), 0.125**1.5]
+    assert fit_rate(hs, errs) == pytest.approx(1.5, abs=1e-12)
+
+
 def test_fit_rate_degenerate():
     with pytest.raises(DegenerateFitError):
         fit_rate([0.5], [0.1])
