@@ -30,17 +30,16 @@ __all__ = ["err_trace_norm", "err_hs_norm"]
 
 
 @functools.lru_cache(maxsize=None)
-def _mass_factor(n_cells, bc):
+def _mass_factor(mesh):
     """Diagonal and subdiagonal of the Cholesky factor of the mass matrix.
 
-    The mesh's mass matrix has h/6 off the diagonal and h/3 + h/3 on
-    it, summed as assemble_mass sums them, h/3 at a Neumann end node.
-    The arrays are shared by every caller, so they are read-only.
+    The mass matrix has h/6 off the diagonal and h/3 + h/3 on it, summed
+    as assemble_mass sums them, h/3 at a Neumann end node. Equal meshes,
+    of one n_cells and bc, share the arrays, so they are read-only.
     """
-    h = 1.0 / n_cells
-    n = n_cells - 1 if bc == "dirichlet" else n_cells + 1
+    h, n = mesh.h, mesh.n_dof
     diag = [h / 3.0 + h / 3.0] * n
-    if bc == "neumann":
+    if mesh.bc == "neumann":
         diag[0] = diag[-1] = h / 3.0
     d, e = np.empty(n), np.empty(n - 1)
     pivot = diag[0]
@@ -99,7 +98,7 @@ def _difference(K, mesh, Kref, mesh_ref):
             K = _prolong(K, coarse, fine)
         else:
             Kref = _prolong(Kref, coarse, fine)
-    d, e = _mass_factor(fine.n_cells, fine.bc)
+    d, e = _mass_factor(fine)
     # D L, then L^T (D L), in place: column j of D L is
     # d_j D[:, j] + e_j D[:, j + 1], and row i of L^T D likewise
     D = K - Kref
