@@ -15,12 +15,11 @@ depends on K is.
 """
 
 import functools
-import math
 
 import numpy as np
 
 from .exceptions import MismatchedBCError, NoConvergenceError, ShapeMismatchError
-from .linalg import symmetrize
+from .linalg import _tridiagonal_cholesky, symmetrize
 
 # err_trace_norm takes eigenvalues only; sym_eig stays importable here
 # because perfbench/spans.py traces it by this path
@@ -41,13 +40,7 @@ def _mass_factor(mesh):
     diag = [h / 3.0 + h / 3.0] * n
     if mesh.bc == "neumann":
         diag[0] = diag[-1] = h / 3.0
-    d, e = np.empty(n), np.empty(n - 1)
-    pivot = diag[0]
-    for i in range(n - 1):
-        d[i] = math.sqrt(pivot)
-        e[i] = (h / 6.0) / d[i]
-        pivot = diag[i + 1] - e[i] * e[i]
-    d[-1] = math.sqrt(pivot)
+    d, e = _tridiagonal_cholesky(diag, [h / 6.0] * (n - 1))
     d.flags.writeable = e.flags.writeable = False
     return d, e
 

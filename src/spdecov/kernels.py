@@ -12,6 +12,7 @@ next to the diagonal is integrated once, from the kernel's symmetric
 part, so the Gram of a Custom kernel q is that of (q(x, y) + q(y, x)) / 2.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -142,7 +143,23 @@ def _steed(mu, x):
     return f0, f0 * (mu + x + 0.5 - a1 * h)
 
 
-def _scaled_kv(nu, w):
+def _kv_series(nu):
+    """(n, mu, even, odd, lim1): what f_nu depends on through nu alone.
+
+    nu = mu + n with n the nearest integer, 1 / Gamma(1 +- mu) = even +-
+    mu odd, and lim1 = 2^mu Gamma(1 + mu).
+    """
+    n = int(nu + 0.5)
+    mu = nu - n
+    even = float(polyval(mu * mu, _RGAMMA_TAYLOR[0::2]))
+    odd = float(polyval(mu * mu, _RGAMMA_TAYLOR[1::2]))
+    # the w -> 0 limits: f_(mu+1) -> 2^mu Gamma(1 + mu), f_mu -> 2^(mu-1)
+    # Gamma(mu) for mu > 0; for mu <= 0 f_mu diverges, but then n >= 1
+    # and it enters only as w^2 f_mu -> 0
+    return n, mu, even, odd, 2.0**mu / (even + mu * odd)
+
+
+def _scaled_kv(nu, w, series=None):
     """f_nu(w) = w^nu K_nu(w) for a scalar nu in [1e-300, 30] and w >= 0.
 
     K_nu is the modified Bessel function of the second kind. The scaled
@@ -152,27 +169,23 @@ def _scaled_kv(nu, w):
     f_(mu+1) (Temme 1975, J. Comput. Phys. 19:324), and the upward
     recurrence f_(m+1) = 2 m f_m + w^2 f_(m-1), which is K_(m+1) =
     (2m / w) K_m + K_(m-1) times w^(m+1), reaches nu. Every term of the
-    recurrence is positive, so it loses no accuracy at any w.
+    recurrence is positive, so it loses no accuracy at any w. series is
+    _kv_series(nu), taken here when not given.
     """
-    n = int(nu + 0.5)
-    mu = nu - n
-    even = polyval(mu * mu, _RGAMMA_TAYLOR[0::2])
-    odd = polyval(mu * mu, _RGAMMA_TAYLOR[1::2])
-    # the w -> 0 limits: f_(mu+1) -> 2^mu Gamma(1 + mu), f_mu -> 2^(mu-1)
-    # Gamma(mu) for mu > 0; for mu <= 0 f_mu diverges, but then n >= 1
-    # and it enters only as w^2 f_mu -> 0
-    lim1 = 2.0**mu / (even + mu * odd)
+    n, mu, even, odd, lim1 = _kv_series(nu) if series is None else series
     w = np.asarray(w, dtype=float)
     f0 = np.full(w.shape, 0.5 * lim1 / mu if n == 0 else 0.0)
     f1 = np.full(w.shape, lim1)
     # for mu < 0, w^(2 mu) overflows at subnormal w, where f_nu with
     # nu > 1/2 equals its w = 0 value to rounding
     near = (w > (np.finfo(float).tiny if mu < 0 else 0.0)) & (w < 2.0)
-    f0[near], f1[near] = _temme(mu, w[near], even, odd, lim1)
+    if near.any():
+        f0[near], f1[near] = _temme(mu, w[near], even, odd, lim1)
     # f_nu underflows before w = 1e3 (nu <= 30); the cap keeps the
     # continued fraction finite
     far = w >= 2.0
-    f0[far], f1[far] = _steed(mu, np.minimum(w[far], 1e3))
+    if far.any():
+        f0[far], f1[far] = _steed(mu, np.minimum(w[far], 1e3))
     for m in mu + np.arange(1, n):
         f0, f1 = f1, 2.0 * m * f1 + w * (w * f0)
     return f1 if n else f0
@@ -248,11 +261,13 @@ class Matern(_Stationary):
                 f"nu must be at least {_MATERN_NU_MIN:g}, got {self.nu!r}: "
                 "Gamma(nu) overflows as nu -> 0"
             )
-        object.__setattr__(self, "_f0", _scaled_kv(self.nu, 0.0))  # f_nu(0)
+        series = _kv_series(self.nu)
+        object.__setattr__(self, "_series", series)
+        object.__setattr__(self, "_f0", _scaled_kv(self.nu, 0.0, series))  # f_nu(0)
 
     def profile(self, z):
         w = math.sqrt(2.0 * self.nu) / self.rho * z
-        return self.sigma**2 * (_scaled_kv(self.nu, w) / self._f0)
+        return self.sigma**2 * (_scaled_kv(self.nu, w, self._series) / self._f0)
 
 
 class _Semiseparable(Kernel):
@@ -379,6 +394,41 @@ def _near_diagonal_blocks(spec, same, adjacent, h):
     )
 
 
+@functools.cache
+def _stationary_near_rule():
+    """The graded near-diagonal rules of a stationary kernel, folded.
+
+    At the graded nodes g, the point (a, b) of _near_diagonal_blocks
+    lies at distance h g_a g_b in a same-cell pair and h (g_a + g_b) in
+    an adjacent one, so a profile takes one value at (a, b) and (b, a).
+    Returns those unit distances at the pairs a <= b, shape (2, m), and
+    weights, shape (2, 4, m), whose product with the profile there,
+    times h^2, is the flattened same-cell and adjacent-pair block. The
+    arrays are shared by every call, so they are read-only.
+    """
+    g, w = _GRADED_U, _GRADED_W
+    a, b = np.triu_indices(len(g))
+
+    def same(u, v):
+        # hats at x = u and y = u v on the triangle y <= x, Jacobian u;
+        # the mirrored triangle adds the (i, j) transpose
+        f = _hats(u)[:, None] * _hats(u * v)[None] * u
+        return f + f.swapaxes(0, 1)
+
+    def adjacent(u, v):
+        return _hats(u)[:, None] * _hats(v)[None]
+
+    # (a, b) and (b, a), the diagonal pair a = b counted once
+    weight = w[a] * w[b] * np.where(a == b, 0.5, 1.0)
+    rule = [
+        (f(g[a], 1.0 - g[b]) + f(g[b], 1.0 - g[a])) * weight
+        for f in (same, adjacent)
+    ]
+    z, rule = np.stack([g[a] * g[b], g[a] + g[b]]), np.reshape(rule, (2, 4, -1))
+    z.flags.writeable = rule.flags.writeable = False
+    return z, rule
+
+
 def _semiseparable_gram(mesh, spec):
     """Gram of a _Semiseparable kernel: an outer product plus a band.
 
@@ -449,7 +499,10 @@ def assemble_Q(mesh, spec):
     - stationary (exponential, Matern): the block of cell pair (a, b)
       depends on the offset d = a - b alone, and that of -d is the
       transpose of that of d, so the n_cells blocks with d >= 0 are
-      integrated once: O(n_cells) kernel evaluations, not O(n_cells^2);
+      integrated once: O(n_cells) kernel evaluations, not O(n_cells^2).
+      The graded blocks of d = 0 and d = 1 take one profile value per
+      symmetric pair of graded points (_stationary_near_rule), so a
+      Gram evaluates the profile at 36 (n_cells - 2) + 2 * 2080 points;
     - grid (Custom): the kernel on the whole (6 n_cells)^2 point grid.
 
     The last two integrate with a 6x6 tensor Gauss-Legendre rule per
@@ -473,8 +526,13 @@ def assemble_Q(mesh, spec):
         # offsets d = a - b >= 0 (0 and 1 graded); -d is the (i, j) transpose
         d = np.arange(2, n)
         z = h * np.abs(d[:, None, None] + _GAUSS_U[:, None] - _GAUSS_U)
-        far = np.einsum("ip,dpq,jq->ijd", wb, spec.profile(z), wb, optimize=True)
-        b = np.concatenate([*_near_diagonal_blocks(spec, [0], [0], h), far], axis=2)
+        far = (wb @ spec.profile(z) @ wb.T).transpose(1, 2, 0)
+        # the same-cell (d = 0) and adjacent (d = 1) blocks, one profile
+        # value per symmetric pair of graded points
+        z, rule = _stationary_near_rule()
+        near = h * h * (rule @ spec.profile(h * z)[:, :, None])
+        near = near.reshape(2, 2, 2).transpose(1, 2, 0)
+        b = np.concatenate([near, far], axis=2)
         b = np.concatenate([b[:, :, :0:-1].swapaxes(0, 1), b], axis=2)
         # blocks[:, :, a, c] = b[:, :, a - c + n - 1], a strided view
         blocks = sliding_window_view(b[:, :, ::-1], n, axis=2)[:, :, ::-1]

@@ -9,6 +9,7 @@ are inherently dense, so no sparse paths are provided.
 import contextvars
 import ctypes
 import functools
+import math
 import os
 from contextlib import contextmanager
 from typing import NamedTuple
@@ -38,6 +39,9 @@ SYMMETRY_RTOL = 1e-9
 
 #: largest condition number kappa_inf(L) that checked_inverse accepts
 COND_MAX = 1e14
+
+#: smallest normal double; _bidiagonal_inverse zeroes what falls below
+_TINY = np.finfo(float).tiny
 
 #: largest matrix, in rows, of a run that _serial_blas keeps on one thread
 SERIAL_BLAS_MAX_ROWS = 256
@@ -147,12 +151,81 @@ def checked_inverse(L):
         L_inv = np.linalg.inv(L)
     except np.linalg.LinAlgError as exc:
         raise SingularError(str(exc)) from exc
-    kappa = np.linalg.norm(L, np.inf) * np.linalg.norm(L_inv, np.inf)
+    _check_condition(np.linalg.norm(L, np.inf), L_inv)
+    return L_inv
+
+
+def _check_condition(norm, inverse):
+    """Raise SingularError if norm ||inverse||_inf exceeds COND_MAX.
+
+    norm is ||L||_inf of the matrix L whose inverse is given.
+    """
+    kappa = norm * np.linalg.norm(inverse, np.inf)
     if not kappa <= COND_MAX:
         raise SingularError(
             f"condition number {kappa:.3e} exceeds {COND_MAX:.0e}"
         )
-    return L_inv
+
+
+def _tridiagonal_cholesky(diag, off):
+    """Bidiagonal Cholesky factor of a symmetric tridiagonal matrix.
+
+    The matrix has diagonal diag and off-diagonal off. Returns the
+    diagonal d and subdiagonal e of the lower bidiagonal L with L L^T
+    the matrix, by the recurrence of the unblocked factorization:
+    d_i = sqrt(p_i), e_i = off_i / d_i, p_(i+1) = diag_(i+1) - e_i^2.
+
+    Raises
+    ------
+    SingularError
+        If a pivot p_i is not positive and finite: the matrix is not
+        positive definite, or overflows.
+    """
+    diag = np.asarray(diag, dtype=float).tolist()
+    off = np.asarray(off, dtype=float).tolist()
+    d, e = [], []
+    for i, a in enumerate(diag):
+        pivot = a - e[-1] * e[-1] if i else a
+        if not 0.0 < pivot < math.inf:
+            raise SingularError(
+                f"Cholesky pivot {pivot!r} of row {i} is not positive and finite"
+            )
+        d.append(math.sqrt(pivot))
+        if i < len(off):
+            e.append(off[i] / d[i])
+    return np.array(d), np.array(e)
+
+
+def _bidiagonal_inverse(d, e):
+    """L^-1 of the lower bidiagonal L with diagonal d and subdiagonal e.
+
+    Row i of L^-1 is -e_(i-1) / d_i times row i - 1, plus 1 / d_i on the
+    diagonal, so each column decays (or grows) by the ratios from its
+    diagonal down. A column's tail is zeroed from the first entry below
+    the smallest normal double: subnormal entries would keep no digit
+    worth having and slow every product that reads them. Where d_i >=
+    |e_i| for all i, as for a diagonally dominant matrix, each row grows
+    toward the diagonal, so the leading column of the row is the first
+    to underflow and the recurrence skips the columns that did; else the
+    tails are cut once, after the recurrence.
+    """
+    d, e = np.asarray(d, dtype=float), np.asarray(e, dtype=float)
+    n = len(d)
+    X = np.zeros((n, n))
+    X.flat[:: n + 1] = 1.0 / d
+    # columns before lo have underflowed and stay zero
+    lo = 0
+    prev = X[0]
+    for i, (row, ratio) in enumerate(zip(X[1:], (-e / d[1:]).tolist()), 1):
+        np.multiply(prev[lo:i], ratio, row[lo:i])
+        while lo < i and abs(row[lo]) < _TINY:
+            row[lo] = 0.0
+            lo += 1
+        prev = row
+    if not np.all(d[:-1] >= np.abs(e)):
+        dead = np.logical_or.accumulate(np.tril(np.abs(X) < _TINY, -1), axis=0)
+        X[dead] = 0.0
+    return X
 
 
 class AffineStep(NamedTuple):

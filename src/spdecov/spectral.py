@@ -137,9 +137,10 @@ def spectral_galerkin_cov(n_modes, config, fine_dt):
     (n, n) matrix, wave configs the full (2n, 2n) block; both are
     coefficient matrices w.r.t. the eigenbasis.
 
-    Only Dirichlet configs with K0 = None are meaningful here; the
-    Neumann problems have no closed eigenbasis and are validated by
-    self-convergence and Monte Carlo instead.
+    Only Dirichlet configs with K0 = None are accepted: the oracle
+    implements the Dirichlet sine basis only. The Neumann problems have
+    a closed eigenbasis too, the cosines, which it does not implement;
+    they are validated by self-convergence and Monte Carlo instead.
     """
     if not _is_int(n_modes) or not 1 <= n_modes <= MAX_MODES:
         raise ConfigError(

@@ -12,14 +12,17 @@ coefficient matrices. The one-step propagator is
                           R = [[M,  a M], [-a S, M]],   a = dt/2,
 
 with the inhomogeneity applied first through the perturbation factor
-P = [[I, 0], [dt M^{-1} G_h, I]]. Block elimination inverts only the
+P = [[I, 0], [dt M^{-1} G_h, I]]. Block elimination leaves only the
 N x N matrix M + a^2 S = B^{-1}: with C = B S,
 
     L^{-1} R = [[I - 2a^2 C, 2a (I - a^2 C)], [-2a C, I - 2a^2 C]],
 
-and the velocity columns of L^{-1} are [a B; B]. The noise increment enters
-un-propagated, matching the recursion K_j = S_hat K_{j-1} S_hat^* +
-dt P_h B (P_h B)^*:
+and the velocity columns of L^{-1} are [a B; B]. M and S are symmetric
+tridiagonal, so B and M^{-1} are taken as F^{-T} F^{-1} from the
+bidiagonal Cholesky factor F of M + a^2 S or of M, and C = B S by
+three shifted element-wise passes: no LU factorization. The noise
+increment enters un-propagated, matching the recursion K_j = S_hat
+K_{j-1} S_hat^* + dt P_h B (P_h B)^*:
 
     K_j = T_hat K_{j-1} T_hat^T + dt blockdiag(0, M^{-1} Q_h M^{-T}).
 """
@@ -35,8 +38,12 @@ from .kernels import Kernel, assemble_Q
 from .linalg import (
     AffineStep,
     SchemeOperators,
+    _as_square,
+    _bidiagonal_inverse,
+    _check_condition,
     _check_run,
-    checked_inverse,
+    _check_symmetric,
+    _tridiagonal_cholesky,
     propagate,
     symmetrize,
 )
@@ -121,6 +128,33 @@ def wave_energy(K, M, S):
     return float(np.sum(S * K[:n, :n]) + np.sum(M * K[n:, n:]))
 
 
+def _bands(A, name):
+    """Diagonal and off-diagonal of a symmetric tridiagonal matrix A.
+
+    The two off-diagonals may differ by linalg.SYMMETRY_RTOL max|A|;
+    their mean is returned.
+
+    Raises
+    ------
+    ConfigError
+        If A is not square, has non-finite entries, has an entry off
+        its three diagonals, or is not symmetric.
+    """
+    A = _as_square(A, name)
+    diag, lower, upper = A.diagonal(), A.diagonal(-1), A.diagonal(1)
+    inside = sum(map(np.count_nonzero, (diag, lower, upper)))
+    if np.count_nonzero(A) > inside:
+        raise ConfigError(f"{name} is not tridiagonal")
+    _check_symmetric(A, name, ConfigError)
+    return diag, 0.5 * (lower + upper)
+
+
+def _spd_inverse(diag, off):
+    """Inverse F^{-T} F^{-1} of the SPD tridiagonal matrix F F^T."""
+    F_inv = _bidiagonal_inverse(*_tridiagonal_cholesky(diag, off))
+    return F_inv.T @ F_inv
+
+
 def crank_nicolson_step(M, S, Q_h, G_h, dt):
     """The covariance step K <- T_hat K T_hat^T + Q of Crank-Nicolson.
 
@@ -128,24 +162,67 @@ def crank_nicolson_step(M, S, Q_h, G_h, dt):
     M^{-1} Q_h M^{-T}) and the growth factor is 1. G_h is the Gram
     matrix of the inhomogeneity, or None for G = 0 (P = I).
 
+    M and S must be symmetric tridiagonal, as P1 mass and stiffness
+    matrices are. B = (M + a^2 S)^{-1} and M^{-1} come from their
+    bidiagonal Cholesky factors (linalg._tridiagonal_cholesky and
+    _bidiagonal_inverse), C = B S from the three diagonals of S, and
+    M^{-1} Q_h M^{-1} and M^{-1} G_h by products.
+
     The path step L x_j = R P x_{j-1} + [0; b_j] loads the noise on the
     velocity row: path_growth 1, load [a B; B], the velocity columns of
     L^{-1}. Its increment covariance L^{-1} blockdiag(0, dt Q_h) L^{-T}
     matches Q to O(dt^2) of the velocity block, whence gap_rate 1.
+
+    Raises
+    ------
+    ConfigError
+        If M or S is not a symmetric tridiagonal matrix, or their shapes
+        differ.
+    SingularError
+        If M or M + a^2 S is not positive definite (a Cholesky pivot is
+        not positive and finite), or kappa_inf(M + a^2 S) exceeds
+        linalg.COND_MAX.
     """
-    n = M.shape[0]
+    m_diag, m_off = _bands(M, "M")
+    s_diag, s_off = _bands(S, "S")
+    if len(s_diag) != len(m_diag):
+        raise ConfigError(
+            f"S shape {np.shape(S)} does not match M shape {np.shape(M)}"
+        )
+    n = len(m_diag)
     a = 0.5 * dt
-    B = checked_inverse(M + a * a * S)
-    C = B @ S
-    eye = np.eye(n)
-    E = eye - 2 * a * a * C
-    T_hat = np.block([[E, 2 * a * (eye - a * a * C)], [-2 * a * C, E]])
+    diag, off = m_diag + a * a * s_diag, m_off + a * a * s_off
+    B = _spd_inverse(diag, off)
+    # ||M + a^2 S||_inf, the largest absolute row sum of three diagonals
+    row_sums = np.abs(diag)
+    row_sums[1:] += np.abs(off)
+    row_sums[:-1] += np.abs(off)
+    _check_condition(row_sums.max(initial=0.0), B)
+    # C = B S, column j of which is B[:, j - 1 : j + 2] @ S[j - 1 : j + 2, j]
+    C = B * s_diag
+    C[:, 1:] += B[:, :-1] * s_off
+    C[:, :-1] += B[:, 1:] * s_off
+    # the blocks of T_hat, each set in place: the diagonals of E = I -
+    # 2a^2 C and of I - a^2 C take their 1 last
+    T_hat = np.empty((2 * n, 2 * n))
+    E, F = T_hat[:n, :n], T_hat[:n, n:]
+    np.multiply(C, -2 * a * a, out=E)
+    np.multiply(C, -a * a, out=F)
+    i = np.arange(n)
+    E[i, i] += 1.0
+    F[i, i] += 1.0
+    F *= 2 * a
+    np.multiply(C, -2 * a, out=T_hat[n:, :n])
+    T_hat[n:, n:] = E
+    M_inv = _spd_inverse(m_diag, m_off)
     if G_h is not None:
-        T_hat[:, :n] += T_hat[:, n:] @ (dt * np.linalg.solve(M, G_h))
+        T_hat[:, :n] += T_hat[:, n:] @ (dt * (M_inv @ G_h))
     Q = np.zeros((2 * n, 2 * n))
-    Q[n:, n:] = dt * symmetrize(np.linalg.solve(M, np.linalg.solve(M, Q_h).T))
-    step = AffineStep(T_hat, Q)
-    return SchemeOperators(M, Q_h, np.vstack([a * B, B]), step, 1.0, 1.0)
+    Q[n:, n:] = dt * symmetrize(M_inv @ Q_h @ M_inv)
+    load = np.empty((2 * n, n))
+    np.multiply(B, a, out=load[:n])
+    load[n:] = B
+    return SchemeOperators(M, Q_h, load, AffineStep(T_hat, Q), 1.0, 1.0)
 
 
 def wave_run(config):

@@ -524,7 +524,9 @@ def test_gram_memory(kernel, bc):
 def test_kernel_evaluations_per_assembly(monkeypatch, n_cells):
     # each graded block is integrated once: one 64 x 64 rule per cell
     # and per adjacent pair, and for stationary kernels one of each plus
-    # the 6 x 6 rule for every offset d >= 2
+    # the 6 x 6 rule for every offset d >= 2; their distances are
+    # symmetric in the two graded points, so a stationary profile is
+    # evaluated at the 64 * 65 / 2 = 2080 pairs a <= b of each rule
     calls = []
 
     def counted(name, method):
@@ -540,7 +542,7 @@ def test_kernel_evaluations_per_assembly(monkeypatch, n_cells):
         monkeypatch.setattr(BrownianBridge, name, counted(name, method))
     grid, graded = (6 * n_cells) ** 2, (2 * n_cells - 1) * 64**2
     cases = [
-        (Exponential(3.0), {"profile": (n_cells - 2) * 36 + 2 * 64**2}),
+        (Exponential(3.0), {"profile": (n_cells - 2) * 36 + 2 * 2080}),
         # f and g at the 6 points of each cell for the hat moments and
         # at the 6 x 6 points of each same-cell triangle; never pointwise
         (BrownianBridge(), {"f": 42 * n_cells, "g": 42 * n_cells}),

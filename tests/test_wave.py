@@ -16,6 +16,9 @@ from spdecov import (
     wave_energy,
     wave_run,
 )
+from spdecov.exceptions import ConfigError, SingularError
+from spdecov.linalg import symmetrize
+from spdecov.spectral import _project_noise, eigenvalues
 from spdecov.wave import crank_nicolson_step
 from stepping import iterates, stepped_run
 
@@ -285,3 +288,101 @@ def test_doubling_matches_stepping(g_spec, with_K0):
         assert np.array_equal(K, K.T)
         gap = np.abs(K - K_step).max()
         assert gap <= 1e-10 * np.abs(K_step).max(), (n_steps, gap)
+
+
+def _lu_operators(M, S, Q_h, G_h, dt):
+    """T_hat, Q and the load of the eliminated blocks by dense LU solves."""
+    n = M.shape[0]
+    a = 0.5 * dt
+    B = np.linalg.inv(M + a * a * S)
+    C = B @ S
+    eye = np.eye(n)
+    E = eye - 2 * a * a * C
+    T_hat = np.block([[E, 2 * a * (eye - a * a * C)], [-2 * a * C, E]])
+    if G_h is not None:
+        T_hat[:, :n] += T_hat[:, n:] @ (dt * np.linalg.solve(M, G_h))
+    Q = np.zeros((2 * n, 2 * n))
+    Q[n:, n:] = dt * symmetrize(np.linalg.solve(M, np.linalg.solve(M, Q_h).T))
+    return T_hat, Q, np.vstack([a * B, B])
+
+
+def _check_against_lu(M, S, Q_h, G_h, dt, rtol):
+    ops = crank_nicolson_step(M, S, Q_h, G_h, dt)
+    want = _lu_operators(M, S, Q_h, G_h, dt)
+    for got, want in zip((ops.step.T, ops.step.Q, ops.load), want):
+        assert got.shape == want.shape
+        gap = np.abs(got - want).max()
+        assert gap <= rtol * np.abs(want).max(), gap
+
+
+def _g_h(name, Q_h):
+    if name == "matrix":
+        return np.random.default_rng(len(Q_h)).standard_normal(Q_h.shape)
+    return None if name == "zero" else -Q_h
+
+
+# at dt = 1 kappa(M + a^2 S) reaches about 3e6 at 1023 DoF, and the LU
+# reference carries rounding of that order itself
+_DT_RTOL = {"h^2": 1e-13, "h": 1e-13, "1": 1e-11}
+
+
+@pytest.mark.parametrize("dt", sorted(_DT_RTOL))
+@pytest.mark.parametrize(
+    "n_dof, g",
+    # at 1023 DoF one G_h keeps the LU reference affordable
+    [(n, g) for n in (1, 2, 3, 8, 63, 127) for g in ("zero", "minus_q", "matrix")]
+    + [(1023, "minus_q")],
+)
+def test_operators_match_dense_lu(n_dof, g, dt):
+    mesh = Mesh1D(n_dof + 1, "dirichlet")
+    M, S = assemble_mass(mesh), assemble_stiffness(mesh)
+    Q_h = assemble_Q(mesh, Exponential(2.0))
+    step = {"h^2": mesh.h**2, "h": mesh.h, "1": 1.0}[dt]
+    _check_against_lu(M, S, Q_h, _g_h(g, Q_h), step, _DT_RTOL[dt])
+
+
+@pytest.mark.parametrize("dt", [1e-4, 1e-2, 1.0])
+@pytest.mark.parametrize("g", ["zero", "minus_q"])
+def test_spectral_operators_match_dense_lu(g, dt):
+    # the oracle's eigenbasis operators: M = I and a diagonal S
+    n = 64
+    Q = _project_noise(n, Matern(sigma=2.0, nu=0.5, rho=0.3))
+    _check_against_lu(np.eye(n), np.diag(eigenvalues(n)), Q, _g_h(g, Q), dt, 1e-13)
+
+
+def _perturbed(A, i, j, value):
+    A = A.copy()
+    A[i, j] += value
+    return A
+
+
+@pytest.mark.parametrize("which", ["M", "S"])
+@pytest.mark.parametrize(
+    "change, match",
+    [
+        # an entry two off the diagonal, and one of the two off-diagonals
+        (lambda A: _perturbed(A, 0, 2, 1e-3 * A[0, 0]), "not tridiagonal"),
+        (lambda A: _perturbed(A, 1, 2, 1e-3 * A[0, 0]), "not symmetric"),
+        (lambda A: A[:, :-1], "square"),
+        (lambda A: _perturbed(A, 1, 1, np.nan), "non-finite"),
+    ],
+    ids=["band", "asymmetric", "shape", "nan"],
+)
+def test_cn_step_refuses_what_is_not_symmetric_tridiagonal(which, change, match):
+    mesh = Mesh1D(6, "dirichlet")
+    mats = {"M": assemble_mass(mesh), "S": assemble_stiffness(mesh)}
+    mats[which] = change(mats[which])
+    with pytest.raises(ConfigError, match=match):
+        crank_nicolson_step(mats["M"], mats["S"], np.eye(5), None, 0.1)
+
+
+def test_cn_step_refuses_mismatched_m_and_s():
+    M, S = assemble_mass(Mesh1D(6)), assemble_stiffness(Mesh1D(5))
+    with pytest.raises(ConfigError, match="does not match"):
+        crank_nicolson_step(M, S, np.eye(5), None, 0.1)
+
+
+def test_cn_step_refuses_an_indefinite_mass_matrix():
+    M = -assemble_mass(Mesh1D(6))
+    with pytest.raises(SingularError):
+        crank_nicolson_step(M, np.zeros_like(M), np.eye(5), None, 0.1)
