@@ -27,21 +27,7 @@ config,cli  INI-driven command line front end (spde-cov)
 from .advdiff import AdvDiffConfig, advdiff_run
 from .config import load_mc, load_study
 from .errnorms import err_hs_norm, err_trace_norm
-from .exceptions import (
-    CholeskyError,
-    ConfigError,
-    DegenerateFitError,
-    EllipticityError,
-    MismatchedBCError,
-    NoConvergenceError,
-    NonSymmetricError,
-    NoPointwiseKernelError,
-    NumericalError,
-    ShapeMismatchError,
-    SingularError,
-    SpdeCovError,
-    TooFewSamplesError,
-)
+from .exceptions import ConfigError, NumericalError, SpdeCovError
 from .fem import (
     Coefficients,
     Mesh1D,
@@ -87,12 +73,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AdvDiffConfig",
     "BrownianBridge",
-    "CholeskyError",
     "Coefficients",
     "ConfigError",
     "Custom",
-    "DegenerateFitError",
-    "EllipticityError",
     "Exponential",
     "Kernel",
     "LevelResult",
@@ -100,17 +83,10 @@ __all__ = [
     "McConfig",
     "McReport",
     "Mesh1D",
-    "MismatchedBCError",
-    "NoConvergenceError",
-    "NonSymmetricError",
-    "NoPointwiseKernelError",
     "NumericalError",
     "RateReport",
-    "ShapeMismatchError",
-    "SingularError",
     "SpdeCovError",
     "StudyConfig",
-    "TooFewSamplesError",
     "WaveConfig",
     "WhiteNoise",
     "advdiff_run",

@@ -11,7 +11,10 @@ Subcommands:
     oracle    closed-form spectral variances for comparison
 
 Every subcommand reads one INI config (see config module docstring).
-Exit codes: 0 success, 1 configuration problem, 2 numerical failure.
+Exit codes: 0 success, 1 configuration problem (a ConfigError, or any
+other ValueError), 2 numerical failure (a NumericalError). Either way
+one line 'spde-cov: config error: ...' or 'spde-cov: numerical
+failure: ...' goes to stderr.
 """
 
 import argparse

@@ -18,7 +18,7 @@ import functools
 
 import numpy as np
 
-from .exceptions import MismatchedBCError, NoConvergenceError, ShapeMismatchError
+from .exceptions import ConfigError, NumericalError
 from .linalg import _tridiagonal_cholesky, symmetrize
 
 # err_trace_norm takes eigenvalues only; sym_eig stays importable here
@@ -69,20 +69,16 @@ def _difference(K, mesh, Kref, mesh_ref):
     K = np.asarray(K, dtype=float)
     Kref = np.asarray(Kref, dtype=float)
     if K.shape != (mesh.n_dof, mesh.n_dof):
-        raise ShapeMismatchError(
-            f"K shape {K.shape} does not match mesh ({mesh.n_dof} DoF)"
-        )
+        raise ConfigError(f"K shape {K.shape} does not match mesh ({mesh.n_dof} DoF)")
     if Kref.shape != (mesh_ref.n_dof, mesh_ref.n_dof):
-        raise ShapeMismatchError(
+        raise ConfigError(
             f"Kref shape {Kref.shape} does not match mesh ({mesh_ref.n_dof} DoF)"
         )
     if mesh.bc != mesh_ref.bc:
-        raise MismatchedBCError(
-            f"cannot mix {mesh.bc!r} and {mesh_ref.bc!r} meshes"
-        )
+        raise ConfigError(f"cannot mix {mesh.bc!r} and {mesh_ref.bc!r} meshes")
     coarse, fine = sorted((mesh, mesh_ref), key=lambda m: m.n_cells)
     if fine.n_cells % coarse.n_cells:
-        raise ShapeMismatchError(
+        raise ConfigError(
             f"a {fine.n_cells}-cell mesh does not refine "
             f"a {coarse.n_cells}-cell mesh"
         )
@@ -129,19 +125,17 @@ def err_trace_norm(K, mesh, Kref, mesh_ref):
 
     Raises
     ------
-    ShapeMismatchError
-        If a matrix does not fit its mesh, or neither mesh refines the
-        other.
-    MismatchedBCError
-        If the meshes carry different boundary flavors.
-    NoConvergenceError
+    ConfigError
+        If a matrix does not fit its mesh, neither mesh refines the
+        other, or the meshes carry different boundary flavors.
+    NumericalError
         If LAPACK's eigenvalue solver does not converge.
     """
     W = _difference(K, mesh, Kref, mesh_ref)
     try:
         w = np.linalg.eigvalsh(W)
     except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(str(exc)) from exc
+        raise NumericalError(str(exc)) from exc
     return float(np.abs(w).sum())
 
 
@@ -150,7 +144,7 @@ def err_hs_norm(K, mesh, Kref, mesh_ref):
 
     With D and L as in err_trace_norm this is ||L^T D L||_F, which is
     sqrt(trace((D M)^2)) for M = L L^T. Arguments and errors are those
-    of err_trace_norm, except NoConvergenceError. Where the squares of
+    of err_trace_norm, except its NumericalError. Where the squares of
     the entries overflow, the norm is taken of W / max|W| and scaled back.
     """
     W = _difference(K, mesh, Kref, mesh_ref)

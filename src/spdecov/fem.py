@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exceptions import ConfigError, EllipticityError
+from .exceptions import ConfigError
 
 __all__ = [
     "Mesh1D",
@@ -192,7 +192,7 @@ def assemble_form(mesh, coeffs, c0=0.0):
 
     Raises
     ------
-    EllipticityError
+    ConfigError
         If a11 < lambda0 at any quadrature point.
     """
     h = mesh.h
@@ -202,7 +202,7 @@ def assemble_form(mesh, coeffs, c0=0.0):
     a1_v = np.asarray(coeffs.a1(pts), dtype=float)
     a0_v = np.asarray(coeffs.a0(pts), dtype=float)
     if np.any(a11_v < coeffs.lambda0):
-        raise EllipticityError(
+        raise ConfigError(
             f"a11 dips to {a11_v.min():.6g} below lambda0 = {coeffs.lambda0:.6g}"
         )
 

@@ -21,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial.polynomial import polyval
 
-from .exceptions import ConfigError, NoPointwiseKernelError
+from .exceptions import ConfigError
 from .fem import _is_finite, assemble_mass
 from .linalg import symmetrize
 
@@ -195,7 +195,7 @@ class Kernel:
     """Base class for kernel specs."""
 
     def pointwise(self, x, y):
-        raise NoPointwiseKernelError(f"{type(self).__name__} has no pointwise kernel")
+        raise ConfigError(f"{type(self).__name__} has no pointwise kernel")
 
     def _symmetric_part(self, x, y):
         """(q(x, y) + q(y, x)) / 2, which is q for every built-in kernel."""

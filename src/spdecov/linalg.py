@@ -16,12 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import (
-    ConfigError,
-    NonSymmetricError,
-    NoConvergenceError,
-    SingularError,
-)
+from .exceptions import ConfigError, NumericalError
 from .fem import _is_finite, _is_int
 
 __all__ = [
@@ -93,11 +88,11 @@ def _as_square(A, name="matrix"):
     return A
 
 
-def _check_symmetric(A, name="matrix", error=NonSymmetricError):
+def _check_symmetric(A, name="matrix"):
     scale = max(np.abs(A).max(), 1e-300)
     gap = np.abs(A - A.T).max()
     if gap > SYMMETRY_RTOL * scale:
-        raise error(
+        raise ConfigError(
             f"{name} is not symmetric: max|A - A^T| = {gap:.3e} exceeds "
             f"{SYMMETRY_RTOL:.1e} * max|A| = {SYMMETRY_RTOL * scale:.3e}"
         )
@@ -119,9 +114,9 @@ def sym_eig(A):
 
     Raises
     ------
-    NonSymmetricError
+    ConfigError
         If A is not symmetric within tolerance.
-    NoConvergenceError
+    NumericalError
         If the underlying QR iteration fails.
     """
     A = _as_square(A)
@@ -129,12 +124,12 @@ def sym_eig(A):
     try:
         w, V = np.linalg.eigh(symmetrize(A))
     except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(str(exc)) from exc
+        raise NumericalError(str(exc)) from exc
     return SymEig(w, V)
 
 
 def checked_inverse(L):
-    """Inverse of L, raising SingularError when L is numerically singular.
+    """Inverse of L, raising NumericalError when L is numerically singular.
 
     L counts as singular when numpy's LU factorization meets a zero
     pivot or when kappa_inf(L) = ||L||_inf ||L^{-1}||_inf exceeds
@@ -143,28 +138,26 @@ def checked_inverse(L):
 
     Raises
     ------
-    SingularError
+    NumericalError
         If L is singular or its condition number exceeds 1e14.
     """
     L = _as_square(L, "L")
     try:
         L_inv = np.linalg.inv(L)
     except np.linalg.LinAlgError as exc:
-        raise SingularError(str(exc)) from exc
+        raise NumericalError(str(exc)) from exc
     _check_condition(np.linalg.norm(L, np.inf), L_inv)
     return L_inv
 
 
 def _check_condition(norm, inverse):
-    """Raise SingularError if norm ||inverse||_inf exceeds COND_MAX.
+    """Raise NumericalError if norm ||inverse||_inf exceeds COND_MAX.
 
     norm is ||L||_inf of the matrix L whose inverse is given.
     """
     kappa = norm * np.linalg.norm(inverse, np.inf)
     if not kappa <= COND_MAX:
-        raise SingularError(
-            f"condition number {kappa:.3e} exceeds {COND_MAX:.0e}"
-        )
+        raise NumericalError(f"condition number {kappa:.3e} exceeds {COND_MAX:.0e}")
 
 
 def _tridiagonal_cholesky(diag, off):
@@ -177,7 +170,7 @@ def _tridiagonal_cholesky(diag, off):
 
     Raises
     ------
-    SingularError
+    NumericalError
         If a pivot p_i is not positive and finite: the matrix is not
         positive definite, or overflows.
     """
@@ -187,7 +180,7 @@ def _tridiagonal_cholesky(diag, off):
     for i, a in enumerate(diag):
         pivot = a - e[-1] * e[-1] if i else a
         if not 0.0 < pivot < math.inf:
-            raise SingularError(
+            raise NumericalError(
                 f"Cholesky pivot {pivot!r} of row {i} is not positive and finite"
             )
         d.append(math.sqrt(pivot))
@@ -315,7 +308,7 @@ def _check_run(config):
         raise ConfigError(
             f"K0 shape {np.shape(config.K0)} does not fit {n} state rows"
         )
-    _check_symmetric(_as_square(config.K0, "K0"), "K0", ConfigError)
+    _check_symmetric(_as_square(config.K0, "K0"), "K0")
 
 
 @functools.lru_cache(maxsize=None)

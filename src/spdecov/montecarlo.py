@@ -39,13 +39,7 @@ import numpy as np
 
 from .advdiff import AdvDiffConfig
 from .errnorms import err_hs_norm, err_trace_norm
-from .exceptions import (
-    CholeskyError,
-    ConfigError,
-    NoConvergenceError,
-    NumericalError,
-    TooFewSamplesError,
-)
+from .exceptions import ConfigError, NumericalError
 from .fem import _is_int
 from .linalg import _serial_blas, propagate, symmetrize
 from .wave import WaveConfig
@@ -113,7 +107,7 @@ class McConfig:
                 f"n_samples must be an integer below 2**32, got {self.n_samples!r}"
             )
         if self.n_samples < 3:
-            raise TooFewSamplesError(
+            raise ConfigError(
                 f"n_samples must be at least 3, got {self.n_samples}: the "
                 "jackknife needs two paths left after dropping one"
             )
@@ -147,7 +141,7 @@ def _chol_with_jitter(Q):
             return np.linalg.cholesky(Q + (jit * scale) * np.eye(n))
         except np.linalg.LinAlgError:
             continue
-    raise CholeskyError(
+    raise NumericalError(
         f"Cholesky failed for all jitters up to {CHOLESKY_JITTERS[-1]:.0e} * trace/N"
     )
 
@@ -164,7 +158,7 @@ def empirical_cov(samples):
         X = np.atleast_2d(X)
     n = X.shape[0]
     if n < 2:
-        raise TooFewSamplesError("need at least 2 samples")
+        raise ConfigError("need at least 2 samples")
     Xc = X - X.mean(axis=0)
     return symmetrize(Xc.T @ Xc / (n - 1))
 
@@ -365,7 +359,7 @@ def _jackknife_distances(samples, L, K_det, workers=1):
                 try:
                     w = np.linalg.eigvalsh(W)
                 except np.linalg.LinAlgError as exc:
-                    raise NoConvergenceError(str(exc)) from exc
+                    raise NumericalError(str(exc)) from exc
                 tr[lo : lo + chunk] = np.abs(w).sum(axis=1)
                 hs[lo : lo + chunk] = np.sqrt((w * w).sum(axis=1))
         except Exception as exc:  # raised in the caller's thread below

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .advdiff import AdvDiffConfig, backward_euler_step
-from .exceptions import ConfigError, ShapeMismatchError
+from .exceptions import ConfigError
 from .fem import _is_finite, _is_int, assemble_mass
 from .kernels import BrownianBridge, WhiteNoise
 from .linalg import _serial_blas, propagate, symmetrize
@@ -197,9 +197,8 @@ def modal_hs_distance(K, mesh, V):
     Raises
     ------
     ConfigError
-        If the mesh is not Dirichlet.
-    ShapeMismatchError
-        If K does not fit the mesh, or V is neither 1-D nor square.
+        If the mesh is not Dirichlet, K does not fit the mesh, or V is
+        neither 1-D nor square.
     """
     if mesh.bc != "dirichlet":
         raise ConfigError("the sine basis needs a dirichlet mesh")
@@ -207,9 +206,9 @@ def modal_hs_distance(K, mesh, V):
     V = np.asarray(V, dtype=float)
     n = mesh.n_dof
     if K.shape != (n, n):
-        raise ShapeMismatchError(f"K shape {K.shape} does not match mesh ({n} DoF)")
+        raise ConfigError(f"K shape {K.shape} does not match mesh ({n} DoF)")
     if V.ndim not in (1, 2) or (V.ndim == 2 and V.shape[0] != V.shape[1]):
-        raise ShapeMismatchError(f"V must be 1-D or square, got shape {V.shape}")
+        raise ConfigError(f"V must be 1-D or square, got shape {V.shape}")
     m = V.shape[0]
     # the products are no larger than a small run's, whose policy they share
     with _serial_blas(max(n, m)):

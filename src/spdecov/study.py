@@ -18,7 +18,7 @@ import numpy as np
 
 from .advdiff import AdvDiffConfig, advdiff_run
 from .errnorms import err_hs_norm, err_trace_norm
-from .exceptions import ConfigError, DegenerateFitError
+from .exceptions import ConfigError
 from .fem import Mesh1D, _is_finite, _is_int, _is_real
 from .linalg import _serial_blas
 from .wave import WaveConfig, extract_position_cov, wave_run
@@ -146,16 +146,19 @@ def levels_from_exponents(exponents, coupling, T=1.0):
     for j in exponents:
         if not _is_int(j):
             raise ConfigError(f"level exponents must be integers, got {j!r}")
-        n_cells = 2**j
         if coupling == "equal":
-            n_steps = round(T * 2**j)
+            base = 2.0
         elif coupling == "sqrt":
-            n_steps = round(T * 4**j)
+            base = 4.0
         else:
             raise ConfigError(f"unknown coupling {coupling!r}")
+        try:
+            n_steps = round(T * base**j)
+        except OverflowError:
+            raise ConfigError(f"level {j} overflows the step count for T={T}") from None
         if n_steps < 1:
             raise ConfigError(f"level {j} leaves no time steps for T={T}")
-        pairs.append((n_cells, n_steps))
+        pairs.append((2**j, n_steps))
     return tuple(pairs)
 
 
@@ -192,7 +195,7 @@ def run_sweep(study):
     fit with fewer than two usable points leaves the slope nan. The
     reference's state rows set the BLAS threads of the whole sweep.
     """
-    rows, slopes = [], {}
+    rows = []
     with _serial_blas(study.scheme.n_state):
         mesh_ref, K_ref, _ = run_single(study)
         for idx, pair in enumerate(study.levels, start=1):
@@ -203,13 +206,10 @@ def run_sweep(study):
             wall = time.perf_counter() - t0
             dt = study.scheme.T / pair[1]
             rows.append(LevelResult(idx, mesh.h, dt, e1, e2, wall))
-        for norm in ("L1", "L2"):
-            errs = [getattr(r, f"err_{norm}") for r in rows]
-            try:
-                slopes[f"slope_{norm}"] = fit_rate([r.h for r in rows], errs)
-            except DegenerateFitError:
-                pass
-    return RateReport(rows=tuple(rows), **slopes)
+        hs = [r.h for r in rows]
+        slope_L1 = fit_rate(hs, [r.err_L1 for r in rows])
+        slope_L2 = fit_rate(hs, [r.err_L2 for r in rows])
+    return RateReport(tuple(rows), slope_L1, slope_L2)
 
 
 def _usable_pairs(hs, errs):
@@ -231,9 +231,9 @@ def fit_rate(hs, errs):
     """Least-squares slope of log(err) against log(h).
 
     Zero errors are excluded with a warning and non-finite ones skipped;
-    fewer than two usable pairs raise DegenerateFitError, and a
-    non-finite or nonpositive h, an error that is not a real number, or
-    unequal lengths, raise ConfigError.
+    fewer than two usable pairs give nan, and a non-finite or
+    nonpositive h, an error that is not a real number, or unequal
+    lengths, raise ConfigError.
     """
     if len(hs) != len(errs):
         raise ConfigError(
@@ -245,9 +245,7 @@ def fit_rate(hs, errs):
         raise ConfigError(f"errors must be real numbers, got {errs!r}")
     pairs = _usable_pairs(hs, errs)
     if len(pairs) < 2:
-        raise DegenerateFitError(
-            f"need at least 2 usable (h, err) pairs, have {len(pairs)}"
-        )
+        return float("nan")
     lh = np.log([p[0] for p in pairs])
     le = np.log([p[1] for p in pairs])
     return float(np.polyfit(lh, le, 1)[0])
@@ -329,7 +327,9 @@ def read_report(text):
                 slopes[key] = float(value)
             continue
         p = line.split(",")
-        if len(p) != 6:
-            raise ConfigError(f"malformed report row: {line!r}")
-        rows.append(LevelResult(int(p[0]), *map(float, p[1:])))
+        # a wrong cell count is a TypeError of LevelResult
+        try:
+            rows.append(LevelResult(int(p[0]), *map(float, p[1:])))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed report row: {line!r}") from exc
     return RateReport(rows=tuple(rows), **slopes)

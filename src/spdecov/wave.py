@@ -145,7 +145,7 @@ def _bands(A, name):
     inside = sum(map(np.count_nonzero, (diag, lower, upper)))
     if np.count_nonzero(A) > inside:
         raise ConfigError(f"{name} is not tridiagonal")
-    _check_symmetric(A, name, ConfigError)
+    _check_symmetric(A, name)
     return diag, 0.5 * (lower + upper)
 
 
@@ -178,7 +178,7 @@ def crank_nicolson_step(M, S, Q_h, G_h, dt):
     ConfigError
         If M or S is not a symmetric tridiagonal matrix, or their shapes
         differ.
-    SingularError
+    NumericalError
         If M or M + a^2 S is not positive definite (a Cholesky pivot is
         not positive and finite), or kappa_inf(M + a^2 S) exceeds
         linalg.COND_MAX.

@@ -40,7 +40,7 @@ def congruence_solve(L, RHS):
 
     Raises
     ------
-    SingularError
+    NumericalError
         If L is singular or its condition number exceeds 1e14.
     """
     L = _as_square(L, "L")

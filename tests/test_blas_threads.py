@@ -27,7 +27,6 @@ from spdecov import (
     McConfig,
     Mesh1D,
     NumericalError,
-    SingularError,
     StudyConfig,
     WaveConfig,
     WhiteNoise,
@@ -145,10 +144,10 @@ def test_run_single_threads_follow_its_own_rows(blas, monkeypatch, equation):
 def test_callers_threads_restored_after_numerical_error(blas, monkeypatch):
     def fail(*args, **kwargs):
         assert blas.threads == 1
-        raise SingularError("injected")
+        raise NumericalError("injected")
 
     monkeypatch.setattr(study_mod, "err_hs_norm", fail)
-    with pytest.raises(SingularError, match="injected"):
+    with pytest.raises(NumericalError, match="injected"):
         run_sweep(_advdiff())
     assert blas.threads == CALLER_THREADS
     assert blas.sets == [1, CALLER_THREADS]

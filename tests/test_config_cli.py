@@ -456,10 +456,49 @@ def test_cli_mc_deterministic(tmp_path, capsys):
 def test_cli_mc_two_samples(tmp_path, capsys):
     # the jackknife divides by n_samples - 2, so two samples are refused
     path = _write(tmp_path, HEAT_INI)
-    assert main(["mc", "--config", path, "--samples", "2", "--seed", "9"]) == 1
-    err = capsys.readouterr().err
-    assert "config error" in err
-    assert "n_samples must be at least 3" in err
+    argv = ["mc", "--config", path, "--samples", "2", "--seed", "9"]
+    assert _outcome(argv, capsys) == (
+        1,
+        "",
+        "spde-cov: config error: n_samples must be at least 3, got 2: "
+        "the jackknife needs two paths left after dropping one\n",
+    )
+
+
+ELLIPTICITY_INI = HEAT_INI.replace("a11 = one", "a11 = const:0.5\nlambda0 = 1")
+
+# Neumann, c0 = -4 and dt = 1/4: M + dt A = dt K is singular, K the stiffness
+SINGULAR_INI = (
+    HEAT_INI.replace("bc = dirichlet", "bc = neumann")
+    .replace("c0 = 0", "c0 = -4")
+    .replace("coupling = sqrt", "coupling = equal")
+    .replace("levels = 2:3", "levels = 1:1")
+    .replace("reference = 4", "reference = 2")
+)
+
+
+def test_cli_failure_lines(tmp_path, capsys):
+    # the exit code and the one stderr line of each kind of failure
+    path = _write(tmp_path, ELLIPTICITY_INI)
+    assert _outcome(["sweep", "--config", path], capsys) == (
+        1,
+        "",
+        "spde-cov: config error: a11 dips to 0.5 below lambda0 = 1\n",
+    )
+    path = _write(tmp_path, SINGULAR_INI)
+    code, out, err = _outcome(["sweep", "--config", path], capsys)
+    assert (code, out) == (2, "")
+    # the rest of the line is numpy's own message
+    assert err.startswith("spde-cov: numerical failure: ") and err.count("\n") == 1
+
+
+def test_cli_refuses_an_overflowing_reference(tmp_path, capsys):
+    path = _write(tmp_path, HEAT_INI.replace("reference = 4", "reference = 1100"))
+    assert _outcome(["sweep", "--config", path], capsys) == (
+        1,
+        "",
+        "spde-cov: config error: level 1100 overflows the step count for T=1.0\n",
+    )
 
 
 def _reject_constant(name):

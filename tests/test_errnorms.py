@@ -6,9 +6,9 @@ from numpy.testing import assert_allclose
 from spdecov import (
     AdvDiffConfig,
     Coefficients,
+    ConfigError,
     Exponential,
     Mesh1D,
-    ShapeMismatchError,
     advdiff_run,
     assemble_mass,
     err_hs_norm,
@@ -125,14 +125,14 @@ def test_zero_distance():
 
 def test_shape_gate():
     mesh = Mesh1D(4, "dirichlet")
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ConfigError, match="K shape"):
         err_trace_norm(np.eye(2), mesh, np.eye(3), mesh)
     # neither mesh refines the other
     coarse, fine = Mesh1D(3, "dirichlet"), Mesh1D(8, "dirichlet")
     for err in (err_trace_norm, err_hs_norm):
-        with pytest.raises(ShapeMismatchError, match="does not refine"):
+        with pytest.raises(ConfigError, match="does not refine"):
             err(np.eye(2), coarse, np.eye(7), fine)
-        with pytest.raises(ShapeMismatchError, match="does not refine"):
+        with pytest.raises(ConfigError, match="does not refine"):
             err(np.eye(7), fine, np.eye(2), coarse)
 
 

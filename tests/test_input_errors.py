@@ -20,6 +20,7 @@ from spdecov import (
     heat_cov_closed_form,
     levels_from_exponents,
     modal_hs_distance,
+    read_report,
     run_single,
     spectral_galerkin_cov,
     wave_cov_closed_form,
@@ -71,6 +72,8 @@ BAD_INPUTS = {
     "study-short-level": lambda: StudyConfig(scheme=_advdiff(), levels=((4,),)),
     "levels-float-exponent": lambda: levels_from_exponents([2.5], "sqrt"),
     "levels-str-exponent": lambda: levels_from_exponents(["a"], "sqrt"),
+    # 2^1100 steps do not fit a float
+    "levels-huge-exponent": lambda: levels_from_exponents([1100], "equal"),
     "fit-str-h": lambda: fit_rate(["a", 0.5], [1.0, 2.0]),
     # a nan error is skipped by the fit, a string is refused
     "fit-str-error": lambda: fit_rate([0.5, 0.25], ["a", 0.1]),
@@ -80,6 +83,7 @@ BAD_INPUTS = {
     # a shape mismatch is the caller's input too
     "hs-shape": lambda: err_hs_norm(np.eye(3), Mesh1D(8), np.eye(7), Mesh1D(8)),
     "modal-v-shape": lambda: modal_hs_distance(np.eye(3), Mesh1D(4), np.ones((3, 2))),
+    "report-str-cell": lambda: read_report("1,0.5,0.25,x,0.1,0.0\n"),
 }
 
 

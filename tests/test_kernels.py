@@ -20,7 +20,6 @@ from spdecov import (
     Exponential,
     Matern,
     Mesh1D,
-    NoPointwiseKernelError,
     WhiteNoise,
     assemble_Q,
     assemble_mass,
@@ -72,7 +71,7 @@ def test_matern_tiny_nu_values_finite_and_decaying():
 
 
 def test_white_noise_has_no_pointwise_kernel():
-    with pytest.raises(NoPointwiseKernelError):
+    with pytest.raises(ConfigError, match="WhiteNoise has no pointwise kernel"):
         WhiteNoise().pointwise(0.5, 0.5)
 
 

@@ -10,12 +10,9 @@ import spdecov
 PUBLIC_NAMES = [
     "AdvDiffConfig",
     "BrownianBridge",
-    "CholeskyError",
     "Coefficients",
     "ConfigError",
     "Custom",
-    "DegenerateFitError",
-    "EllipticityError",
     "Exponential",
     "Kernel",
     "LevelResult",
@@ -23,17 +20,10 @@ PUBLIC_NAMES = [
     "McConfig",
     "McReport",
     "Mesh1D",
-    "MismatchedBCError",
-    "NoConvergenceError",
-    "NoPointwiseKernelError",
-    "NonSymmetricError",
     "NumericalError",
     "RateReport",
-    "ShapeMismatchError",
-    "SingularError",
     "SpdeCovError",
     "StudyConfig",
-    "TooFewSamplesError",
     "WaveConfig",
     "WhiteNoise",
     "advdiff_run",
@@ -70,7 +60,19 @@ PUBLIC_NAMES = [
 #: names deleted from the package, by the module that defined them
 REMOVED = {
     "advdiff": ["advdiff_step"],
-    "exceptions": ["NotPSDError"],
+    "exceptions": [
+        "NotPSDError",
+        "CholeskyError",
+        "DegenerateFitError",
+        "EllipticityError",
+        "MismatchedBCError",
+        "NoConvergenceError",
+        "NoPointwiseKernelError",
+        "NonSymmetricError",
+        "ShapeMismatchError",
+        "SingularError",
+        "TooFewSamplesError",
+    ],
     "fem": ["FemMatrices"],
     "kernels": ["kernel_eval"],
     "linalg": ["congruence_solve", "psd_sqrt", "PSD_RTOL"],
@@ -106,10 +108,23 @@ def _modules():
 
 
 def test_public_names_pinned():
-    assert len(PUBLIC_NAMES) == 57
+    assert len(PUBLIC_NAMES) == 47
     assert sorted(spdecov.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(spdecov, name) is not None
+
+
+def test_two_kinds_of_failure():
+    # bad input or a numerical breakdown; the message names the problem
+    classes = {
+        name
+        for name, obj in vars(spdecov.exceptions).items()
+        if isinstance(obj, type) and issubclass(obj, BaseException)
+    }
+    assert classes == {"SpdeCovError", "ConfigError", "NumericalError"}
+    assert issubclass(spdecov.ConfigError, (spdecov.SpdeCovError, ValueError))
+    assert issubclass(spdecov.NumericalError, spdecov.SpdeCovError)
+    assert not issubclass(spdecov.NumericalError, ValueError)
 
 
 def test_every_module_all_entry_resolves():

@@ -12,7 +12,6 @@ from spdecov import (
     ConfigError,
     Exponential,
     Mesh1D,
-    ShapeMismatchError,
     WaveConfig,
     WhiteNoise,
     advdiff_run,
@@ -229,10 +228,10 @@ def test_modal_hs_distance_bad_input():
     K, var = np.eye(3), np.ones(5)
     with pytest.raises(ConfigError, match="dirichlet"):
         modal_hs_distance(np.eye(5), Mesh1D(4, "neumann"), var)
-    with pytest.raises(ShapeMismatchError, match="K shape"):
+    with pytest.raises(ConfigError, match="K shape"):
         modal_hs_distance(np.eye(4), mesh, var)
     for V in (np.ones((5, 4)), np.ones((2, 2, 2)), np.float64(1.0)):
-        with pytest.raises(ShapeMismatchError, match="V must be"):
+        with pytest.raises(ConfigError, match="V must be"):
             modal_hs_distance(K, mesh, V)
 
 
