@@ -19,6 +19,7 @@ import functools
 import numpy as np
 
 from .exceptions import ConfigError, NumericalError
+from .fem import assemble_mass
 from .linalg import _tridiagonal_cholesky, symmetrize
 
 # err_trace_norm takes eigenvalues only; sym_eig stays importable here
@@ -32,15 +33,12 @@ __all__ = ["err_trace_norm", "err_hs_norm"]
 def _mass_factor(mesh):
     """Diagonal and subdiagonal of the Cholesky factor of the mass matrix.
 
-    The mass matrix has h/6 off the diagonal and h/3 + h/3 on it, summed
-    as assemble_mass sums them, h/3 at a Neumann end node. Equal meshes,
-    of one n_cells and bc, share the arrays, so they are read-only.
+    The factor is taken from the two diagonals of assemble_mass. Equal
+    meshes, of one n_cells and bc, share the arrays, so they are
+    read-only.
     """
-    h, n = mesh.h, mesh.n_dof
-    diag = [h / 3.0 + h / 3.0] * n
-    if mesh.bc == "neumann":
-        diag[0] = diag[-1] = h / 3.0
-    d, e = _tridiagonal_cholesky(diag, [h / 6.0] * (n - 1))
+    M = assemble_mass(mesh)
+    d, e = _tridiagonal_cholesky(np.diag(M), np.diag(M, 1))
     d.flags.writeable = e.flags.writeable = False
     return d, e
 

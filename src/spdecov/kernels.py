@@ -7,9 +7,12 @@ are stationary: they depend on the distance |x - y| alone, through
 their `profile`. The Brownian bridge is semiseparable, f(min(x, y))
 g(max(x, y)), so its Gram is an outer product of hat moments plus a
 band. assemble_Q produces Q_h[i, j] = <Q phi_i, phi_j> by
-Gauss-Legendre quadrature over cell pairs. Each graded block on and
-next to the diagonal is integrated once, from the kernel's symmetric
-part, so the Gram of a Custom kernel q is that of (q(x, y) + q(y, x)) / 2.
+Gauss-Legendre quadrature over cell pairs. One near-diagonal rule
+(_near_rule) serves all three of its paths: the triangle split of a
+same-cell pair and the corner-graded pair of adjacent cells. Each block
+on and next to the diagonal is integrated once, from the kernel's
+symmetric part, so the Gram of a Custom kernel q is that of
+(q(x, y) + q(y, x)) / 2.
 """
 
 import functools
@@ -332,99 +335,63 @@ def _graded_gauss(order, panels, grade):
 _GAUSS_U, _GAUSS_W = _graded_gauss(Q_QUAD_ORDER, 1, DUFFY_GRADE)
 _GRADED_U, _GRADED_W = _graded_gauss(DUFFY_PANEL_ORDER, DUFFY_PANELS, DUFFY_GRADE)
 
-#: cells per batch of graded near-diagonal blocks of non-stationary kernels
-_GRADED_CHUNK = 8
-
 
 def _hats(u):
     """Local hats at unit cell coordinates u: index 0 left node, 1 right."""
     return np.stack([1.0 - u, u])
 
 
-def _contract(qw, bx, by):
-    """(2, 2, m) blocks sum_pq qw[m, p, q] bx[i, p, q] by[j, p, q]."""
-    b = (bx[:, None] * by[None]).reshape(4, -1)
-    return (b @ qw.reshape(-1, b.shape[1]).T).reshape(2, 2, -1)
+def _near_rule(nodes, weights, a, b):
+    """The same-cell and adjacent-pair rules at the node pairs (a, b).
 
+    A tensor rule (nodes, weights) on [0, 1] runs over u = nodes[a] and,
+    reflected, over v = 1 - nodes[b], so a graded rule is graded toward
+    u = 0 and v = 1. Returns the unit points, shape (2, 2, m): x and y
+    of each rule in units of h, relative to the left end of cell c; and
+    the hat weights, shape (2, 4, m), whose row 2 i + j pairs local node
+    i of x's cell with local node j of y's (_cell_blocks).
 
-def _same_cell_blocks(q, cells, h, nodes, weights):
-    """(2, 2, len(cells)) same-cell blocks of the symmetric kernel q.
+    Same-cell pairs are split along the diagonal y = x. On the triangle
+    y <= x the substitution x = u, y = u v (Jacobian u) keeps |x - y| =
+    u (1 - v) away from sign changes, so kernels with a kink or cusp on
+    the diagonal are integrated from smooth data; the mirrored triangle
+    adds the (i, j) transpose, so the kernel must be symmetric.
 
-    Each pair is split along the diagonal y = x. On the triangle y <= x
-    the substitution x = xl + h u, y = xl + h u v (Jacobian h^2 u) keeps
-    |x - y| = h u (1 - v) away from sign changes, so kernels with a kink
-    or cusp on the diagonal are integrated from smooth data; q is only
-    called with x >= y. The tensor rule (nodes, weights) on [0, 1] runs
-    over u and reflected over v, so a graded rule is graded toward u = 0
-    and v = 1. The mirrored triangle adds the transpose of this one's
-    block.
+    The adjacent pair (c + 1, c) shares one node, x = 1 + u against
+    y = v, where nearly-white Matern kernels cusp at |x - y| = 0; a
+    graded rule grades both axes toward it, since a plain tensor rule
+    stalls there. The pair (c, c + 1) is its (i, j) transpose.
     """
-    W = np.outer(weights, weights) * h * h
-    U, V = np.meshgrid(nodes, 1.0 - nodes, indexing="ij")
-    c = h * np.asarray(cells, dtype=float)[:, None, None]
-    qw = q(c + h * U, c + h * U * V) * (W * U)
-    a = _contract(qw, _hats(U), _hats(U * V))
-    return a + a.swapaxes(0, 1)
+    u, v = nodes[a], 1.0 - nodes[b]
+    w = weights[a] * weights[b]
+    same = _hats(u)[:, None] * _hats(u * v)[None] * (w * u)
+    adjacent = _hats(u)[:, None] * _hats(v)[None] * w
+    rule = np.stack([same + same.swapaxes(0, 1), adjacent]).reshape(2, 4, -1)
+    return np.array([[u, u * v], [1.0 + u, v]]), rule
 
 
-def _near_diagonal_blocks(spec, same, adjacent, h):
-    """Graded blocks of the cells `same` and the pairs (c + 1, c), c in `adjacent`.
-
-    Cells are given by index; the blocks come shaped (2, 2, len(same))
-    and (2, 2, len(adjacent)). Each is integrated once, from the
-    kernel's symmetric part, so the block of (c, c + 1) is the (i, j)
-    transpose of that of (c + 1, c).
-
-    Same-cell pairs are split along the diagonal (_same_cell_blocks),
-    with u graded toward 0 and v toward 1, where the residual edge cusps
-    of nearly-white Matern kernels sit.
-
-    Adjacent pairs share one node, where nearly-white Matern kernels
-    cusp at |x - y| = 0; both axes are graded toward that corner, since
-    a plain tensor rule stalls there.
-    """
-    W = np.outer(_GRADED_W, _GRADED_W) * h * h
-    U, V = np.meshgrid(_GRADED_U, 1.0 - _GRADED_U, indexing="ij")
-    # the shared node is the left end of cell c + 1 and the right end of c
-    c = np.asarray(adjacent, dtype=float)[:, None, None]
-    qw = spec._symmetric_part((c + 1.0) * h + h * U, c * h + h * V) * W
-    return (
-        _same_cell_blocks(spec._symmetric_part, same, h, _GRADED_U, _GRADED_W),
-        _contract(qw, _hats(U), _hats(V)),
-    )
+def _cell_blocks(rule, values, h):
+    """(2, 2, k) blocks h^2 sum_m rule[2 i + j, m] values[k, m]."""
+    return (h * h * (rule @ values.T)).reshape(2, 2, -1)
 
 
 @functools.cache
 def _stationary_near_rule():
     """The graded near-diagonal rules of a stationary kernel, folded.
 
-    At the graded nodes g, the point (a, b) of _near_diagonal_blocks
-    lies at distance h g_a g_b in a same-cell pair and h (g_a + g_b) in
-    an adjacent one, so a profile takes one value at (a, b) and (b, a).
-    Returns those unit distances at the pairs a <= b, shape (2, m), and
-    weights, shape (2, 4, m), whose product with the profile there,
-    times h^2, is the flattened same-cell and adjacent-pair block. The
-    arrays are shared by every call, so they are read-only.
+    The unit distance x - y of _near_rule at the graded nodes g, g_a
+    g_b within a cell and g_a + g_b across the shared node, is symmetric
+    in (a, b), so a profile takes one value at (a, b) and (b, a).
+    Returns those distances at the pairs a <= b, shape (2, m), and the
+    hat weights of (a, b) and (b, a) summed, shape (2, 4, m). The arrays
+    are shared by every call, so they are read-only.
     """
-    g, w = _GRADED_U, _GRADED_W
-    a, b = np.triu_indices(len(g))
-
-    def same(u, v):
-        # hats at x = u and y = u v on the triangle y <= x, Jacobian u;
-        # the mirrored triangle adds the (i, j) transpose
-        f = _hats(u)[:, None] * _hats(u * v)[None] * u
-        return f + f.swapaxes(0, 1)
-
-    def adjacent(u, v):
-        return _hats(u)[:, None] * _hats(v)[None]
-
-    # (a, b) and (b, a), the diagonal pair a = b counted once
-    weight = w[a] * w[b] * np.where(a == b, 0.5, 1.0)
-    rule = [
-        (f(g[a], 1.0 - g[b]) + f(g[b], 1.0 - g[a])) * weight
-        for f in (same, adjacent)
-    ]
-    z, rule = np.stack([g[a] * g[b], g[a] + g[b]]), np.reshape(rule, (2, 4, -1))
+    a, b = np.triu_indices(len(_GRADED_U))
+    points, rule = _near_rule(_GRADED_U, _GRADED_W, a, b)
+    rule += _near_rule(_GRADED_U, _GRADED_W, b, a)[1]
+    # the diagonal pair a = b counted once
+    rule *= np.where(a == b, 0.5, 1.0)
+    z = points[:, 0] - points[:, 1]
     z.flags.writeable = rule.flags.writeable = False
     return z, rule
 
@@ -442,17 +409,19 @@ def _semiseparable_gram(mesh, spec):
     replaces its u[c] v[c]^T, and on the main diagonal the pair
     (c + 1, c), whose x lies right of its y, replaces u[c + 1, 0] v[c, 1]
     by u[c, 1] v[c + 1, 0]. The moments come from the 6-point cell rule
-    and the same-cell blocks from the triangle split with the plain
-    6 x 6 rule: q is smooth on each triangle, and for the bridge the
-    integrands are polynomials that both rules integrate exactly.
+    and the same-cell blocks from the triangle split of _near_rule with
+    the plain 6 x 6 rule: q is smooth on each triangle, and for the
+    bridge the integrands are polynomials that both rules integrate
+    exactly.
     """
     n, h = mesh.n_cells, mesh.h
     x = np.arange(n)[:, None] * h + h * _GAUSS_U
     wb = h * _GAUSS_W * _hats(_GAUSS_U)
     u, v = spec.f(x) @ wb.T, spec.g(x) @ wb.T
-    same = _same_cell_blocks(
-        lambda x, y: spec.f(y) * spec.g(x), range(n), h, _GAUSS_U, _GAUSS_W
-    )
+    pairs = np.indices((Q_QUAD_ORDER,) * 2).reshape(2, -1)
+    points, rule = _near_rule(_GAUSS_U, _GAUSS_W, *pairs)
+    x, y = h * (np.arange(n)[:, None] + points[0][:, None])
+    same = _cell_blocks(rule[0], spec.f(y) * spec.g(x), h)
     U, V, diag = np.zeros(n + 1), np.zeros(n + 1), np.zeros(n + 1)
     for i in (0, 1):
         U[i : n + i] += u[:, i]
@@ -507,10 +476,13 @@ def assemble_Q(mesh, spec):
 
     The last two integrate with a 6x6 tensor Gauss-Legendre rule per
     cell pair; pairs within one cell of the diagonal, where kernels may
-    kink or cusp at |x - y| = 0, use graded rules instead (a triangle
-    split on same-cell pairs, corner grading on adjacent ones), each
-    integrated once from the kernel's symmetric part: a Custom kernel's
-    Gram is that of its symmetric part.
+    kink or cusp at |x - y| = 0, use the near rule (_near_rule: a
+    triangle split on same-cell pairs, corner grading on adjacent ones)
+    on the graded 64-point rule instead, each integrated once from the
+    kernel's symmetric part: a Custom kernel's Gram is that of its
+    symmetric part. The semiseparable path takes the same-cell half of
+    that rule on the plain 6-point rule, and the grid path all its
+    graded points in one kernel call.
     """
     if not isinstance(spec, Kernel):
         raise ConfigError(f"kernel must be a Kernel, got {spec!r}")
@@ -530,9 +502,8 @@ def assemble_Q(mesh, spec):
         # the same-cell (d = 0) and adjacent (d = 1) blocks, one profile
         # value per symmetric pair of graded points
         z, rule = _stationary_near_rule()
-        near = h * h * (rule @ spec.profile(h * z)[:, :, None])
-        near = near.reshape(2, 2, 2).transpose(1, 2, 0)
-        b = np.concatenate([near, far], axis=2)
+        near = [_cell_blocks(r, q[None], h) for r, q in zip(rule, spec.profile(h * z))]
+        b = np.concatenate([*near, far], axis=2)
         b = np.concatenate([b[:, :, :0:-1].swapaxes(0, 1), b], axis=2)
         # blocks[:, :, a, c] = b[:, :, a - c + n - 1], a strided view
         blocks = sliding_window_view(b[:, :, ::-1], n, axis=2)[:, :, ::-1]
@@ -541,12 +512,18 @@ def assemble_Q(mesh, spec):
         qv = spec.pointwise(pts[:, None], pts[None, :])
         qv = qv.reshape(n, Q_QUAD_ORDER, n, Q_QUAD_ORDER)
         blocks = np.einsum("ip,apbq,jq->ijab", wb, qv, wb, optimize=True)
-        # graded points of a few cells at a time; all at once would hold
-        # 4096 n_cells kernel values per array
-        for c in np.array_split(cells, range(_GRADED_CHUNK, n, _GRADED_CHUNK)):
-            a = c[c < n - 1]
-            same, left = _near_diagonal_blocks(spec, c, a, h)
-            blocks[:, :, c, c] = same
-            blocks[:, :, a + 1, a] = left
-            blocks[:, :, a, a + 1] = left.swapaxes(0, 1)
+        # all graded points in one call, the grid freed first: the n
+        # same-cell rules, then the n - 1 adjacent pairs (c + 1, c)
+        del qv
+        pairs = np.indices((len(_GRADED_U),) * 2).reshape(2, -1)
+        points, rule = _near_rule(_GRADED_U, _GRADED_W, *pairs)
+        x, y = (h * points)[np.repeat([0, 1], [n, n - 1])].swapaxes(0, 1)
+        x0 = h * np.concatenate([cells, cells[:-1]])[:, None]
+        x += x0
+        y += x0
+        qv = spec._symmetric_part(x, y)
+        a = cells[:-1]
+        blocks[:, :, cells, cells] = _cell_blocks(rule[0], qv[:n], h)
+        blocks[:, :, a + 1, a] = left = _cell_blocks(rule[1], qv[n:], h)
+        blocks[:, :, a, a + 1] = left.swapaxes(0, 1)
     return symmetrize(_scatter(blocks, mesh))

@@ -324,7 +324,11 @@ def read_report(text):
         if line.startswith("#"):
             key, _, value = line.lstrip("# ").partition("=")
             if key in ("slope_L1", "slope_L2"):
-                slopes[key] = float(value)
+                # float() reads the nan of a degenerate fit, and inf
+                try:
+                    slopes[key] = float(value)
+                except ValueError as exc:
+                    raise ConfigError(f"malformed report footer: {line!r}") from exc
             continue
         p = line.split(",")
         # a wrong cell count is a TypeError of LevelResult

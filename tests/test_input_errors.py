@@ -84,6 +84,7 @@ BAD_INPUTS = {
     "hs-shape": lambda: err_hs_norm(np.eye(3), Mesh1D(8), np.eye(7), Mesh1D(8)),
     "modal-v-shape": lambda: modal_hs_distance(np.eye(3), Mesh1D(4), np.ones((3, 2))),
     "report-str-cell": lambda: read_report("1,0.5,0.25,x,0.1,0.0\n"),
+    "report-str-slope": lambda: read_report("# slope_L1=abc\n"),
 }
 
 

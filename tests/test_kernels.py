@@ -171,6 +171,23 @@ def test_brownian_bridge_gram_matches_oracle():
     assert np.abs(Q - oracle).max() <= 1e-12
 
 
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("n_cells", [2, 5])
+@pytest.mark.parametrize(
+    "kernel",
+    [Custom(lambda x, y: np.exp(-2 * np.abs(x - y)) * (1 + x * y)), Exponential(2.0)],
+    ids=["custom", "exponential"],
+)
+def test_near_rule_paths_match_the_oracle(kernel, n_cells, bc):
+    # the grid and stationary paths share one near-diagonal rule, so
+    # they are checked against the oracle's own, finer near rules
+    mesh = Mesh1D(n_cells, bc)
+    Q = assemble_Q(mesh, kernel)
+    oracle = _q_oracle(kernel, mesh)
+    gap = np.abs(Q - oracle).max()
+    assert gap <= 1e-12 * np.abs(oracle).max(), gap
+
+
 def test_gram_symmetric_and_psd():
     for kern in (Exponential(1.0), Matern(2.0, 0.5, 0.4), BrownianBridge()):
         mesh = Mesh1D(9, "dirichlet")
@@ -357,6 +374,12 @@ def test_offset_blocks_match_generic_assembly(n_cells, bc, kernel):
             (1, 2): 0.05295962145436511,
             (2, 2): 0.057909832561945776,
             (0, 4): 0.03378551608201424,
+        }),
+        # the benchmark's Matern kernel, on the folded stationary path
+        (4, "dirichlet", Matern(10.0, 0.01, 0.1), {
+            (0, 0): 0.28438097036946,
+            (0, 1): 0.17871646079205472,
+            (0, 2): 0.08742102844091909,
         }),
     ],
 )
