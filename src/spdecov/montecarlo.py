@@ -17,9 +17,13 @@ _batch_paths re-keys one generator before each path.
 
 _batch_paths walks the paths in chunks through one reused noise buffer
 of at most CHUNK_BYTES (or 9 paths' noise, if more), and one buffer of
-their noise loads, so sampling holds those two plus the (n_samples,
-n_state) result, however many steps the scheme takes. Each chunk is
-logged at DEBUG to the "spdecov.montecarlo" logger.
+their noise loads, and keeps only the position rows of each path's end
+state, so sampling holds those two plus the (n_samples, n) result,
+however many steps the scheme takes. Each chunk is logged at DEBUG to
+the "spdecov.montecarlo" logger. The statistics then hold at most two
+(n_samples, n) arrays at once: the samples beside their centred copy
+in empirical_cov, then beside their Cholesky frame, which the
+jackknife centres and scales in place once the samples are freed.
 
 The jackknife standard errors come from one leave-one-out covariance
 per path. Each is a rank-one downdate, in the centred sample, of one
@@ -225,18 +229,20 @@ def _batch_paths(config, ops, keys):
     is an (n_paths, 2) uint64 array, and path i draws from the stream of
     a fresh Philox under keys[i] (counter 0): first its K0 draw, through
     a Cholesky factor of K0 on the noise's jitter ladder, then its
-    (n_steps, d) noise block. Returns an (n_paths, d) array whose row i
-    does not depend on the other keys. A step is x_j = ops.path_growth
-    T x_{j-1} + ops.load b_j, with the T of the covariance step.
+    (n_steps, d) noise block. A step is x_j = ops.path_growth T x_{j-1}
+    + ops.load b_j, with the T of the covariance step, on the whole
+    state; only the d position rows of each end state are kept, so this
+    returns an (n_paths, d) array, the whole state for advdiff, whose
+    row i does not depend on the other keys.
 
     The paths go through in chunks of _paths_per_chunk paths, and a lone
     last path joins the chunk before it: alone it would go through
     BLAS's one-column kernel (gemv), which rounds differently from the
     many-column ones. So sampling holds one noise buffer of at most
-    max(CHUNK_BYTES, 9 paths' noise), and a load buffer n_state / n
-    times its size, besides the result, whatever n_steps is. On
-    OpenBLAS every row is bit-identical to that of one batch of all
-    paths, except that the last n_paths % 8 rows may differ by
+    max(CHUNK_BYTES, 9 paths' noise), and a load buffer n_state / d
+    times its size, besides the (n_paths, d) result, whatever n_steps
+    is. On OpenBLAS every row is bit-identical to that of one batch of
+    all paths, except that the last n_paths % 8 rows may differ by
     rounding: they are the short remainder of BLAS's 8-column blocks,
     which its kernel for small products rounds differently from its
     kernel for large ones.
@@ -263,28 +269,32 @@ def _batch_paths(config, ops, keys):
         del bounds[-2]
     # indexed (path, step, dof), so each path's noise block is contiguous
     buf = np.empty((min(chunk + 1, n_paths), config.n_steps, n))
+    rows = list(buf)
     # a chunk's noise loads, (step, state row, path), each step contiguous
     loads = np.empty(len(buf) * config.n_steps * n_state)
-    out = np.empty((n_state, n_paths))
+    out = np.empty((n, n_paths))
     # one generator, re-keyed to the state of a fresh Philox per path
     bitgen = np.random.Philox(0)
     rng = np.random.Generator(bitgen)
     zero = np.zeros(4, dtype=np.uint64)
+    fresh = {"counter": zero, "key": zero}
+    state = {
+        "bit_generator": "Philox",
+        "state": fresh,
+        "buffer": zero,
+        "buffer_pos": 4,  # the four-word buffer is spent
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     log = logging.getLogger(__name__)
     for lo, hi in zip(bounds, bounds[1:]):
         X = np.zeros((n_state, hi - lo))
-        for i, key in enumerate(keys[lo:hi]):
-            bitgen.state = {
-                "bit_generator": "Philox",
-                "state": {"counter": zero, "key": key},
-                "buffer": zero,
-                "buffer_pos": 4,  # the four-word buffer is spent
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
+        for i, (key, row) in enumerate(zip(keys[lo:hi], rows)):
+            fresh["key"] = key
+            bitgen.state = state
             if root_K0 is not None:
                 X[:, i] = root_K0 @ rng.standard_normal(n_state)
-            rng.standard_normal(out=buf[i])
+            rng.standard_normal(out=row)
         # every step's noise load in one stacked product, which makes the
         # BLAS call of the per-step product load @ xi[:, j].T for each j
         m = hi - lo
@@ -292,22 +302,25 @@ def _batch_paths(config, ops, keys):
         np.matmul(load, buf[:m].transpose(1, 2, 0), out=G)
         for j in range(config.n_steps):
             X = T @ X + G[j]
-        out[:, lo:hi] = X
+        out[:, lo:hi] = X[:n]
         log.debug("propagated paths %d-%d of %d", lo + 1, hi, n_paths)
     # the rounding of the statistics' sums over paths depends on the
-    # memory order, so this is the transposed (n_state, n_paths) state
-    # that one batch of all paths returns
+    # memory order, so these are the position rows of the transposed
+    # (n_state, n_paths) state that one batch of all paths returns
     return out.T
 
 
 # an overflow surfaces as the NumericalError of the finite check instead
 @np.errstate(over="ignore", invalid="ignore")
-def _jackknife_distances(samples, L, K_det, workers=1):
+def _jackknife_distances(Y, L, K_det, workers=1):
     """Leave-one-out (trace, HS) distances of the empirical covariance.
 
-    Entry i measures the covariance of all paths but path i against
-    K_det. With M = L L^T, Y = samples L and the centred U = Y - mean(Y),
-    the leave-one-out covariance in the Cholesky frame L^T (.) L of
+    Y is the (n_paths, d) sample in the Cholesky frame, samples L with
+    M = L L^T, and this consumes it: Y is centred in place into U and
+    then scaled in place into V below, so the jackknife holds no other
+    sample-sized array. Entry i measures the covariance of all paths but
+    path i against K_det. With the centred U = Y - mean(Y), the
+    leave-one-out covariance in the Cholesky frame L^T (.) L of
     errnorms, less L^T K_det L, is exactly the rank-one downdate
 
         W_i = D - k u_i u_i^T,  D = U^T U / (n - 2) - L^T K_det L,
@@ -327,13 +340,14 @@ def _jackknife_distances(samples, L, K_det, workers=1):
     """
     import threading
 
-    n_s, d = samples.shape
-    Y = samples @ L
-    U = Y - Y.mean(axis=0)
+    n_s, d = Y.shape
+    U = Y
+    U -= U.mean(axis=0)
     D = symmetrize(U.T @ U) / (n_s - 2) - symmetrize(L.T @ K_det @ L)
     # W_i = D - v_i v_i^T with V = sqrt(k) U is exactly symmetric, as
     # k (u_i u_i^T) is but (k u_i) u_i^T need not be
-    V = np.sqrt(n_s / ((n_s - 1.0) * (n_s - 2.0))) * U
+    V = U
+    V *= np.sqrt(n_s / ((n_s - 1.0) * (n_s - 2.0)))
     chunk = max(1, CHUNK_BYTES // (workers * 8 * d * d))
     starts = range(0, n_s, chunk)
     workers = min(workers, len(starts))
@@ -409,6 +423,10 @@ def mc_validate(mc):
     state rows set the BLAS thread policy, as in run_single, and with it
     the jackknife's worker threads.
 
+    Besides sampling's buffers, it holds at most two (n_samples, n)
+    arrays at once: the samples are freed once their Cholesky frame is
+    formed, and the jackknife centres and scales that frame in place.
+
     Returns
     -------
     McReport
@@ -430,7 +448,6 @@ def mc_validate(mc):
         # the position block, which for advdiff is the whole state
         K_det = K_full[:n, :n]
         samples = _batch_paths(config, ops, _philox_keys(mc.seed, mc.n_samples))
-        samples = samples[:, :n]
         K_emp = empirical_cov(samples)
         _check_finite("empirical covariance", K_emp)
         _check_finite("deterministic covariance", K_det)
@@ -440,7 +457,11 @@ def mc_validate(mc):
         _check_finite("Hilbert-Schmidt distance", hs_d)
 
         L = np.linalg.cholesky(M)
-        tr_vals, hs_vals = _jackknife_distances(samples, L, K_det, workers)
+        # the jackknife consumes the Cholesky frame, and the samples are
+        # freed before it runs
+        Y = samples @ L
+        del samples
+        tr_vals, hs_vals = _jackknife_distances(Y, L, K_det, workers)
         fac = (mc.n_samples - 1.0) / mc.n_samples
         se_tr = float(np.sqrt(fac * np.sum((tr_vals - tr_vals.mean()) ** 2)))
         se_hs = float(np.sqrt(fac * np.sum((hs_vals - hs_vals.mean()) ** 2)))

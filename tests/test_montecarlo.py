@@ -150,11 +150,12 @@ def _loop_batch_paths(config, ops, seeds):
 @BATCH_CASES
 def test_rekeyed_batch_equals_spawned_generators(cfg):
     # re-keying one Philox must reproduce the spawned children's draws
-    # bit for bit, the K0 draw included
+    # bit for bit, the K0 draw included; the sampler keeps the position
+    # rows of the wave state
     ops = cfg.operators()
     X = _batch_paths(cfg, ops, _philox_keys(42, 5))
     ref = _loop_batch_paths(cfg, ops, np.random.SeedSequence(42).spawn(5))
-    assert np.array_equal(X, ref)
+    assert np.array_equal(X, ref[:, : cfg.mesh.n_dof])
 
 
 def _one_shot_batch_paths(config, ops, keys):
@@ -194,14 +195,14 @@ def _one_shot_batch_paths(config, ops, keys):
 
 
 def _spy_samples(monkeypatch):
-    """Records the samples that mc_validate hands to its jackknife."""
+    """Records the samples that mc_validate draws, as _batch_paths returns them."""
     seen = []
 
-    def spy(samples, L, K_det, workers):
-        seen.append(samples)
-        return _jackknife_distances(samples, L, K_det, workers)
+    def spy(*args):
+        seen.append(_batch_paths(*args))
+        return seen[-1]
 
-    monkeypatch.setattr(montecarlo, "_jackknife_distances", spy)
+    monkeypatch.setattr(montecarlo, "_batch_paths", spy)
     return seen
 
 
@@ -268,6 +269,33 @@ def test_sampling_memory_does_not_grow_with_the_step_count():
     finally:
         tracemalloc.stop()
     assert peak < 8 * CHUNK_BYTES
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        _advdiff_cfg(mesh=Mesh1D(16, "neumann"), T=1.0, n_steps=16),
+        _wave_cfg(mesh=Mesh1D(16, "dirichlet"), T=1.0, n_steps=16),
+    ],
+    ids=["advdiff-17", "wave-15"],
+)
+def test_statistics_hold_two_sample_arrays(cfg):
+    # the samples meet at most one other sample-sized array: a centred
+    # copy in empirical_cov, then their Cholesky frame, which the
+    # jackknife centres and scales in place after the samples are freed.
+    # Holding the whole wave state and the frame's centred and scaled
+    # copies beside the samples peaked at 12.6 MiB (advdiff) and 13.0 MiB
+    # (wave); this reads 5.2 and 5.9 MiB. Besides CHUNK_BYTES for the
+    # sampling buffers, a path keeps 32 bytes: its key, tr and hs entries
+    n_paths = 20000
+    mc = McConfig(scheme=cfg, n_samples=n_paths, seed=3)
+    tracemalloc.start()
+    try:
+        mc_validate(mc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * n_paths * cfg.n_state + CHUNK_BYTES + 32 * n_paths
 
 
 def _binomial_tail(n, p, k):
@@ -399,17 +427,18 @@ def test_stacked_jackknife_matches_per_path_loop(cfg, monkeypatch):
     chunk = max(1, CHUNK_BYTES // (8 * d * d))
     assert n_samples > chunk and n_samples % chunk != 0
 
+    drawn = _spy_samples(monkeypatch)
     seen = {}
 
-    def spy(samples, L, K_det, workers):
-        seen["args"] = (samples, K_det)
-        seen["out"] = _jackknife_distances(samples, L, K_det, workers)
+    def spy(Y, L, K_det, workers):
+        seen["K_det"] = K_det
+        seen["out"] = _jackknife_distances(Y, L, K_det, workers)
         return seen["out"]
 
     monkeypatch.setattr(montecarlo, "_jackknife_distances", spy)
     rep = mc_validate(McConfig(scheme=cfg, n_samples=n_samples, seed=31))
     tr, hs = seen["out"]
-    samples, K_det = seen["args"]
+    samples, K_det = drawn[0], seen["K_det"]
     tr_ref, hs_ref = _loop_jackknife(samples, assemble_mass(cfg.mesh), K_det)
     assert_allclose(tr, tr_ref, rtol=1e-12, atol=0.0)
     assert_allclose(hs, hs_ref, rtol=1e-12, atol=0.0)
@@ -432,7 +461,8 @@ def test_rank_one_jackknife_matches_per_path_loop(n_s, d, seed):
     B = rng.standard_normal((d, d))
     K_det = B @ B.T + np.eye(d)
     samples = rng.standard_normal((n_s, d)) + rng.uniform(-1.0, 1.0, d)
-    tr, hs = _jackknife_distances(samples, np.linalg.cholesky(M), K_det)
+    L = np.linalg.cholesky(M)
+    tr, hs = _jackknife_distances(samples @ L, L, K_det)
     tr_ref, hs_ref = _loop_jackknife(samples, M, K_det)
     assert_allclose(tr, tr_ref, rtol=1e-12, atol=0.0)
     assert_allclose(hs, hs_ref, rtol=1e-12, atol=0.0)
@@ -442,8 +472,11 @@ def test_rank_one_jackknife_matches_per_path_loop(n_s, d, seed):
 def test_jackknife_rejects_non_finite_stack(bad):
     samples = np.random.default_rng(0).standard_normal((10, 3))
     samples[4, 1] = bad
+    # mc_validate forms the frame under the same error state: inf * 0 is nan
+    with np.errstate(invalid="ignore"):
+        Y = samples @ np.eye(3)
     with pytest.raises(NumericalError, match="non-finite"):
-        _jackknife_distances(samples, np.eye(3), np.eye(3))
+        _jackknife_distances(Y, np.eye(3), np.eye(3))
 
 
 def _jackknife_inputs(n_s, d, seed=0):
@@ -463,12 +496,12 @@ def test_jackknife_is_the_same_bits_at_any_worker_count():
         chunk = CHUNK_BYTES // (workers * 8 * d * d)
         assert n_s > workers * chunk and n_s % chunk != 0
     samples, L, K_det = _jackknife_inputs(n_s, d)
-    tr, hs = _jackknife_distances(samples, L, K_det, 1)
+    tr, hs = _jackknife_distances(samples @ L, L, K_det, 1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for workers in (2, 3, 8):
-            got_tr, got_hs = _jackknife_distances(samples, L, K_det, workers)
+            got_tr, got_hs = _jackknife_distances(samples @ L, L, K_det, workers)
             assert np.array_equal(got_tr, tr)
             assert np.array_equal(got_hs, hs)
     finally:
@@ -483,7 +516,7 @@ def test_jackknife_rejects_non_finite_stack_on_every_thread(workers):
     samples[2000, 4] = np.nan
     before = threading.active_count()
     with pytest.raises(NumericalError, match="non-finite"):
-        _jackknife_distances(samples, L, K_det, workers)
+        _jackknife_distances(samples @ L, L, K_det, workers)
     assert threading.active_count() == before
 
 
@@ -502,7 +535,7 @@ def test_jackknife_error_in_a_worker_reaches_the_caller(monkeypatch):
     samples, L, K_det = _jackknife_inputs(3001, 9)
     before = threading.active_count()
     with pytest.raises(NumericalError, match="injected"):
-        _jackknife_distances(samples, L, K_det, 2)
+        _jackknife_distances(samples @ L, L, K_det, 2)
     assert threading.active_count() == before
 
 
