@@ -23,16 +23,9 @@ from dataclasses import astuple, fields
 
 import numpy as np
 
-from . import montecarlo
 from .advdiff import AdvDiffConfig
 from .config import load_mc, load_study
 from .exceptions import ConfigError, NumericalError
-from .spectral import (
-    _sine_diagonal,
-    eigenvalues,
-    heat_cov_closed_form,
-    wave_cov_closed_form,
-)
 from .study import FORMATS, emit, run_single, run_sweep, write_table
 
 __all__ = ["main"]
@@ -70,6 +63,10 @@ def _run_sweep(args):
 
 
 def _run_mc(args):
+    # mc and oracle import the modules only they run, so that the other
+    # commands start without them
+    from . import montecarlo
+
     mc = load_mc(args.config, n_samples=args.samples, seed=args.seed)
     # looked up on the module at call time, where a tracer may wrap it
     report = montecarlo.mc_validate(mc)
@@ -78,6 +75,13 @@ def _run_mc(args):
 
 
 def _run_oracle(args):
+    from .spectral import (
+        _sine_diagonal,
+        eigenvalues,
+        heat_cov_closed_form,
+        wave_cov_closed_form,
+    )
+
     scheme = load_study(args.config).scheme
     n_modes = args.modes
     if n_modes < 1:

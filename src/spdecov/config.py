@@ -21,7 +21,6 @@ from .advdiff import AdvDiffConfig
 from .exceptions import ConfigError
 from .fem import Coefficients, Mesh1D, _Constant, compute_c0
 from .kernels import BrownianBridge, Exponential, Matern, WhiteNoise
-from .montecarlo import McConfig
 from .study import StudyConfig, levels_from_exponents
 from .wave import WaveConfig
 
@@ -246,6 +245,9 @@ def load_mc(path, n_samples=None, seed=None):
 
     n_samples/seed arguments override the [study] section values.
     """
+    # only the mc command loads the Monte Carlo module
+    from .montecarlo import McConfig
+
     parser = read_config(path)
     study = _study(parser)
     st = parser["study"]

@@ -30,8 +30,41 @@ __all__ = [
 #: on two-cell meshes.
 FORM_QUAD_ORDER = 12
 
-# the rule on [-1, 1], computed once: leggauss solves an eigenproblem
-_FORM_X, _FORM_W = np.polynomial.legendre.leggauss(FORM_QUAD_ORDER)
+#: Gauss-Legendre rules on [-1, 1] by order: the nodes below 0 and their
+#: weights, ascending, as np.polynomial.legendre.leggauss returns them
+#: (which would load numpy.polynomial and solve an eigenproblem). That
+#: function symmetrizes its rule exactly, so _gauss_legendre mirrors the
+#: half to the same bits.
+_GAUSS_LEGENDRE_HALF = {
+    6: (
+        (-0.9324695142031519, -0.6612093864662645, -0.2386191860831969),
+        (0.17132449237917027, 0.3607615730481387, 0.46791393457269104),
+    ),
+    8: (
+        (-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+         -0.18343464249564978),
+        (0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+         0.36268378337836166),
+    ),
+    12: (
+        (-0.9815606342467192, -0.9041172563704748, -0.7699026741943047,
+         -0.5873179542866175, -0.3678314989981802, -0.1252334085114689),
+        (0.04717533638651141, 0.10693932599531907, 0.16007832854334642,
+         0.20316742672306573, 0.2334925365383546, 0.2491470458134027),
+    ),
+}
+
+
+def _gauss_legendre(order):
+    """Nodes and weights of the order-point Gauss-Legendre rule on [-1, 1].
+
+    order is 6, 8 or 12, the orders the package integrates with.
+    """
+    x, w = map(np.array, _GAUSS_LEGENDRE_HALF[order])
+    return np.concatenate([x, -x[::-1]]), np.concatenate([w, w[::-1]])
+
+
+_FORM_X, _FORM_W = _gauss_legendre(FORM_QUAD_ORDER)
 
 #: grid resolution for coefficient sup/inf sampling
 C0_GRID_POINTS = 1001

@@ -22,10 +22,9 @@ from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from numpy.polynomial.polynomial import polyval
 
 from .exceptions import ConfigError
-from .fem import _is_finite, assemble_mass
+from .fem import _gauss_legendre, _is_finite, assemble_mass
 from .linalg import symmetrize
 
 __all__ = [
@@ -46,6 +45,11 @@ Q_QUAD_ORDER = 6
 DUFFY_PANEL_ORDER = 8
 DUFFY_PANELS = 8
 DUFFY_GRADE = 0.1
+
+#: bytes of one coordinate of the graded points that the grid path
+#: passes to a Custom kernel per call; the kernel's own temporaries are
+#: a few times that
+_GRID_GROUP_BYTES = 1 << 18
 
 #: largest Matern smoothness: it bounds the upward recurrence of the
 #: scaled Bessel function and keeps Gamma(nu) far from overflow, and the
@@ -146,6 +150,14 @@ def _steed(mu, x):
     return f0, f0 * (mu + x + 0.5 - a1 * h)
 
 
+def _horner(coefs, x):
+    """coefs[0] + coefs[1] x + ..., in the operations of numpy's polyval."""
+    acc = coefs[-1]
+    for c in coefs[-2::-1]:
+        acc = c + acc * x
+    return float(acc)
+
+
 def _kv_series(nu):
     """(n, mu, even, odd, lim1): what f_nu depends on through nu alone.
 
@@ -154,8 +166,8 @@ def _kv_series(nu):
     """
     n = int(nu + 0.5)
     mu = nu - n
-    even = float(polyval(mu * mu, _RGAMMA_TAYLOR[0::2]))
-    odd = float(polyval(mu * mu, _RGAMMA_TAYLOR[1::2]))
+    even = _horner(_RGAMMA_TAYLOR[0::2], mu * mu)
+    odd = _horner(_RGAMMA_TAYLOR[1::2], mu * mu)
     # the w -> 0 limits: f_(mu+1) -> 2^mu Gamma(1 + mu), f_mu -> 2^(mu-1)
     # Gamma(mu) for mu > 0; for mu <= 0 f_mu diverges, but then n >= 1
     # and it enters only as w^2 f_mu -> 0
@@ -325,7 +337,7 @@ def _graded_gauss(order, panels, grade):
     order of magnitude per panel instead of stalling a single rule.
     """
     edges = np.concatenate(([0.0], grade ** np.arange(panels - 1, -1.0, -1.0)))
-    xg, wg = np.polynomial.legendre.leggauss(order)
+    xg, wg = _gauss_legendre(order)
     pts = edges[:-1, None] + 0.5 * np.diff(edges)[:, None] * (xg[None, :] + 1.0)
     wts = 0.5 * np.diff(edges)[:, None] * wg[None, :]
     return pts.ravel(), wts.ravel()
@@ -481,8 +493,9 @@ def assemble_Q(mesh, spec):
     on the graded 64-point rule instead, each integrated once from the
     kernel's symmetric part: a Custom kernel's Gram is that of its
     symmetric part. The semiseparable path takes the same-cell half of
-    that rule on the plain 6-point rule, and the grid path all its
-    graded points in one kernel call.
+    that rule on the plain 6-point rule, and the grid path passes its
+    graded points to the kernel a group of cells per call, so that the
+    call's arrays stay near _GRID_GROUP_BYTES whatever n_cells is.
     """
     if not isinstance(spec, Kernel):
         raise ConfigError(f"kernel must be a Kernel, got {spec!r}")
@@ -512,18 +525,24 @@ def assemble_Q(mesh, spec):
         qv = spec.pointwise(pts[:, None], pts[None, :])
         qv = qv.reshape(n, Q_QUAD_ORDER, n, Q_QUAD_ORDER)
         blocks = np.einsum("ip,apbq,jq->ijab", wb, qv, wb, optimize=True)
-        # all graded points in one call, the grid freed first: the n
-        # same-cell rules, then the n - 1 adjacent pairs (c + 1, c)
         del qv
+        # the graded points, the grid freed first: the same-cell rule of
+        # each cell c, then the adjacent rule of each pair (c + 1, c), a
+        # group of cells per kernel call
         pairs = np.indices((len(_GRADED_U),) * 2).reshape(2, -1)
         points, rule = _near_rule(_GRADED_U, _GRADED_W, *pairs)
-        x, y = (h * points)[np.repeat([0, 1], [n, n - 1])].swapaxes(0, 1)
-        x0 = h * np.concatenate([cells, cells[:-1]])[:, None]
-        x += x0
-        y += x0
-        qv = spec._symmetric_part(x, y)
+        hp = h * points
+        group = max(1, _GRID_GROUP_BYTES // hp[0, 0].nbytes)
+
+        def near(k, c):
+            blocks_k = []
+            for g in np.split(c, range(group, len(c), group)):
+                x, y = hp[k][:, None] + h * g[:, None]
+                blocks_k.append(_cell_blocks(rule[k], spec._symmetric_part(x, y), h))
+            return np.concatenate(blocks_k, axis=2)
+
         a = cells[:-1]
-        blocks[:, :, cells, cells] = _cell_blocks(rule[0], qv[:n], h)
-        blocks[:, :, a + 1, a] = left = _cell_blocks(rule[1], qv[n:], h)
+        blocks[:, :, cells, cells] = near(0, cells)
+        blocks[:, :, a + 1, a] = left = near(1, a)
         blocks[:, :, a, a + 1] = left.swapaxes(0, 1)
     return symmetrize(_scatter(blocks, mesh))

@@ -36,6 +36,8 @@ same bits at any core count. Sampling and the deterministic recursion
 stay on the caller's thread.
 """
 
+import logging
+import threading
 from dataclasses import dataclass
 from typing import Union
 
@@ -247,10 +249,6 @@ def _batch_paths(config, ops, keys):
     which its kernel for small products rounds differently from its
     kernel for large ones.
     """
-    # imported here, so that the commands which sample nothing do not
-    # pay for it at start-up
-    import logging
-
     n = ops.M.shape[0]
     n_state = ops.load.shape[0]
     n_paths = len(keys)
@@ -338,8 +336,6 @@ def _jackknife_distances(Y, L, K_det, workers=1):
     at any worker count. An error in any chunk is raised here, after
     every thread has stopped.
     """
-    import threading
-
     n_s, d = Y.shape
     U = Y
     U -= U.mean(axis=0)

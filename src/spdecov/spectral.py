@@ -14,7 +14,7 @@ import numpy as np
 
 from .advdiff import AdvDiffConfig, backward_euler_step
 from .exceptions import ConfigError
-from .fem import _is_finite, _is_int, assemble_mass
+from .fem import _gauss_legendre, _is_finite, _is_int, assemble_mass
 from .kernels import BrownianBridge, WhiteNoise
 from .linalg import _serial_blas, propagate, symmetrize
 from .wave import WaveConfig, crank_nicolson_step
@@ -75,7 +75,7 @@ def wave_cov_closed_form(n_modes, T, q_diag=None):
 def _oracle_quadrature(n_modes):
     """Composite rule fine enough for products of the first n_modes."""
     cells = max(n_modes, 32)
-    xg, wg = np.polynomial.legendre.leggauss(ORACLE_QUAD_ORDER)
+    xg, wg = _gauss_legendre(ORACLE_QUAD_ORDER)
     left = np.arange(cells) / cells
     h = 1.0 / cells
     pts = (left[:, None] + 0.5 * h * (xg[None, :] + 1.0)).ravel()

@@ -7,7 +7,6 @@ trace-class and Hilbert-Schmidt distances between them (wave studies
 measure the position block), then fits log-log slopes in h.
 """
 
-import json
 import math
 import time
 import warnings
@@ -277,6 +276,8 @@ def write_table(fmt, columns, rows, title=None, footer=None, block=None):
         raise ConfigError(f"unknown format {fmt!r}")
     footer = footer or {}
     if fmt == "jsonl":
+        import json  # only jsonl output needs it; csv commands start faster
+
         recs = [
             dict(zip(columns, map(_json_value, row)))
             if columns

@@ -20,9 +20,19 @@ from spdecov import (
     err_trace_norm,
     hat_values,
 )
+from spdecov.fem import _gauss_legendre
 
 _CELLS = [2, 3, 7, 64]
 _BCS = ["dirichlet", "neumann"]
+
+
+@pytest.mark.parametrize("order", [6, 8, 12])
+def test_gauss_legendre_table_is_numpys_rule(order):
+    # fem, kernels and spectral integrate with these bits
+    x, w = _gauss_legendre(order)
+    want_x, want_w = np.polynomial.legendre.leggauss(order)
+    assert np.array_equal(x, want_x)
+    assert np.array_equal(w, want_w)
 
 
 def test_mesh_basic():

@@ -26,7 +26,8 @@ from spdecov import (
     assemble_stiffness,
     hat_values,
 )
-from spdecov.kernels import _Semiseparable, _scaled_kv
+from spdecov import kernels
+from spdecov.kernels import _RGAMMA_TAYLOR, _Semiseparable, _kv_series, _scaled_kv
 
 
 def test_brownian_bridge_midpoint():
@@ -280,6 +281,25 @@ def test_scaled_kv_matches_scipy(nu, w):
     want, ok = _scipy_scaled_kv(nu, w)
     got = _scaled_kv(nu, w)
     assert_allclose(got[ok], want[ok], rtol=5e-13, atol=0)
+
+
+def _polyval_kv_series(nu):
+    """_kv_series as it was written with numpy's polyval."""
+    n = int(nu + 0.5)
+    mu = nu - n
+    even = float(polyval(mu * mu, _RGAMMA_TAYLOR[0::2]))
+    odd = float(polyval(mu * mu, _RGAMMA_TAYLOR[1::2]))
+    return n, mu, even, odd, 2.0**mu / (even + mu * odd)
+
+
+def test_kv_series_is_the_polyval_form_bit_for_bit():
+    # Horner's rule in polyval's operations: every Matern Gram keeps its bits
+    nus = np.concatenate(
+        [np.logspace(-300, np.log10(30.0), 601), np.linspace(0.0, 30.0, 6001)[1:]]
+    )
+    for nu in map(float, nus):
+        got, want = _kv_series(nu), _polyval_kv_series(nu)
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in want], nu
 
 
 @pytest.mark.parametrize(
@@ -540,6 +560,35 @@ def test_gram_memory(kernel, bc):
     finally:
         tracemalloc.stop()
     assert peak <= 3 * 8 * mesh.n_dof**2, peak
+
+
+@pytest.mark.parametrize("n_cells", [2, 3, 8, 64])
+@pytest.mark.parametrize("group_bytes", [1, kernels._GRID_GROUP_BYTES])
+def test_grid_path_groups_match_one_kernel_call(monkeypatch, n_cells, group_bytes):
+    # the graded points in groups of one cell, and of the default size,
+    # against all of them in one kernel call; the points and kernel
+    # values are the same, only the sums over each rule may round apart
+    mesh = Mesh1D(n_cells, "neumann")
+    kernel = Custom(Exponential(2.0).pointwise)
+    monkeypatch.setattr(kernels, "_GRID_GROUP_BYTES", 1 << 40)
+    Q_one = assemble_Q(mesh, kernel)
+    monkeypatch.setattr(kernels, "_GRID_GROUP_BYTES", group_bytes)
+    assert_allclose(assemble_Q(mesh, kernel), Q_one, rtol=1e-15, atol=0)
+
+
+def test_grid_path_memory():
+    # the kernel sees a group of cells' graded points at a time; in one
+    # call, the 127 x 4096 points of 64 cells peaked at 24.4 MiB
+    mesh = Mesh1D(64, "neumann")
+    kernel = Custom(Exponential(2.0).pointwise)
+    assemble_Q(mesh, kernel)
+    tracemalloc.start()
+    try:
+        assemble_Q(mesh, kernel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
 
 
 @pytest.mark.parametrize("n_cells", [2, 3, 8, 64])
